@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-from .core import Body, Vec3, cross, pair_state
+from .core import Body, Vec3, cross, distance, pair_state
 from .dynamics import (
+    DivergenceError,
     Trajectory,
     angular_momentum_rate,
     finite_difference,
@@ -42,6 +43,7 @@ from .frames import (
     pure_boost,
     pure_translation,
     random_transform,
+    raw_apply,
     transform_residual,
 )
 from .report import AuditReport, AuditResult, ERROR, FAIL, PASS
@@ -65,13 +67,17 @@ class AuditConfigError(ValueError):
 
 
 class AuditContext:
-    """Shared state for one run: scenario, seed, and cached trajectories."""
+    """Shared state for one run: scenario, seed, and cached trajectories.
+
+    A failed integration is cached like a trajectory, so every audit that
+    needs it reports the same error without integrating again.
+    """
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
         self.scenario = scenario
         self.seed = seed
         self.law = merge_laws(scenario.laws)
-        self._trajectories: dict[float, Trajectory] = {}
+        self._trajectories: dict[float, Trajectory | Exception] = {}
 
     def rng(self, audit: str) -> random.Random:
         return random.Random(f"{self.seed}:{audit}")
@@ -98,14 +104,18 @@ class AuditContext:
         if step_scale not in self._trajectories:
             a, b = self.scenario.bodies
             try:
-                self._trajectories[step_scale] = integrate(
+                result: Trajectory | Exception = integrate(
                     a, b, self.law, cfg.t_end, cfg.step * step_scale, cfg.method
                 )
+            except (SingularityError, DivergenceError) as exc:
+                result = exc
             except ValueError as exc:
-                if isinstance(exc, SingularityError):
-                    raise
-                raise AuditConfigError(str(exc)) from None
-        return self._trajectories[step_scale]
+                result = AuditConfigError(str(exc))
+            self._trajectories[step_scale] = result
+        result = self._trajectories[step_scale]
+        if isinstance(result, Exception):
+            raise result from None
+        return result
 
     def frame_transforms(self, rng: random.Random) -> list[FrameTransform]:
         cfg = self.scenario.frames
@@ -154,6 +164,17 @@ def _random_pair(rng: random.Random, a0: Body, b0: Body, min_separation: float) 
         )
         if pair_state(a, b).x_ab.norm() > max(0.1, min_separation):
             return a, b
+
+
+def _worst(residuals: Iterable[float], worst: float = 0.0) -> float:
+    """Largest of ``worst`` and the residuals. Unlike max(), a nan wins and
+    stays, so a non-finite residual can never PASS."""
+    for r in residuals:
+        if r != r:
+            return r
+        if r > worst:
+            worst = r
+    return worst
 
 
 # --- audit implementations ---
@@ -243,6 +264,21 @@ def _audit_event_order(ctx: AuditContext) -> AuditResult:
     )
 
 
+def _inertia_residuals(traj: Trajectory, x0: Vec3, v0: Vec3) -> Iterator[float]:
+    """Per sample: relative-position gap to x0 + v0 t (scaled), then
+    relative-velocity gap to v0 (scaled), from the raw rows."""
+    v_scale = max(1.0, v0.norm())
+    for t, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz) in zip(
+        traj.times, traj.samples(), strict=True
+    ):
+        ex, ey, ez = x0.x + v0.x * t, x0.y + v0.y * t, x0.z + v0.z * t
+        dx, dy, dz = (ax - bx) - ex, (ay - by) - ey, (az - bz) - ez
+        scale = max(1.0, math.sqrt(ex * ex + ey * ey + ez * ez))
+        yield math.sqrt(dx * dx + dy * dy + dz * dz) / scale
+        dx, dy, dz = (avx - bvx) - v0.x, (avy - bvy) - v0.y, (avz - bvz) - v0.z
+        yield math.sqrt(dx * dx + dy * dy + dz * dz) / v_scale
+
+
 def _audit_inertia(ctx: AuditContext) -> AuditResult:
     tol = ctx.tolerance("inertia", 1e-12)
     steps = ctx.param("inertia", "steps", 10_000)
@@ -251,13 +287,7 @@ def _audit_inertia(ctx: AuditContext) -> AuditResult:
     a, b = ctx.scenario.bodies
     traj = integrate(a, b, merge_laws(()), steps * step, step, "rk4")
     base = pair_state(a, b)
-    worst = 0.0
-    for t, (ta, tb) in zip(traj.times, traj.states):
-        rel = pair_state(ta, tb)
-        expected = base.x_ab + base.v_ab * t
-        scale = max(1.0, expected.norm())
-        worst = max(worst, (rel.x_ab - expected).norm() / scale)
-        worst = max(worst, (rel.v_ab - base.v_ab).norm() / max(1.0, base.v_ab.norm()))
+    worst = _worst(_inertia_residuals(traj, base.x_ab, base.v_ab))
     verdict = PASS if worst <= tol else FAIL
     return AuditResult(
         "inertia", "law-of-inertia", verdict, worst, tol, f"{steps} force-free steps"
@@ -287,9 +317,9 @@ def _audit_momentum(ctx: AuditContext) -> AuditResult:
     tol = ctx.tolerance("momentum", 1e-9)
     traj = ctx.trajectory()
     first = traj.observables(0).total_momentum
-    worst = 0.0
-    for i in range(len(traj)):
-        worst = max(worst, (traj.observables(i).total_momentum - first).norm())
+    worst = _worst(
+        distance(traj.observables(i).total_momentum, first) for i in range(len(traj))
+    )
     verdict = PASS if worst <= tol else FAIL
     return AuditResult(
         "momentum",
@@ -305,9 +335,9 @@ def _audit_angular_momentum(ctx: AuditContext) -> AuditResult:
     tol = ctx.tolerance("angular-momentum", 1e-9)
     traj = ctx.trajectory()
     first = traj.observables(0).angular_momentum
-    worst = 0.0
-    for i in range(len(traj)):
-        worst = max(worst, (traj.observables(i).angular_momentum - first).norm())
+    worst = _worst(
+        distance(traj.observables(i).angular_momentum, first) for i in range(len(traj))
+    )
     verdict = PASS if worst <= tol else FAIL
     return AuditResult(
         "angular-momentum",
@@ -394,6 +424,27 @@ def _audit_energy(ctx: AuditContext) -> AuditResult:
     )
 
 
+def _boost_residuals(
+    boost: FrameTransform, base: Trajectory, boosted: Trajectory
+) -> Iterator[float]:
+    """Per sample: relative position, then relative velocity, of the
+    boosted base trajectory against the trajectory integrated from boosted
+    initial states, from the raw rows."""
+    for t, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz), q in zip(
+        base.times, base.samples(), boosted.samples(), strict=True
+    ):
+        pax, pay, paz, uax, uay, uaz = raw_apply(boost, ax, ay, az, avx, avy, avz, t)
+        pbx, pby, pbz, ubx, uby, ubz = raw_apply(boost, bx, by, bz, bvx, bvy, bvz, t)
+        dx = (pax - pbx) - (q[0] - q[6])
+        dy = (pay - pby) - (q[1] - q[7])
+        dz = (paz - pbz) - (q[2] - q[8])
+        yield math.sqrt(dx * dx + dy * dy + dz * dz)
+        dx = (uax - ubx) - (q[3] - q[9])
+        dy = (uay - uby) - (q[4] - q[10])
+        dz = (uaz - ubz) - (q[5] - q[11])
+        yield math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _audit_boost_covariance(ctx: AuditContext) -> AuditResult:
     rng = ctx.rng("boost-covariance")
     tol = ctx.tolerance("boost-covariance", 1e-9)
@@ -416,12 +467,7 @@ def _audit_boost_covariance(ctx: AuditContext) -> AuditResult:
         boosted = integrate(
             apply(boost, a0), apply(boost, b0), ctx.law, t_end, step, cfg.method
         )
-        for i, t in enumerate(base.times):
-            a, b = base.states[i]
-            after = pair_state(apply(boost, a, t), apply(boost, b, t))
-            before = boosted.relative(i)
-            worst = max(worst, (after.x_ab - before.x_ab).norm())
-            worst = max(worst, (after.v_ab - before.v_ab).norm())
+        worst = _worst(_boost_residuals(boost, base, boosted), worst)
     verdict = PASS if worst <= tol else FAIL
     return AuditResult(
         "boost-covariance",
@@ -690,9 +736,9 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     """Run the scenario's requested audits in catalog order.
 
     Unknown audit names are a scenario error (input problem, not a FAIL).
-    A singular encounter or a missing scenario block turns into an ERROR
-    verdict for that audit alone. Passing an existing ``context`` reuses
-    its cached trajectories.
+    A singular encounter, a diverging integration or a missing scenario
+    block turns into an ERROR verdict for that audit alone. Passing an
+    existing ``context`` reuses its cached trajectories and failures.
     """
     unknown = [name for name in scenario.audits if name not in _BY_NAME]
     if unknown:
@@ -706,7 +752,7 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     for spec in requested:
         try:
             results.append(spec.run(ctx))
-        except (AuditConfigError, SingularityError, ConvergenceError) as exc:
+        except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError) as exc:
             results.append(
                 AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc))
             )

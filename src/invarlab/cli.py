@@ -2,7 +2,7 @@
 
 Exit codes: 0 all audits pass, 1 input error, 2 audit failure or error.
 Outputs land in the chosen directory: trajectory.csv and drift.csv when
-the scenario integrates, report.json always. Identical scenario and flags
+the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 """
 
@@ -17,6 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .audits import AuditContext, format_catalog, run_audits
+from .core import distance
+from .dynamics import DivergenceError
 from .forces import SingularityError
 from .report import AuditReport, AuditResult, ERROR
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -44,8 +46,8 @@ def _write_drift_csv(ctx: AuditContext, out: Path) -> None:
         stream.write("t,dP,dL,dE\n")
         for i, t in enumerate(traj.times):
             obs = traj.observables(i)
-            dp = (obs.total_momentum - first.total_momentum).norm()
-            dl = (obs.angular_momentum - first.angular_momentum).norm()
+            dp = distance(obs.total_momentum, first.total_momentum)
+            dl = distance(obs.angular_momentum, first.angular_momentum)
             if obs.internal_energy is None:
                 de = ""
             else:
@@ -66,7 +68,11 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
             with (out_dir / "trajectory.csv").open("w") as stream:
                 trajectory.write_csv(stream)
             _write_drift_csv(ctx, out_dir)
-        except SingularityError as exc:
+        except (SingularityError, DivergenceError) as exc:
+            # A divergence can surface while the CSVs are written; drop the
+            # partial files so no output describes a run that failed.
+            for name in ("trajectory.csv", "drift.csv"):
+                (out_dir / name).unlink(missing_ok=True)
             trajectory_failure = AuditResult(
                 "trajectory", "equations-of-motion", ERROR, detail=str(exc)
             )

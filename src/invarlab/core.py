@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "dot", "pair_state"]
+__all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "distance", "dot", "pair_state"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +55,12 @@ def dot(u: Vec3, v: Vec3) -> float:
     return u.x * v.x + u.y * v.y + u.z * v.z
 
 
+def distance(u: Vec3, v: Vec3) -> float:
+    """|u - v|, without building the difference vector."""
+    dx, dy, dz = u.x - v.x, u.y - v.y, u.z - v.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def cross(u: Vec3, v: Vec3) -> Vec3:
     """Right-handed vector product; perpendicular to both arguments,
     zero whenever they are collinear."""
@@ -65,7 +71,7 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Body:
     """Point body: positive mass, kinematic state, named scalar properties.
 

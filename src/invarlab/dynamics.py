@@ -24,13 +24,15 @@ Exact statements the audits lean on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, IO, Sequence
+from typing import Callable, IO, Iterator, Sequence
 
 from .core import Body, PairState, Vec3, cross, pair_state
 from .forces import ForceLaw, PropertyView, raw_force_pair
 
 __all__ = [
+    "DivergenceError",
     "Trajectory",
     "Observables",
     "CSV_HEADER",
@@ -64,65 +66,107 @@ class Observables:
     reduced_mass: float
 
 
-@dataclass(frozen=True)
+class DivergenceError(ArithmeticError):
+    """The integrated state left the floating-point range: a sample is not
+    finite, or its observables overflow. Names the first bad sample."""
+
+    def __init__(self, index: int, time: float, reason: str) -> None:
+        super().__init__(f"trajectory diverged at sample {index} (t = {time!r}): {reason}")
+        self.index = index
+        self.time = time
+
+
 class Trajectory:
-    """Time-ordered snapshots of the pair, step metadata attached."""
+    """Time-ordered samples of the pair, step metadata attached.
 
-    times: tuple[float, ...]
-    states: tuple[tuple[Body, Body], ...]
-    law: ForceLaw
-    method: str
-    step: float
+    Samples are stored as raw floats: ``rows`` holds 12 per sample, flat,
+    in the order position of a, velocity of a, position of b, velocity of
+    b (x, y, z each), and every one is checked finite at construction.
+    ``bodies`` are the templates that give the snapshots their id, mass
+    and properties. The ``(Body, Body)`` snapshots in ``states`` are built
+    from the rows the first time ``states`` is read, then cached; paths
+    that only need numbers read ``rows`` or ``samples()`` and never build
+    them.
 
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
+    Raises:
+        ValueError: ``rows`` does not hold 12 floats per time, or the
+            times are not strictly increasing.
+        DivergenceError: a row holds a non-finite value.
+    """
+
+    __slots__ = ("times", "rows", "bodies", "law", "method", "step", "_states")
+
+    def __init__(
+        self,
+        times: Sequence[float],
+        rows: Sequence[float],
+        bodies: tuple[Body, Body],
+        law: ForceLaw,
+        method: str,
+        step: float,
+    ) -> None:
+        if len(rows) != 12 * len(times):
+            raise ValueError("rows must hold 12 floats per time")
+        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
+        if not all(map(math.isfinite, rows)):
+            index = next(i for i, x in enumerate(rows) if not math.isfinite(x)) // 12
+            raise DivergenceError(index, times[index], "non-finite state")
+        self.times = times
+        self.rows = rows
+        self.bodies = bodies
+        self.law = law
+        self.method = method
+        self.step = step
+        self._states: tuple[tuple[Body, Body], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def samples(self) -> Iterator[tuple[float, ...]]:
+        """The rows as 12-tuples, in time order."""
+        it = iter(self.rows)
+        return zip(*[it] * 12)
+
+    @property
+    def states(self) -> tuple[tuple[Body, Body], ...]:
+        """One (a, b) snapshot per sample, built on first read."""
+        if self._states is None:
+            a0, b0 = self.bodies
+            self._states = tuple(
+                (
+                    a0.with_state(Vec3(ax, ay, az), Vec3(avx, avy, avz)),
+                    b0.with_state(Vec3(bx, by, bz), Vec3(bvx, bvy, bvz)),
+                )
+                for ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz in self.samples()
+            )
+        return self._states
 
     def relative(self, i: int) -> PairState:
         a, b = self.states[i]
         return pair_state(a, b)
 
     def observables(self, i: int) -> Observables:
+        """Observables of sample i.
+
+        Raises:
+            DivergenceError: they overflow the floating-point range.
+        """
         a, b = self.states[i]
-        return observables(a, b, self.law)
+        try:
+            return observables(a, b, self.law)
+        except (OverflowError, ValueError) as exc:
+            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
 
     def write_csv(self, stream: IO[str]) -> None:
         """One row per sample; the energy column is blank when undefined."""
         stream.write(CSV_HEADER + "\n")
-        for t, (a, b) in zip(self.times, self.states):
-            obs = observables(a, b, self.law)
-            cells = [
-                t,
-                a.position.x, a.position.y, a.position.z,
-                a.velocity.x, a.velocity.y, a.velocity.z,
-                b.position.x, b.position.y, b.position.z,
-                b.velocity.x, b.velocity.y, b.velocity.z,
-                obs.total_momentum.x, obs.total_momentum.y, obs.total_momentum.z,
-                obs.angular_momentum.x, obs.angular_momentum.y, obs.angular_momentum.z,
-            ]
-            row = ",".join(repr(c) for c in cells)
+        for i, (t, row) in enumerate(zip(self.times, self.samples())):
+            obs = self.observables(i)
+            p, l = obs.total_momentum, obs.angular_momentum
+            cells = ",".join(map(repr, (t, *row, p.x, p.y, p.z, l.x, l.y, l.z)))
             energy = "" if obs.internal_energy is None else repr(obs.internal_energy)
-            stream.write(f"{row},{energy}\n")
-
-
-def _accel_fn(law: ForceLaw, a0: Body, b0: Body) -> Callable[..., tuple[float, ...]]:
-    """Acceleration closure on raw floats; property maps are fixed along
-    a trajectory, so the views are bound once."""
-    qa, qb = PropertyView(a0), PropertyView(b0)
-    inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
-
-    def accels(xa, ya, za, vax, vay, vaz, xb, yb, zb, vbx, vby, vbz):
-        fx, fy, fz, kx, ky, kz = raw_force_pair(
-            law, qa, qb, xa - xb, ya - yb, za - zb, vax - vbx, vay - vby, vaz - vbz
-        )
-        return (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
-
-    return accels
+            stream.write(f"{cells},{energy}\n")
 
 
 def integrate(
@@ -143,6 +187,7 @@ def integrate(
             requested for a law that is not central.
         SingularityError: the pair entered a singular law's exclusion
             radius (including at t = 0).
+        DivergenceError: the state stopped being finite.
     """
     if step <= 0.0 or t_end <= 0.0:
         raise ValueError("step and t_end must be positive")
@@ -153,73 +198,111 @@ def integrate(
             f"velocity Verlet needs a velocity-independent (central) law; {law.name!r} is not"
         )
     n_steps = max(1, round(t_end / step))
-    accels = _accel_fn(law, a0, b0)
-
-    y = (
-        a0.position.x, a0.position.y, a0.position.z,
-        a0.velocity.x, a0.velocity.y, a0.velocity.z,
-        b0.position.x, b0.position.y, b0.position.z,
-        b0.velocity.x, b0.velocity.y, b0.velocity.z,
-    )
-    samples = [y]
+    # Property maps are fixed along a trajectory, so the views are bound once.
+    qa, qb = PropertyView(a0), PropertyView(b0)
+    inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
+    force = raw_force_pair
     h = step
 
-    if method == "rk4":
-        def deriv(s):
-            axa, aya, aza, axb, ayb, azb = accels(*s)
-            return (
-                s[3], s[4], s[5], axa, aya, aza,
-                s[9], s[10], s[11], axb, ayb, azb,
-            )
+    ax, ay, az = a0.position.x, a0.position.y, a0.position.z
+    avx, avy, avz = a0.velocity.x, a0.velocity.y, a0.velocity.z
+    bx, by, bz = b0.position.x, b0.position.y, b0.position.z
+    bvx, bvy, bvz = b0.velocity.x, b0.velocity.y, b0.velocity.z
+    rows = [ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz]
+    extend = rows.extend
 
+    if method == "rk4":
+        # Classic rk4 on the 12-component state, one scalar local per
+        # component. Stage k of the state is s + (c h) k_(k-1) and the
+        # update is s + (h/6) (((k1 + 2 k2) + 2 k3) + k4): the operation
+        # order is part of the output format (byte-identical CSVs).
+        hh = 0.5 * h
+        h6 = h / 6.0
         for _ in range(n_steps):
-            k1 = deriv(y)
-            k2 = deriv(tuple(s + 0.5 * h * k for s, k in zip(y, k1)))
-            k3 = deriv(tuple(s + 0.5 * h * k for s, k in zip(y, k2)))
-            k4 = deriv(tuple(s + h * k for s, k in zip(y, k3)))
-            y = tuple(
-                s + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
-                for s, p, q, r, w in zip(y, k1, k2, k3, k4)
+            f1x, f1y, f1z, k1x, k1y, k1z = force(
+                law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
             )
-            samples.append(y)
+            a1x, a1y, a1z = f1x * inv_ma, f1y * inv_ma, f1z * inv_ma
+            b1x, b1y, b1z = k1x * inv_mb, k1y * inv_mb, k1z * inv_mb
+
+            av2x, av2y, av2z = avx + hh * a1x, avy + hh * a1y, avz + hh * a1z
+            bv2x, bv2y, bv2z = bvx + hh * b1x, bvy + hh * b1y, bvz + hh * b1z
+            f2x, f2y, f2z, k2x, k2y, k2z = force(
+                law, qa, qb,
+                (ax + hh * avx) - (bx + hh * bvx),
+                (ay + hh * avy) - (by + hh * bvy),
+                (az + hh * avz) - (bz + hh * bvz),
+                av2x - bv2x, av2y - bv2y, av2z - bv2z,
+            )
+            a2x, a2y, a2z = f2x * inv_ma, f2y * inv_ma, f2z * inv_ma
+            b2x, b2y, b2z = k2x * inv_mb, k2y * inv_mb, k2z * inv_mb
+
+            av3x, av3y, av3z = avx + hh * a2x, avy + hh * a2y, avz + hh * a2z
+            bv3x, bv3y, bv3z = bvx + hh * b2x, bvy + hh * b2y, bvz + hh * b2z
+            f3x, f3y, f3z, k3x, k3y, k3z = force(
+                law, qa, qb,
+                (ax + hh * av2x) - (bx + hh * bv2x),
+                (ay + hh * av2y) - (by + hh * bv2y),
+                (az + hh * av2z) - (bz + hh * bv2z),
+                av3x - bv3x, av3y - bv3y, av3z - bv3z,
+            )
+            a3x, a3y, a3z = f3x * inv_ma, f3y * inv_ma, f3z * inv_ma
+            b3x, b3y, b3z = k3x * inv_mb, k3y * inv_mb, k3z * inv_mb
+
+            av4x, av4y, av4z = avx + h * a3x, avy + h * a3y, avz + h * a3z
+            bv4x, bv4y, bv4z = bvx + h * b3x, bvy + h * b3y, bvz + h * b3z
+            f4x, f4y, f4z, k4x, k4y, k4z = force(
+                law, qa, qb,
+                (ax + h * av3x) - (bx + h * bv3x),
+                (ay + h * av3y) - (by + h * bv3y),
+                (az + h * av3z) - (bz + h * bv3z),
+                av4x - bv4x, av4y - bv4y, av4z - bv4z,
+            )
+            a4x, a4y, a4z = f4x * inv_ma, f4y * inv_ma, f4z * inv_ma
+            b4x, b4y, b4z = k4x * inv_mb, k4y * inv_mb, k4z * inv_mb
+
+            ax += h6 * (avx + 2.0 * av2x + 2.0 * av3x + av4x)
+            ay += h6 * (avy + 2.0 * av2y + 2.0 * av3y + av4y)
+            az += h6 * (avz + 2.0 * av2z + 2.0 * av3z + av4z)
+            avx += h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+            avy += h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+            avz += h6 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+            bx += h6 * (bvx + 2.0 * bv2x + 2.0 * bv3x + bv4x)
+            by += h6 * (bvy + 2.0 * bv2y + 2.0 * bv3y + bv4y)
+            bz += h6 * (bvz + 2.0 * bv2z + 2.0 * bv3z + bv4z)
+            bvx += h6 * (b1x + 2.0 * b2x + 2.0 * b3x + b4x)
+            bvy += h6 * (b1y + 2.0 * b2y + 2.0 * b3y + b4y)
+            bvz += h6 * (b1z + 2.0 * b2z + 2.0 * b3z + b4z)
+            extend((ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
     else:
-        acc = accels(*y)
+        fx, fy, fz, kx, ky, kz = force(
+            law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+        )
+        acc = (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
         half_h2 = 0.5 * h * h
         for _ in range(n_steps):
-            xa = (
-                y[0] + h * y[3] + half_h2 * acc[0],
-                y[1] + h * y[4] + half_h2 * acc[1],
-                y[2] + h * y[5] + half_h2 * acc[2],
-            )
-            xb = (
-                y[6] + h * y[9] + half_h2 * acc[3],
-                y[7] + h * y[10] + half_h2 * acc[4],
-                y[8] + h * y[11] + half_h2 * acc[5],
-            )
+            ax = ax + h * avx + half_h2 * acc[0]
+            ay = ay + h * avy + half_h2 * acc[1]
+            az = az + h * avz + half_h2 * acc[2]
+            bx = bx + h * bvx + half_h2 * acc[3]
+            by = by + h * bvy + half_h2 * acc[4]
+            bz = bz + h * bvz + half_h2 * acc[5]
             # Central law: velocities passed here are ignored by the force.
-            acc_new = accels(*xa, y[3], y[4], y[5], *xb, y[9], y[10], y[11])
-            y = (
-                *xa,
-                y[3] + 0.5 * h * (acc[0] + acc_new[0]),
-                y[4] + 0.5 * h * (acc[1] + acc_new[1]),
-                y[5] + 0.5 * h * (acc[2] + acc_new[2]),
-                *xb,
-                y[9] + 0.5 * h * (acc[3] + acc_new[3]),
-                y[10] + 0.5 * h * (acc[4] + acc_new[4]),
-                y[11] + 0.5 * h * (acc[5] + acc_new[5]),
+            fx, fy, fz, kx, ky, kz = force(
+                law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
             )
+            acc_new = (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
+            avx = avx + 0.5 * h * (acc[0] + acc_new[0])
+            avy = avy + 0.5 * h * (acc[1] + acc_new[1])
+            avz = avz + 0.5 * h * (acc[2] + acc_new[2])
+            bvx = bvx + 0.5 * h * (acc[3] + acc_new[3])
+            bvy = bvy + 0.5 * h * (acc[4] + acc_new[4])
+            bvz = bvz + 0.5 * h * (acc[5] + acc_new[5])
             acc = acc_new
-            samples.append(y)
+            extend((ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
 
     times = tuple(i * step for i in range(n_steps + 1))
-    states = tuple(
-        (
-            a0.with_state(Vec3(s[0], s[1], s[2]), Vec3(s[3], s[4], s[5])),
-            b0.with_state(Vec3(s[6], s[7], s[8]), Vec3(s[9], s[10], s[11])),
-        )
-        for s in samples
-    )
-    return Trajectory(times, states, law, method, step)
+    return Trajectory(times, rows, (a0, b0), law, method, step)
 
 
 def potential_value(
@@ -252,15 +335,18 @@ def potential_value(
 
 
 def observables(a: Body, b: Body, law: ForceLaw) -> Observables:
-    mu = a.mass * b.mass / (a.mass + b.mass)
-    momentum = a.velocity * a.mass + b.velocity * b.mass
-    ps = pair_state(a, b)
-    angular = cross(ps.x_ab, ps.v_ab * mu)
+    ma, mb = a.mass, b.mass
+    pa, pb, va, vb = a.position, b.position, a.velocity, b.velocity
+    mu = ma * mb / (ma + mb)
+    rx, ry, rz = pa.x - pb.x, pa.y - pb.y, pa.z - pb.z
+    ux, uy, uz = va.x - vb.x, va.y - vb.y, va.z - vb.z
+    wx, wy, wz = ux * mu, uy * mu, uz * mu
+    momentum = Vec3(va.x * ma + vb.x * mb, va.y * ma + vb.y * mb, va.z * ma + vb.z * mb)
+    angular = Vec3(ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
     energy: float | None = None
     if law.central:
-        r = ps.x_ab.norm()
-        speed2 = ps.v_ab.x**2 + ps.v_ab.y**2 + ps.v_ab.z**2
-        energy = 0.5 * mu * speed2 + potential_value(law, a, b, r)
+        r = math.sqrt(rx * rx + ry * ry + rz * rz)
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential_value(law, a, b, r)
     return Observables(momentum, angular, energy, mu)
 
 

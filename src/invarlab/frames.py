@@ -147,11 +147,37 @@ def rotation_about(axis: Vec3, angle: float) -> Mat3:
     )
 
 
+def raw_apply(
+    t: FrameTransform,
+    x: float,
+    y: float,
+    z: float,
+    vx: float,
+    vy: float,
+    vz: float,
+    time: float = 0.0,
+) -> tuple[float, float, float, float, float, float]:
+    """The frame action on raw components: the new (position, velocity) of
+    a state observed at ``time``. The one place the action is written out;
+    ``apply`` and the float paths of the audits both use it."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = t.rotation
+    d, w = t.translation, t.boost
+    s = time + t.time_offset
+    return (
+        r00 * x + r01 * y + r02 * z + d.x + w.x * s,
+        r10 * x + r11 * y + r12 * z + d.y + w.y * s,
+        r20 * x + r21 * y + r22 * z + d.z + w.z * s,
+        r00 * vx + r01 * vy + r02 * vz + w.x,
+        r10 * vx + r11 * vy + r12 * vz + w.y,
+        r20 * vx + r21 * vy + r22 * vz + w.z,
+    )
+
+
 def apply(t: FrameTransform, body: Body, time: float = 0.0) -> Body:
     """Re-express a body's state at observer time ``time`` in the new frame."""
-    pos = _mat_vec(t.rotation, body.position) + t.translation + t.boost * (time + t.time_offset)
-    vel = _mat_vec(t.rotation, body.velocity) + t.boost
-    return body.with_state(pos, vel)
+    p, v = body.position, body.velocity
+    x, y, z, vx, vy, vz = raw_apply(t, p.x, p.y, p.z, v.x, v.y, v.z, time)
+    return body.with_state(Vec3(x, y, z), Vec3(vx, vy, vz))
 
 
 def compose(t1: FrameTransform, t2: FrameTransform) -> FrameTransform:

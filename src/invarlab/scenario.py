@@ -204,12 +204,15 @@ def _frames(doc: Any, path: str) -> FrameSweepConfig:
     count = doc.get("count", 50)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise _fail(f"{path}.count", f"expected a positive integer, got {count!r}")
+    reflections = doc.get("reflections", True)
+    if not isinstance(reflections, bool):
+        raise _fail(f"{path}.reflections", f"expected true or false, got {reflections!r}")
     return FrameSweepConfig(
         count=count,
         translation=_number(doc.get("translation", 1.0), f"{path}.translation", nonnegative=True),
         boost=_number(doc.get("boost", 1.0), f"{path}.boost", nonnegative=True),
         time_offset=_number(doc.get("time_offset", 1.0), f"{path}.time_offset", nonnegative=True),
-        reflections=bool(doc.get("reflections", True)),
+        reflections=reflections,
     )
 
 

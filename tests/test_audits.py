@@ -120,3 +120,32 @@ def test_catalog_listing_is_complete():
     assert len(lines) == len(names)
     for required in ("inertia", "oplus-group", "objectivity-sweep", "light-quotient"):
         assert required in names
+
+
+def test_integration_failures_are_cached_per_step_scale(monkeypatch):
+    import invarlab.audits as audits
+    from invarlab import DivergenceError, spring
+
+    calls = []
+    original = audits.integrate
+
+    def counting(a, b, law, t_end, step, method="rk4"):
+        calls.append(step)
+        return original(a, b, law, t_end, step, method)
+
+    monkeypatch.setattr(audits, "integrate", counting)
+    # rk4 at step 0.01 on this spring has per-step gain ~400: not finite by t = 10.
+    sc = scenario_with(
+        laws=(spring(1e6),),
+        audits=("momentum", "momentum-rate", "angular-momentum", "torque-rate", "energy"),
+        integrator=IntegratorConfig("rk4", 0.01, 10.0),
+    )
+    ctx = audits.AuditContext(sc, seed=1)
+    report = run_audits(sc, seed=1, context=ctx)
+    assert [r.verdict for r in report.results] == ["ERROR"] * 5
+    assert all("diverged at sample" in r.detail for r in report.results)
+    assert calls == [0.01]
+    for scale in (1.0, 0.5, 0.5, 1.0):
+        with pytest.raises(DivergenceError):
+            ctx.trajectory(step_scale=scale)
+    assert calls == [0.01, 0.005]

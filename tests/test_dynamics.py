@@ -5,6 +5,7 @@ import pytest
 
 from invarlab import (
     Body,
+    DivergenceError,
     ForceLaw,
     SingularityError,
     Trajectory,
@@ -182,10 +183,34 @@ def test_verlet_and_rk4_agree_on_short_kepler_arc():
 def test_trajectory_invariants_enforced():
     a = Body("A", 1.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
     b = Body("B", 1.0, Vec3(0, 0, 0), Vec3(0, 0, 0))
-    with pytest.raises(ValueError):
-        Trajectory((0.0, 0.0), ((a, b), (a, b)), free(), "rk4", 0.1)
-    with pytest.raises(ValueError):
-        Trajectory((0.0, 0.1), ((a, b),), free(), "rk4", 0.1)
+    row = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory((0.0, 0.0), row * 2, (a, b), free(), "rk4", 0.1)
+    with pytest.raises(ValueError, match="12 floats per time"):
+        Trajectory((0.0, 0.1), row, (a, b), free(), "rk4", 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_trajectory_rejects_non_finite_row(bad):
+    a = Body("A", 1.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
+    b = Body("B", 1.0, Vec3(0, 0, 0), Vec3(0, 0, 0))
+    rows = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0] * 3
+    rows[12 + 10] = bad  # sample 1, body B velocity y
+    with pytest.raises(DivergenceError, match=r"sample 1 \(t = 0\.1\)") as info:
+        Trajectory((0.0, 0.1, 0.2), rows, (a, b), free(), "rk4", 0.1)
+    assert (info.value.index, info.value.time) == (1, 0.1)
+
+
+def test_states_are_built_once_from_the_rows():
+    a, b, period = kepler_pair()
+    traj = integrate(a, b, gravity(1.0), period / 10.0, period / 100.0, "rk4")
+    assert traj.states is traj.states
+    for row, (ta, tb) in zip(traj.samples(), traj.states):
+        assert row == (
+            *ta.position.as_tuple(), *ta.velocity.as_tuple(),
+            *tb.position.as_tuple(), *tb.velocity.as_tuple(),
+        )
+        assert (ta.id, ta.mass, tb.id, tb.mass) == ("A", a.mass, "B", b.mass)
 
 
 def test_finite_difference_on_linear_series():

@@ -1,0 +1,269 @@
+"""The float hot paths against the Vec3 formulas they replaced.
+
+The integrator, ``observables`` and the inertia, boost-covariance,
+momentum and angular-momentum residuals work on raw floats. The
+references below are the earlier implementations, written with
+tuple-comprehension rk4 stages, validated ``Vec3`` arithmetic and
+``Body`` snapshots. Both must agree exactly (``==``, not a tolerance):
+the arithmetic is the same operation for operation, which is what keeps
+the CSVs and reports byte-identical.
+"""
+
+import random
+
+import pytest
+
+from invarlab import (
+    Body,
+    Vec3,
+    cross,
+    gravity,
+    integrate,
+    linear_drag,
+    merge_laws,
+    observables,
+    pair_state,
+    perp_demo,
+    potential_value,
+    spring,
+)
+from invarlab.audits import (
+    AuditContext,
+    _audit_angular_momentum,
+    _audit_boost_covariance,
+    _audit_inertia,
+    _audit_momentum,
+    _boost_residuals,
+    _inertia_residuals,
+    _unit_vector,
+)
+from invarlab.dynamics import Observables
+from invarlab.forces import PropertyView, raw_force_pair
+from invarlab.frames import apply, pure_boost, random_transform
+from invarlab.scenario import IntegratorConfig, Scenario
+
+from helpers import kepler_pair
+
+
+def reference_samples(a0, b0, law, t_end, step, method):
+    """Earlier integrator loop: one 12-tuple per sample."""
+    qa, qb = PropertyView(a0), PropertyView(b0)
+    inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
+
+    def accels(xa, ya, za, vax, vay, vaz, xb, yb, zb, vbx, vby, vbz):
+        fx, fy, fz, kx, ky, kz = raw_force_pair(
+            law, qa, qb, xa - xb, ya - yb, za - zb, vax - vbx, vay - vby, vaz - vbz
+        )
+        return (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
+
+    n_steps = max(1, round(t_end / step))
+    y = (*a0.position.as_tuple(), *a0.velocity.as_tuple(),
+         *b0.position.as_tuple(), *b0.velocity.as_tuple())
+    samples = [y]
+    h = step
+    if method == "rk4":
+        def deriv(s):
+            axa, aya, aza, axb, ayb, azb = accels(*s)
+            return (s[3], s[4], s[5], axa, aya, aza, s[9], s[10], s[11], axb, ayb, azb)
+
+        for _ in range(n_steps):
+            k1 = deriv(y)
+            k2 = deriv(tuple(s + 0.5 * h * k for s, k in zip(y, k1)))
+            k3 = deriv(tuple(s + 0.5 * h * k for s, k in zip(y, k2)))
+            k4 = deriv(tuple(s + h * k for s, k in zip(y, k3)))
+            y = tuple(
+                s + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                for s, p, q, r, w in zip(y, k1, k2, k3, k4)
+            )
+            samples.append(y)
+    else:
+        acc = accels(*y)
+        half_h2 = 0.5 * h * h
+        for _ in range(n_steps):
+            xa = (
+                y[0] + h * y[3] + half_h2 * acc[0],
+                y[1] + h * y[4] + half_h2 * acc[1],
+                y[2] + h * y[5] + half_h2 * acc[2],
+            )
+            xb = (
+                y[6] + h * y[9] + half_h2 * acc[3],
+                y[7] + h * y[10] + half_h2 * acc[4],
+                y[8] + h * y[11] + half_h2 * acc[5],
+            )
+            acc_new = accels(*xa, y[3], y[4], y[5], *xb, y[9], y[10], y[11])
+            y = (
+                *xa,
+                y[3] + 0.5 * h * (acc[0] + acc_new[0]),
+                y[4] + 0.5 * h * (acc[1] + acc_new[1]),
+                y[5] + 0.5 * h * (acc[2] + acc_new[2]),
+                *xb,
+                y[9] + 0.5 * h * (acc[3] + acc_new[3]),
+                y[10] + 0.5 * h * (acc[4] + acc_new[4]),
+                y[11] + 0.5 * h * (acc[5] + acc_new[5]),
+            )
+            acc = acc_new
+            samples.append(y)
+    return samples
+
+
+def reference_observables(a, b, law):
+    mu = a.mass * b.mass / (a.mass + b.mass)
+    momentum = a.velocity * a.mass + b.velocity * b.mass
+    ps = pair_state(a, b)
+    angular = cross(ps.x_ab, ps.v_ab * mu)
+    energy = None
+    if law.central:
+        r = ps.x_ab.norm()
+        speed2 = ps.v_ab.x**2 + ps.v_ab.y**2 + ps.v_ab.z**2
+        energy = 0.5 * mu * speed2 + potential_value(law, a, b, r)
+    return Observables(momentum, angular, energy, mu)
+
+
+def reference_inertia_residuals(traj, base):
+    """Earlier inertia formula, one residual per comparison."""
+    for t, (ta, tb) in zip(traj.times, traj.states):
+        rel = pair_state(ta, tb)
+        expected = base.x_ab + base.v_ab * t
+        scale = max(1.0, expected.norm())
+        yield (rel.x_ab - expected).norm() / scale
+        yield (rel.v_ab - base.v_ab).norm() / max(1.0, base.v_ab.norm())
+
+
+def reference_boost_residuals(boost, base, boosted):
+    """Earlier boost-covariance formula, one residual per comparison."""
+    for i, t in enumerate(base.times):
+        a, b = base.states[i]
+        after = pair_state(apply(boost, a, t), apply(boost, b, t))
+        before = boosted.relative(i)
+        yield (after.x_ab - before.x_ab).norm()
+        yield (after.v_ab - before.v_ab).norm()
+
+
+def reference_inertia_residual(ctx):
+    steps = ctx.param("inertia", "steps", 10_000)
+    step = ctx.param("inertia", "step", ctx.scenario.integrator.step)
+    a, b = ctx.scenario.bodies
+    traj = integrate(a, b, merge_laws(()), steps * step, step, "rk4")
+    worst = 0.0
+    for residual in reference_inertia_residuals(traj, pair_state(a, b)):
+        worst = max(worst, residual)
+    return worst
+
+
+def reference_boost_residual(ctx):
+    rng = ctx.rng("boost-covariance")
+    count = ctx.param("boost-covariance", "count", 10)
+    scale = ctx.param("boost-covariance", "boost", 1.0)
+    cfg = ctx.scenario.integrator
+    a0, b0 = ctx.scenario.bodies
+    base = ctx.trajectory()
+    worst = 0.0
+    for _ in range(count):
+        boost = pure_boost(_unit_vector(rng) * rng.uniform(0.1, scale))
+        boosted = integrate(
+            apply(boost, a0), apply(boost, b0), ctx.law, cfg.t_end, cfg.step, cfg.method
+        )
+        for residual in reference_boost_residuals(boost, base, boosted):
+            worst = max(worst, residual)
+    return worst
+
+
+def reference_conserved_residual(traj, field):
+    first = getattr(reference_observables(*traj.states[0], traj.law), field)
+    worst = 0.0
+    for a, b in traj.states:
+        worst = max(worst, (getattr(reference_observables(a, b, traj.law), field) - first).norm())
+    return worst
+
+
+def _spring_pair():
+    a = Body("A", 1.1, Vec3(1.125, 0.0, 0.375), Vec3(0.0, 0.6, 0.0))
+    b = Body("B", 2.9, Vec3(-0.375, 0.0, -0.125), Vec3(0.0, -0.2, 0.0))
+    return a, b
+
+
+def _drag_pair():
+    a = Body("A", 0.7, Vec3(0.5, 0.1, 0.0), Vec3(0.0, 0.4, 0.1))
+    b = Body("B", 1.9, Vec3(-0.5, 0.0, 0.0), Vec3(0.0, -0.2, 0.0))
+    return a, b
+
+
+# (label, bodies, law, method, t_end, step); drag + perp-demo drives the
+# phi_s and phi_perp channels that no bundled gravity or spring run uses.
+ORBIT = kepler_pair(ma=1.3, mb=2.7, ecc=0.3)[:2]
+CASES = [
+    ("gravity-rk4", ORBIT, gravity(1.0), "rk4", 1.5, 0.003),
+    ("gravity-verlet", ORBIT, gravity(1.0), "verlet", 1.5, 0.003),
+    ("spring-rk4", _spring_pair(), spring(1.3), "rk4", 2.0, 0.004),
+    ("spring-verlet", _spring_pair(), spring(1.3), "verlet", 2.0, 0.004),
+    ("drag-perp-rk4", _drag_pair(), merge_laws((linear_drag(0.3), perp_demo(0.5))), "rk4", 2.0,
+     0.004),
+]
+IDS = [case[0] for case in CASES]
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_rows_equal_the_tuple_loop(label, bodies, law, method, t_end, step):
+    traj = integrate(*bodies, law, t_end, step, method)
+    expected = reference_samples(*bodies, law, t_end, step, method)
+    assert list(traj.samples()) == expected
+    assert list(traj.rows) == [x for row in expected for x in row]
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_observables_equal_the_vec3_formulas(label, bodies, law, method, t_end, step):
+    traj = integrate(*bodies, law, t_end, step, method)
+    for i, (a, b) in enumerate(traj.states):
+        expected = reference_observables(a, b, law)
+        assert observables(a, b, law) == expected
+        assert traj.observables(i) == expected
+    assert (expected.internal_energy is None) == (not law.central)
+
+
+def _context(bodies, law, method, t_end, step, **audit_params):
+    scenario = Scenario(
+        name="reference",
+        bodies=bodies,
+        laws=(law,),
+        audits=(),
+        integrator=IntegratorConfig(method, step, t_end),
+        audit_params=audit_params,
+    )
+    return AuditContext(scenario, seed=11)
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_residuals_equal_the_vec3_formulas(label, bodies, law, method, t_end, step):
+    params = {"boost-covariance": {"count": 3, "boost": 2.0}, "inertia": {"steps": 500}}
+    ctx = _context(bodies, law, method, t_end, step, **params)
+    ref = _context(bodies, law, method, t_end, step, **params)
+
+    boost = _audit_boost_covariance(ctx)
+    assert boost.residual == reference_boost_residual(ref)
+    assert boost.residual > 0.0
+    inertia = _audit_inertia(ctx)
+    assert inertia.residual == reference_inertia_residual(ref)
+    traj = ref.trajectory()
+    assert _audit_momentum(ctx).residual == reference_conserved_residual(traj, "total_momentum")
+    assert _audit_angular_momentum(ctx).residual == reference_conserved_residual(
+        traj, "angular_momentum"
+    )
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_per_sample_residuals_equal_the_vec3_formulas(label, bodies, law, method, t_end, step):
+    a0, b0 = bodies
+    base = integrate(a0, b0, law, t_end, step, method)
+    rng = random.Random(label)
+    for _ in range(3):
+        # A full group element, not only a boost: raw_apply is the whole action.
+        frame = random_transform(rng, boost=2.0)
+        boosted = integrate(apply(frame, a0), apply(frame, b0), law, t_end, step, method)
+        assert list(_boost_residuals(frame, base, boosted)) == list(
+            reference_boost_residuals(frame, base, boosted)
+        )
+    x0 = pair_state(a0, b0)
+    isolated = integrate(a0, b0, merge_laws(()), t_end, step, "rk4")
+    assert list(_inertia_residuals(isolated, x0.x_ab, x0.v_ab)) == list(
+        reference_inertia_residuals(isolated, x0)
+    )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -246,3 +247,38 @@ def test_addition_scenario_runs_without_trajectory(tmp_path):
 def test_spring_scenario_passes(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "spring.json", "--out", str(out)]) == 0
+
+
+def stiff_spring_doc(t_end):
+    """Bundled spring.json with a spring so stiff that rk4 at step 0.01
+    diverges: by t_end 1.0 the state is finite but its observables
+    overflow, by t_end 100 the state itself is no longer finite."""
+    doc = json.loads(resolve_scenario_path("spring.json").read_text())
+    doc["laws"][0]["params"]["kappa"] = 1e6
+    doc["integrator"].update(method="rk4", step=0.01, t_end=t_end)
+    return doc
+
+
+@pytest.mark.parametrize("t_end", [1.0, 100.0])
+def test_cli_divergence_reports_error_and_exits_2(tmp_path, capsys, t_end):
+    path = write(tmp_path, stiff_spring_doc(t_end))
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    verdicts = {entry["audit"]: entry for entry in report["audits"]}
+    assert verdicts["trajectory"]["verdict"] == "ERROR"
+    assert re.search(r"diverged at sample \d+ \(t = [0-9.]+\)", verdicts["trajectory"]["detail"])
+    for name in ("momentum", "angular-momentum", "energy"):
+        assert verdicts[name]["verdict"] == "ERROR"
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "drift.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, [False]])
+def test_reflections_must_be_a_json_boolean(value):
+    with pytest.raises(ScenarioError, match=r"frames\.reflections"):
+        parse_scenario(minimal_doc(frames={"count": 3, "reflections": value}))
+    for flag in (True, False):
+        sc = parse_scenario(minimal_doc(frames={"count": 3, "reflections": flag}))
+        assert sc.frames.reflections is flag
