@@ -19,7 +19,6 @@ from .dynamics import (
     DivergenceError,
     Trajectory,
     angular_momentum_rate,
-    finite_difference,
     integrate,
     momentum_rate,
 )
@@ -350,12 +349,28 @@ def _audit_angular_momentum(ctx: AuditContext) -> AuditResult:
 
 
 def _rate_mismatch(traj: Trajectory, series, predict) -> float:
-    values = [series(*traj.states[i]) for i in range(len(traj))]
-    rates = finite_difference(values, traj.times)
+    """Largest |central-difference rate of ``series`` - ``predict``| over
+    the interior samples.
+
+    Raises:
+        DivergenceError: the rows are finite, but the series, its rate or
+            the mismatch leaves the floating-point range at some sample.
+    """
+    states, times, law = traj.states, traj.times, traj.law
+    values: list[Vec3] = []
     worst = 0.0
-    for i in range(1, len(traj) - 1):
-        a, b = traj.states[i]
-        worst = max(worst, (rates[i] - predict(a, b, traj.law)).norm())
+    i = 0
+    try:
+        for i, (a, b) in enumerate(states):
+            values.append(series(a, b))
+        for i in range(1, len(states) - 1):
+            rate = (values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1])
+            mismatch = (rate - predict(*states[i], law)).norm()
+            if mismatch == math.inf:
+                raise OverflowError("|rate - prediction| is infinite")
+            worst = max(worst, mismatch)
+    except (OverflowError, ValueError) as exc:
+        raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
     return worst
 
 

@@ -51,24 +51,6 @@ IDENTITY_ROTATION: Mat3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 ORTHOGONALITY_TOL = 1e-10
 
 
-def _mat_vec(m: Mat3, v: Vec3) -> Vec3:
-    return Vec3(
-        m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
-        m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
-        m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
-    )
-
-
-def _mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )  # type: ignore[return-value]
-
-
-def _transpose(m: Mat3) -> Mat3:
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))  # type: ignore[return-value]
-
-
 def determinant(m: Mat3) -> float:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -78,21 +60,29 @@ def determinant(m: Mat3) -> float:
 
 
 def orthogonality_defect(m: Mat3) -> float:
-    """Largest entry of |m^T m - I|."""
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            entry = sum(m[k][i] * m[k][j] for k in range(3))
-            worst = max(worst, abs(entry - (1.0 if i == j else 0.0)))
-    return worst
+    """Largest entry of |m^T m - I|; nan when an entry of m is nan."""
+    (a, b, c), (d, e, f), (g, h, k) = m
+    # m^T m is symmetric, so its upper triangle holds every distinct entry.
+    devs = (
+        abs(a * a + d * d + g * g - 1.0),
+        abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * k),
+        abs(b * b + e * e + h * h - 1.0),
+        abs(b * c + e * f + h * k),
+        abs(c * c + f * f + k * k - 1.0),
+    )
+    # max() drops a nan that is not its first argument; the sum keeps it.
+    total = sum(devs)
+    return total if total != total else max(devs)
 
 
 @dataclass(frozen=True)
 class FrameTransform:
     """One observer choice: rotation/reflection, origin shift, boost, clock offset.
 
-    The rotation must be orthogonal (checked at construction); det -1 is
-    allowed, so reflections are in the group.
+    The rotation must be finite and orthogonal and the clock offset finite,
+    checked at construction, which ``compose`` and ``inverse`` go through
+    too; det -1 is allowed, so reflections are in the group.
     """
 
     rotation: Mat3 = IDENTITY_ROTATION
@@ -101,12 +91,20 @@ class FrameTransform:
     time_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        rot = tuple(tuple(float(x) for x in row) for row in self.rotation)
-        if len(rot) != 3 or any(len(row) != 3 for row in rot):
-            raise ValueError("rotation must be a 3x3 matrix")
+        try:
+            (a, b, c), (d, e, f), (g, h, k) = self.rotation
+            rot = (
+                (float(a), float(b), float(c)),
+                (float(d), float(e), float(f)),
+                (float(g), float(h), float(k)),
+            )
+        except (TypeError, ValueError):
+            raise ValueError("rotation must be a 3x3 matrix of numbers") from None
         object.__setattr__(self, "rotation", rot)
         defect = orthogonality_defect(rot)
-        if defect > ORTHOGONALITY_TOL:
+        if not defect <= ORTHOGONALITY_TOL:
+            if not all(map(math.isfinite, (*rot[0], *rot[1], *rot[2]))):
+                raise ValueError(f"rotation entries must be finite, got {rot}")
             raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
         if not math.isfinite(self.time_offset):
             raise ValueError("time_offset must be finite")
@@ -183,25 +181,61 @@ def apply(t: FrameTransform, body: Body, time: float = 0.0) -> Body:
 def compose(t1: FrameTransform, t2: FrameTransform) -> FrameTransform:
     """Transform acting like t2 first, then t1, at the same observer time:
     apply(compose(t1, t2), b, t) == apply(t1, apply(t2, b, t), t)."""
-    rot = _mat_mul(t1.rotation, t2.rotation)
-    boost = _mat_vec(t1.rotation, t2.boost) + t1.boost
-    offset = t1.time_offset + t2.time_offset
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = t1.rotation
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = t2.rotation
+    d1, w1, s1 = t1.translation, t1.boost, t1.time_offset
+    d2, w2, s2 = t2.translation, t2.boost, t2.time_offset
+    rot = (
+        (
+            a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+        ),
+        (
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+        ),
+        (
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22,
+        ),
+    )
+    rwx = a00 * w2.x + a01 * w2.y + a02 * w2.z
+    rwy = a10 * w2.x + a11 * w2.y + a12 * w2.z
+    rwz = a20 * w2.x + a21 * w2.y + a22 * w2.z
+    rdx = a00 * d2.x + a01 * d2.y + a02 * d2.z
+    rdy = a10 * d2.x + a11 * d2.y + a12 * d2.z
+    rdz = a20 * d2.x + a21 * d2.y + a22 * d2.z
     # Offsets add; the translation keeps the combined action exact and makes
     # the identity and inverse hold field by field, not just on body states.
-    translation = (
-        _mat_vec(t1.rotation, t2.translation)
-        + t1.translation
-        - _mat_vec(t1.rotation, t2.boost) * t1.time_offset
-        - t1.boost * t2.time_offset
+    translation = Vec3(
+        rdx + d1.x - rwx * s1 - w1.x * s2,
+        rdy + d1.y - rwy * s1 - w1.y * s2,
+        rdz + d1.z - rwz * s1 - w1.z * s2,
     )
-    return FrameTransform(rot, translation, boost, offset)
+    boost = Vec3(rwx + w1.x, rwy + w1.y, rwz + w1.z)
+    return FrameTransform(rot, translation, boost, s1 + s2)
 
 
 def inverse(t: FrameTransform) -> FrameTransform:
-    rot_t = _transpose(t.rotation)
-    boost = -_mat_vec(rot_t, t.boost)
-    translation = -_mat_vec(rot_t, t.translation + t.boost * (2.0 * t.time_offset))
-    return FrameTransform(rot_t, translation, boost, -t.time_offset)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = t.rotation
+    d, w, s = t.translation, t.boost, t.time_offset
+    two_s = 2.0 * s
+    ux, uy, uz = d.x + w.x * two_s, d.y + w.y * two_s, d.z + w.z * two_s
+    boost = Vec3(
+        -(r00 * w.x + r10 * w.y + r20 * w.z),
+        -(r01 * w.x + r11 * w.y + r21 * w.z),
+        -(r02 * w.x + r12 * w.y + r22 * w.z),
+    )
+    translation = Vec3(
+        -(r00 * ux + r10 * uy + r20 * uz),
+        -(r01 * ux + r11 * uy + r21 * uz),
+        -(r02 * ux + r12 * uy + r22 * uz),
+    )
+    rot_t = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
+    return FrameTransform(rot_t, translation, boost, -s)
 
 
 def transform_residual(t1: FrameTransform, t2: FrameTransform) -> float:

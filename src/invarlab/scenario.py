@@ -182,6 +182,11 @@ def _frames(doc: Any, path: str) -> FrameSweepConfig:
             else:
                 if not isinstance(rotation, list) or len(rotation) != 3:
                     raise _fail(f"{path}[{i}].rotation", "expected a 3x3 matrix")
+                for r, row in enumerate(rotation):
+                    if not isinstance(row, list) or len(row) != 3:
+                        raise _fail(
+                            f"{path}[{i}].rotation[{r}]", f"expected a 3-element list, got {row!r}"
+                        )
                 rot = tuple(
                     tuple(
                         _number(x, f"{path}[{i}].rotation[{r}][{c}]")

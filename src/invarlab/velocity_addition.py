@@ -11,8 +11,9 @@ Because the weighted vectors simply add, the operation is a commutative
 group: 0 is neutral, -u is the inverse of u, and associativity holds.
 Since a |a| G(|a|) maps [0, c) bijectively onto [0, inf), the result
 always exists and |w| < c: the bound cannot be crossed. Recovering |w|
-from the weighted norm is a scalar root solve (bracketed bisection with
-a safeguarded Newton refinement).
+from the weighted norm inverts a -> a G(a): the shipped bounded profiles
+do it in closed form, any other profile by a scalar root solve
+(bracketed bisection with a safeguarded Newton refinement).
 
 Proper time divides a subjective interval by the weight of the moving
 object, T = t / g(v). For any split v1 = v2 (+) v3 the weighted-vector
@@ -60,13 +61,16 @@ class GFunction:
 
     Construction spot-checks G(0) and monotonicity on a grid. ``c`` may be
     infinite only for the degenerate classical profile, where strict
-    growth is not required.
+    growth is not required. ``inverse``, when given, is the closed-form
+    solution a of a G(a) = w for w >= 0; without it ``solve_speed`` finds
+    the root numerically.
     """
 
     name: str
     c: float
     g: Callable[[float], float]
     g_prime: Callable[[float], float] | None = None
+    inverse: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -104,13 +108,15 @@ class GFunction:
         def f(a: float) -> float:
             return a * self.g(a) - weighted
 
-        fprime = None
-        if self.g_prime is not None:
-            fprime = lambda a: self.g(a) + a * self.g_prime(a)  # noqa: E731
         if f(hi) < 0.0:
             raise ConvergenceError(
                 f"{self.name}: weighted norm {weighted:.6g} not reachable below the bound"
             )
+        if self.inverse is not None:
+            return min(self.inverse(weighted), hi)
+        fprime = None
+        if self.g_prime is not None:
+            fprime = lambda a: self.g(a) + a * self.g_prime(a)  # noqa: E731
         return solve_increasing(f, 0.0, hi, fprime=fprime, ftol=1e-14 * (1.0 + weighted))
 
     def compatible(self, other: "GFunction") -> bool:
@@ -118,7 +124,8 @@ class GFunction:
 
 
 def lorentz_g(c: float = 1.0) -> GFunction:
-    """G(a) = 1 / sqrt(1 - (a/c)^2)."""
+    """G(a) = 1 / sqrt(1 - (a/c)^2); a G(a) = w inverts to
+    a = c u / sqrt(1 + u^2) with u = w/c."""
 
     def g(a: float) -> float:
         u = a / c
@@ -127,11 +134,17 @@ def lorentz_g(c: float = 1.0) -> GFunction:
     def g_prime(a: float) -> float:
         return a * g(a) ** 3 / (c * c)
 
-    return GFunction("lorentz", c, g, g_prime)
+    def inverse(w: float) -> float:
+        u = w / c
+        return c * u / math.hypot(1.0, u)
+
+    return GFunction("lorentz", c, g, g_prime, inverse)
 
 
 def rational_g(c: float = 1.0) -> GFunction:
-    """G(a) = 1 / (1 - (a/c)^2)."""
+    """G(a) = 1 / (1 - (a/c)^2); a G(a) = w is the quadratic
+    w a^2 / c^2 + a - w = 0, whose root in [0, c) is taken in the
+    cancellation-free form a = 2w / (1 + sqrt(1 + (2w/c)^2))."""
 
     def g(a: float) -> float:
         u = a / c
@@ -140,7 +153,10 @@ def rational_g(c: float = 1.0) -> GFunction:
     def g_prime(a: float) -> float:
         return 2.0 * a * g(a) ** 2 / (c * c)
 
-    return GFunction("rational", c, g, g_prime)
+    def inverse(w: float) -> float:
+        return 2.0 * w / (1.0 + math.hypot(1.0, 2.0 * w / c))
+
+    return GFunction("rational", c, g, g_prime, inverse)
 
 
 def classical_g() -> GFunction:

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from invarlab import Body, ScenarioError, Vec3
+import invarlab.audits as audits
+from invarlab import Body, BoundedVelocity, ScenarioError, Vec3
 from invarlab.audits import audit_names, format_catalog, run_audits
 from invarlab.scenario import AdditionConfig, IntegratorConfig, Scenario
 
@@ -70,6 +73,23 @@ def test_oplus_audit_covers_both_shipped_profiles():
         )
         report = run_audits(sc, seed=5)
         assert all(r.passed for r in report.results), report.summary_lines()
+
+
+def test_unreachable_weighted_norm_is_an_error_verdict(monkeypatch):
+    # At the last float below c the weight exceeds what the solver's cap
+    # just under c can reach, so the composition has no representable result.
+    def at_the_bound(rng, gfun, max_fraction):
+        return BoundedVelocity(Vec3(math.nextafter(gfun.c, 0.0), 0.0, 0.0), gfun)
+
+    monkeypatch.setattr(audits, "_random_velocity", at_the_bound)
+    for g_name in ("lorentz", "rational"):
+        sc = scenario_with(
+            audits=("oplus-group", "proper-time"),
+            addition=AdditionConfig(g_name=g_name, c=1.0, samples=5, max_speed=0.9),
+        )
+        report = run_audits(sc, seed=5)
+        assert [r.verdict for r in report.results] == ["ERROR", "ERROR"]
+        assert all("not reachable below the bound" in r.detail for r in report.results)
 
 
 def test_additivity_audit_defaults_to_mass_for_gravity():

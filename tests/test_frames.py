@@ -63,6 +63,32 @@ def test_non_orthogonal_rotation_rejected():
         FrameTransform(rotation=((1, 0.5, 0), (0, 1, 0), (0, 0, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FrameTransform(rotation=((bad,) * 3,) * 3)
+    with pytest.raises(ValueError, match="finite"):
+        FrameTransform(rotation=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, bad)))
+
+
+def test_orthogonality_defect_propagates_nan():
+    eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for i in range(3):
+        for j in range(3):
+            m = [row[:] for row in eye]
+            m[i][j] = math.nan
+            assert math.isnan(orthogonality_defect(m)), (i, j)
+    assert orthogonality_defect(eye) == 0.0
+
+
+@pytest.mark.parametrize(
+    "rotation", [(1.0, 2.0, 3.0), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))]
+)
+def test_malformed_rotation_rejected(rotation):
+    with pytest.raises(ValueError, match="3x3"):
+        FrameTransform(rotation=rotation)
+
+
 def test_reflections_are_allowed():
     reflection = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
     t = FrameTransform(rotation=reflection)

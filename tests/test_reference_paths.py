@@ -1,12 +1,13 @@
 """The float hot paths against the Vec3 formulas they replaced.
 
-The integrator, ``observables`` and the inertia, boost-covariance,
-momentum and angular-momentum residuals work on raw floats. The
-references below are the earlier implementations, written with
-tuple-comprehension rk4 stages, validated ``Vec3`` arithmetic and
-``Body`` snapshots. Both must agree exactly (``==``, not a tolerance):
-the arithmetic is the same operation for operation, which is what keeps
-the CSVs and reports byte-identical.
+The integrator, ``observables``, the inertia, boost-covariance,
+momentum and angular-momentum residuals, and frame ``compose`` and
+``inverse`` work on raw floats. The references below are the earlier
+implementations, written with tuple-comprehension rk4 stages, generator
+matrix products, validated ``Vec3`` arithmetic and ``Body`` snapshots.
+Both must agree exactly (``==``, not a tolerance): the arithmetic is the
+same operation for operation, which is what keeps the CSVs and reports
+byte-identical.
 """
 
 import random
@@ -15,12 +16,19 @@ import pytest
 
 from invarlab import (
     Body,
+    FrameTransform,
     Vec3,
+    angular_momentum_rate,
+    compose,
     cross,
+    finite_difference,
+    identity,
     gravity,
     integrate,
+    inverse,
     linear_drag,
     merge_laws,
+    momentum_rate,
     observables,
     pair_state,
     perp_demo,
@@ -35,6 +43,7 @@ from invarlab.audits import (
     _audit_momentum,
     _boost_residuals,
     _inertia_residuals,
+    _rate_mismatch,
     _unit_vector,
 )
 from invarlab.dynamics import Observables
@@ -267,3 +276,87 @@ def test_per_sample_residuals_equal_the_vec3_formulas(label, bodies, law, method
     assert list(_inertia_residuals(isolated, x0.x_ab, x0.v_ab)) == list(
         reference_inertia_residuals(isolated, x0)
     )
+
+
+def reference_rate_mismatch(traj, series, predict):
+    """Earlier rate mismatch: all rates from finite_difference, then max."""
+    values = [series(*traj.states[i]) for i in range(len(traj))]
+    rates = finite_difference(values, traj.times)
+    worst = 0.0
+    for i in range(1, len(traj) - 1):
+        a, b = traj.states[i]
+        worst = max(worst, (rates[i] - predict(a, b, traj.law)).norm())
+    return worst
+
+
+def momentum_series(a, b):
+    return a.velocity * a.mass + b.velocity * b.mass
+
+
+def torque_series(a, b):
+    ps = pair_state(a, b)
+    mu = a.mass * b.mass / (a.mass + b.mass)
+    return cross(ps.x_ab, ps.v_ab * mu)
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_rate_mismatch_equals_the_finite_difference_formula(
+    label, bodies, law, method, t_end, step
+):
+    traj = integrate(*bodies, law, t_end, step, method)
+    pairs = ((momentum_series, momentum_rate), (torque_series, angular_momentum_rate))
+    for series, predict in pairs:
+        assert _rate_mismatch(traj, series, predict) == reference_rate_mismatch(
+            traj, series, predict
+        )
+
+
+def reference_mat_vec(m, v):
+    return Vec3(
+        m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
+        m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
+        m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
+    )
+
+
+def reference_mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def reference_transpose(m):
+    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+
+
+def reference_compose(t1, t2):
+    """Earlier compose: generator matrix product and Vec3 arithmetic."""
+    rot = reference_mat_mul(t1.rotation, t2.rotation)
+    boost = reference_mat_vec(t1.rotation, t2.boost) + t1.boost
+    offset = t1.time_offset + t2.time_offset
+    translation = (
+        reference_mat_vec(t1.rotation, t2.translation)
+        + t1.translation
+        - reference_mat_vec(t1.rotation, t2.boost) * t1.time_offset
+        - t1.boost * t2.time_offset
+    )
+    return FrameTransform(rot, translation, boost, offset)
+
+
+def reference_inverse(t):
+    rot_t = reference_transpose(t.rotation)
+    boost = -reference_mat_vec(rot_t, t.boost)
+    translation = -reference_mat_vec(rot_t, t.translation + t.boost * (2.0 * t.time_offset))
+    return FrameTransform(rot_t, translation, boost, -t.time_offset)
+
+
+def test_compose_and_inverse_equal_the_matrix_formulas():
+    rng = random.Random(41)
+    ident = identity()
+    for _ in range(300):
+        t1 = random_transform(rng, translation=5.0, boost=2.0, time_offset=3.0)
+        t2 = random_transform(rng, translation=5.0, boost=2.0, time_offset=3.0)
+        for left, right in ((t1, t2), (t2, t1), (t1, ident), (ident, t1), (t1, inverse(t1))):
+            assert compose(left, right) == reference_compose(left, right)
+        assert inverse(t1) == reference_inverse(t1)
+    assert inverse(ident) == reference_inverse(ident)

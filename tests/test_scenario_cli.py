@@ -90,6 +90,25 @@ def test_explicit_frames_accepted():
     assert len(sc.frames.explicit) == 2
 
 
+@pytest.mark.parametrize(
+    "rotation, field",
+    [
+        ([1, 2, 3], r"frames\[0\]\.rotation\[0\]"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0]], r"frames\[0\]\.rotation\[2\]"),
+        ([[1, 0, 0], "abc", [0, 0, 1]], r"frames\[0\]\.rotation\[1\]"),
+    ],
+)
+def test_malformed_rotation_rows_name_the_row(rotation, field):
+    with pytest.raises(ScenarioError, match=field):
+        parse_scenario(minimal_doc(frames=[{"rotation": rotation}]))
+
+
+def test_cli_malformed_rotation_row_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, minimal_doc(frames=[{"rotation": [1, 2, 3]}]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "frames[0].rotation[0]" in capsys.readouterr().err
+
+
 def test_softening_wraps_singular_laws():
     sc = parse_scenario(minimal_doc(softening=0.05))
     assert not sc.laws[0].singular
@@ -273,6 +292,22 @@ def test_cli_divergence_reports_error_and_exits_2(tmp_path, capsys, t_end):
         assert verdicts[name]["verdict"] == "ERROR"
     assert not (out / "trajectory.csv").exists()
     assert not (out / "drift.csv").exists()
+
+
+def test_cli_rate_audit_overflow_reports_error_and_exits_2(tmp_path, capsys):
+    # The trajectory stays finite up to t_end 1.0, but its torque and
+    # momentum series overflow once differenced.
+    doc = stiff_spring_doc(1.0)
+    doc["audits"] = ["torque-rate", "momentum-rate"]
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    verdicts = {entry["audit"]: entry for entry in report["audits"]}
+    for name in ("torque-rate", "momentum-rate"):
+        assert verdicts[name]["verdict"] == "ERROR"
+        assert re.search(
+            r"diverged at sample \d+ \(t = [0-9.]+\): rate overflow", verdicts[name]["detail"]
+        )
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None, [False]])

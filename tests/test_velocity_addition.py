@@ -1,11 +1,14 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
 
+import invarlab.velocity_addition as velocity_addition
 from invarlab import (
     BoundedVelocity,
+    ConvergenceError,
     GFunction,
     Vec3,
     check_invariance_theorem,
@@ -153,6 +156,76 @@ def test_solve_speed_round_trips_near_the_bound():
             speed = frac * gfun.c
             recovered = gfun.solve_speed(gfun.weighted_norm(speed))
             assert abs(recovered - speed) < 1e-12 * gfun.c
+
+
+def exact_speed(profile, c, w):
+    """Root of a G(a) = w for the float w, at 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w, c = Decimal(w), Decimal(c)
+        if profile == "lorentz":
+            u = w / c
+            a = c * u / (1 + u * u).sqrt()
+            assert abs(a / (1 - (a / c) ** 2).sqrt() - w) <= Decimal("1e-40") * w
+        else:
+            a = 2 * w / (1 + (1 + (2 * w / c) ** 2).sqrt())
+            assert abs(a / (1 - (a / c) ** 2) - w) <= Decimal("1e-40") * w
+        return float(a)
+
+
+def closed_form_cases():
+    rng = random.Random(34)
+    fractions = [1e-12, 1e-6, 0.001, 0.5, 0.9, 0.99, 0.999]
+    fractions += [rng.uniform(0.0, 0.999) for _ in range(300)]
+    for factory in (lorentz_g, rational_g):
+        for c in (1.0, 3e8):
+            gfun = factory(c)
+            for frac in fractions:
+                yield gfun, gfun.weighted_norm(frac * c)
+
+
+def test_closed_form_inverses_match_a_decimal_oracle():
+    for gfun, w in closed_form_cases():
+        exact = exact_speed(gfun.name, gfun.c, w)
+        assert abs(gfun.inverse(w) - exact) <= 3 * math.ulp(exact), (gfun.name, gfun.c, w)
+        assert gfun.solve_speed(w) == gfun.inverse(w)
+
+
+def test_closed_form_inverses_agree_with_the_root_solver():
+    for gfun, w in closed_form_cases():
+        solver_only = GFunction(gfun.name, gfun.c, gfun.g, gfun.g_prime)
+        assert abs(gfun.solve_speed(w) - solver_only.solve_speed(w)) <= 1e-12 * gfun.c
+
+
+@pytest.mark.parametrize("factory", [lorentz_g, rational_g])
+@pytest.mark.parametrize("c", [1.0, 3e8])
+def test_unreachable_weighted_norm_still_raises(factory, c):
+    gfun = factory(c)
+    with pytest.raises(ConvergenceError, match="not reachable below the bound"):
+        gfun.solve_speed(1e200)
+    with pytest.raises(ValueError):
+        gfun.solve_speed(-1.0)
+    assert gfun.solve_speed(0.0) == 0.0
+
+
+def test_only_profiles_without_a_closed_form_use_the_solver(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_increasing(*args, **kwargs)
+
+    solve_increasing = velocity_addition.solve_increasing
+    monkeypatch.setattr(velocity_addition, "solve_increasing", counting)
+    custom = GFunction("quartic", 1.0, lambda a: 1.0 / (1.0 - a**4))
+    expected_solves = ((lorentz_g(1.0), 0), (rational_g(2.0), 0), (classical_g(), 1), (custom, 1))
+    for gfun, expected in expected_solves:
+        calls.clear()
+        u = BoundedVelocity(Vec3(0.3, 0.1, 0.0), gfun)
+        v = BoundedVelocity(Vec3(0.0, 0.4, 0.2), gfun)
+        oplus(u, v)
+        assert len(calls) == expected, gfun.name
+    assert custom.inverse is None and classical_g().inverse is None
 
 
 def test_closure_survives_extreme_operands():
