@@ -58,7 +58,15 @@ from .velocity_addition import (
     zero_velocity,
 )
 
-__all__ = ["AuditSpec", "AuditContext", "CATALOG", "audit_names", "format_catalog", "run_audits"]
+__all__ = [
+    "AuditSpec",
+    "AuditContext",
+    "CATALOG",
+    "audit_names",
+    "check_audit_names",
+    "format_catalog",
+    "run_audits",
+]
 
 
 class AuditConfigError(ValueError):
@@ -138,17 +146,24 @@ class AuditContext:
         return cfg
 
 
-def _unit_vector(rng: random.Random) -> Vec3:
+def _unit_components(rng: random.Random) -> tuple[float, float, float]:
+    """Components of a random unit vector: a normalised Gaussian triple."""
     while True:
-        v = Vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        n = v.norm()
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        n = math.sqrt(x * x + y * y + z * z)
         if n > 1e-6:
-            return v / n
+            return x / n, y / n, z / n
+
+
+def _unit_vector(rng: random.Random) -> Vec3:
+    return Vec3(*_unit_components(rng))
 
 
 def _random_velocity(rng: random.Random, gfun: GFunction, max_fraction: float) -> BoundedVelocity:
     scale = gfun.c if math.isfinite(gfun.c) else 10.0
-    return BoundedVelocity(_unit_vector(rng) * (rng.uniform(0.0, max_fraction) * scale), gfun)
+    x, y, z = _unit_components(rng)
+    s = rng.uniform(0.0, max_fraction) * scale
+    return BoundedVelocity(Vec3(x * s, y * s, z * s), gfun)
 
 
 def _random_pair(rng: random.Random, a0: Body, b0: Body, min_separation: float) -> tuple[Body, Body]:
@@ -747,20 +762,38 @@ def format_catalog() -> list[str]:
     ]
 
 
+def check_audit_names(scenario: Scenario) -> None:
+    """Every name in ``audits`` and every key of ``tolerances`` and
+    ``audit_params`` must be a catalog audit.
+
+    Raises:
+        ScenarioError: naming the field and the unknown name.
+    """
+    known = ", ".join(audit_names())
+    unknown = [name for name in scenario.audits if name not in _BY_NAME]
+    if unknown:
+        raise ScenarioError(
+            f"audits: unknown audit name(s) {', '.join(sorted(set(unknown)))}; known: {known}"
+        )
+    for field, keys in (
+        ("tolerances", scenario.tolerances),
+        ("audit_params", scenario.audit_params),
+    ):
+        for key in keys:
+            if key not in _BY_NAME:
+                raise ScenarioError(f"{field}.{key}: unknown audit name; known: {known}")
+
+
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
     """Run the scenario's requested audits in catalog order.
 
-    Unknown audit names are a scenario error (input problem, not a FAIL).
+    Unknown audit names, also as keys of ``tolerances`` or
+    ``audit_params``, are a scenario error (input problem, not a FAIL).
     A singular encounter, a diverging integration or a missing scenario
     block turns into an ERROR verdict for that audit alone. Passing an
     existing ``context`` reuses its cached trajectories and failures.
     """
-    unknown = [name for name in scenario.audits if name not in _BY_NAME]
-    if unknown:
-        raise ScenarioError(
-            f"audits: unknown audit name(s) {', '.join(sorted(set(unknown)))}; "
-            f"known: {', '.join(audit_names())}"
-        )
+    check_audit_names(scenario)
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
     results = []

@@ -12,17 +12,27 @@ from dataclasses import dataclass, field
 __all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "distance", "dot", "pair_state"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vec3:
-    """3-component real vector; components must be finite."""
+    """3-component real vector; components must be finite.
+
+    The constructor is written by hand: it checks the components, then
+    stores them through the slot descriptors, which skips the per-field
+    ``object.__setattr__`` calls of the generated frozen ``__init__``.
+    Equality, hashing, repr, pickling and ``dataclasses.replace`` are the
+    generated ones.
+    """
 
     x: float
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite vector component in ({self.x}, {self.y}, {self.z})")
+    def __init__(self, x: float, y: float, z: float) -> None:
+        if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
+            raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -47,6 +57,9 @@ class Vec3:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
+
+_isfinite = math.isfinite
+_set_x, _set_y, _set_z = (Vec3.__dict__[name].__set__ for name in ("x", "y", "z"))
 
 ZERO = Vec3(0.0, 0.0, 0.0)
 

@@ -52,18 +52,37 @@ CSV_HEADER = (
 DEFAULT_POTENTIAL_REFERENCE = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Observables:
     """Conserved-candidate quantities of a pair state under a law.
 
     ``internal_energy`` is None (absent, not zero) when the law is not
-    central.
+    central. Like ``Vec3``, the constructor stores the fields through the
+    slot descriptors; there is nothing to check.
     """
 
     total_momentum: Vec3
     angular_momentum: Vec3
     internal_energy: float | None
     reduced_mass: float
+
+    def __init__(
+        self,
+        total_momentum: Vec3,
+        angular_momentum: Vec3,
+        internal_energy: float | None,
+        reduced_mass: float,
+    ) -> None:
+        _set_momentum(self, total_momentum)
+        _set_angular(self, angular_momentum)
+        _set_energy(self, internal_energy)
+        _set_mu(self, reduced_mass)
+
+
+_set_momentum, _set_angular, _set_energy, _set_mu = (
+    Observables.__dict__[name].__set__
+    for name in ("total_momentum", "angular_momentum", "internal_energy", "reduced_mass")
+)
 
 
 class DivergenceError(ArithmeticError):

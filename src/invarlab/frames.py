@@ -240,24 +240,30 @@ def inverse(t: FrameTransform) -> FrameTransform:
 
 def transform_residual(t1: FrameTransform, t2: FrameTransform) -> float:
     """Largest field-by-field difference between two transforms."""
-    worst = abs(t1.time_offset - t2.time_offset)
-    for i in range(3):
-        for j in range(3):
-            worst = max(worst, abs(t1.rotation[i][j] - t2.rotation[i][j]))
-    for a, b in ((t1.translation, t2.translation), (t1.boost, t2.boost)):
-        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
-    return worst
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = t1.rotation
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = t2.rotation
+    d1, d2, w1, w2 = t1.translation, t2.translation, t1.boost, t2.boost
+    return max(
+        abs(t1.time_offset - t2.time_offset),
+        abs(a00 - b00), abs(a01 - b01), abs(a02 - b02),
+        abs(a10 - b10), abs(a11 - b11), abs(a12 - b12),
+        abs(a20 - b20), abs(a21 - b21), abs(a22 - b22),
+        abs(d1.x - d2.x), abs(d1.y - d2.y), abs(d1.z - d2.z),
+        abs(w1.x - w2.x), abs(w1.y - w2.y), abs(w1.z - w2.z),
+    )
 
 
 def random_rotation(rng: random.Random, reflections: bool = False) -> Mat3:
     """Uniform random rotation (unit quaternion); optionally a reflection
     with probability 1/2."""
     while True:
-        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(c * c for c in q))
+        w, x, y, z = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        # Left to right: sum() adds floats with compensation from Python
+        # 3.12 on, which would make the rotations depend on the version.
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if n > 1e-6:
             break
-    w, x, y, z = (c / n for c in q)
+    w, x, y, z = w / n, x / n, y / n, z / n
     rot: Mat3 = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),

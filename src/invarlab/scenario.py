@@ -43,6 +43,7 @@ from .velocity_addition import GFUNCTIONS, GFunction
 
 __all__ = [
     "ScenarioError",
+    "MAX_STEPS",
     "IntegratorConfig",
     "FrameSweepConfig",
     "AdditionConfig",
@@ -56,11 +57,33 @@ class ScenarioError(ValueError):
     """Invalid scenario document; the message names the field."""
 
 
+# A trajectory holds about 0.43 kB per sample as raw rows and 0.98 kB once
+# its (Body, Body) snapshots are read, so a run at the cap needs about
+# 1 GB, and a rate audit's extra half-step trajectory about 2 GB more.
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Integration settings, checked at construction (and so also when
+    ``dataclasses.replace`` overrides a field): at most ``MAX_STEPS``
+    steps of length ``step`` up to ``t_end``.
+
+    Raises:
+        ScenarioError: the run asks for more than ``MAX_STEPS`` steps.
+    """
+
     method: str
     step: float
     t_end: float
+
+    def __post_init__(self) -> None:
+        steps = self.t_end / self.step
+        if not steps <= MAX_STEPS:
+            raise ScenarioError(
+                f"integrator.step: t_end / step = {steps:.4g} steps, "
+                f"above the limit of {MAX_STEPS}"
+            )
 
     def meta(self) -> dict:
         return {"method": self.method, "step": self.step, "t_end": self.t_end}

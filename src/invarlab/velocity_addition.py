@@ -171,17 +171,23 @@ GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundedVelocity:
-    """Velocity vector strictly inside the bound of its weight profile."""
+    """Velocity vector strictly inside the bound of its weight profile.
+
+    Like ``Vec3``, the constructor checks its arguments and then stores
+    them through the slot descriptors.
+    """
 
     v: Vec3
     gfun: GFunction
 
-    def __post_init__(self) -> None:
-        s = self.v.norm()
-        if not s < self.gfun.c:
-            raise ValueError(f"speed {s} must be strictly below the bound {self.gfun.c}")
+    def __init__(self, v: Vec3, gfun: GFunction) -> None:
+        s = v.norm()
+        if not s < gfun.c:
+            raise ValueError(f"speed {s} must be strictly below the bound {gfun.c}")
+        _set_v(self, v)
+        _set_gfun(self, gfun)
 
     @property
     def speed(self) -> float:
@@ -198,23 +204,39 @@ class BoundedVelocity:
         return BoundedVelocity(-self.v, self.gfun)
 
 
+_set_v, _set_gfun = (BoundedVelocity.__dict__[name].__set__ for name in ("v", "gfun"))
+
+
 def zero_velocity(gfun: GFunction) -> BoundedVelocity:
     return BoundedVelocity(Vec3(0.0, 0.0, 0.0), gfun)
 
 
 def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
-    """Group composition: weighted vectors add, the result stays bounded."""
-    if not u.gfun.compatible(v.gfun):
+    """Group composition: weighted vectors add, the result stays bounded.
+
+    Computed on the components, in the operation order of the vector
+    expression ``(u.weighted() + v.weighted()) * (w / r)``.
+    """
+    gfun = u.gfun
+    if not gfun.compatible(v.gfun):
         raise ValueError(
             f"cannot compose velocities under different profiles "
-            f"({u.gfun.name}, c={u.gfun.c}) vs ({v.gfun.name}, c={v.gfun.c})"
+            f"({gfun.name}, c={gfun.c}) vs ({v.gfun.name}, c={v.gfun.c})"
         )
-    rhs = u.weighted() + v.weighted()
-    r = rhs.norm()
+    a, b = u.v, v.v
+    ga, gb = u.weight(), v.weight()
+    x, y, z = a.x * ga + b.x * gb, a.y * ga + b.y * gb, a.z * ga + b.z * gb
+    r = math.sqrt(x * x + y * y + z * z)
+    if not r < math.inf:
+        # A weighted vector or their sum is not finite, or only the norm
+        # overflows: the Vec3 expression raises the ValueError naming the
+        # first non-finite vector, and lets the last case go on.
+        u.weighted() + v.weighted()
     if r == 0.0:
-        return zero_velocity(u.gfun)
-    w = u.gfun.solve_speed(r)
-    return BoundedVelocity(rhs * (w / r), u.gfun)
+        return zero_velocity(gfun)
+    w = gfun.solve_speed(r)
+    s = w / r
+    return BoundedVelocity(Vec3(x * s, y * s, z * s), gfun)
 
 
 def proper_time(dt: float, v: BoundedVelocity) -> float:
@@ -244,12 +266,27 @@ def check_invariance_theorem(
     dt1 = duration * v1.weight()
     dt2 = duration * v2.weight()
     dt3 = duration * v3.weight()
-    lhs = v1.v * dt1
-    rhs = v2.v * dt2 + v3.v * dt3
-    residual = (lhs - rhs).norm()
+    # Components, in the operation order of the vector expressions
+    # |v1 dt1 - (v2 dt2 + v3 dt3)| and |v1 dt1 - v2 (dt2 (1 + p)) - v3 dt3|.
+    a, b, c = v1.v, v2.v, v3.v
+    lx, ly, lz = a.x * dt1, a.y * dt1, a.z * dt1
+    cx, cy, cz = c.x * dt3, c.y * dt3, c.z * dt3
+    dx = lx - (b.x * dt2 + cx)
+    dy = ly - (b.y * dt2 + cy)
+    dz = lz - (b.z * dt2 + cz)
+    residual = math.sqrt(dx * dx + dy * dy + dz * dz)
 
     predicted = perturbation * dt2 * v2.speed
-    perturbed = (lhs - v2.v * (dt2 * (1.0 + perturbation)) - v3.v * dt3).norm()
+    k = dt2 * (1.0 + perturbation)
+    dx = (lx - b.x * k) - cx
+    dy = (ly - b.y * k) - cy
+    dz = (lz - b.z * k) - cz
+    perturbed = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if not residual + perturbed < math.inf:
+        # As in ``oplus``: the Vec3 expressions raise the ValueError naming
+        # the first non-finite vector, when there is one.
+        (a * dt1 - (b * dt2 + c * dt3)).norm()
+        (a * dt1 - b * k - c * dt3).norm()
     converse_ok = True
     detail = f"perturbed residual {perturbed:.3e}, first-order prediction {predicted:.3e}"
     if predicted > 0.0:
@@ -304,9 +341,9 @@ def classical_light_quotient(
     Here the signal is a thing moving at ``signal_speed`` through the rest
     frame while the whole apparatus (source and mirror, separated by
     ``baseline`` along ``axis``) drifts at ``apparatus_velocity``. Each leg
-    is a catch-up problem solved for its duration; the quotient
-    2 baseline / (t_out + t_back) then depends on the drift, unlike the
-    bounded construction.
+    is a catch-up problem, solved for its duration in closed form by
+    ``_catch_up_time``; the quotient 2 baseline / (t_out + t_back) then
+    depends on the drift, unlike the bounded construction.
     """
     if baseline <= 0.0:
         raise ValueError("baseline must be positive")
@@ -318,20 +355,25 @@ def classical_light_quotient(
     n = axis.norm()
     if n == 0.0:
         raise ValueError("apparatus axis must be nonzero")
-    unit = axis / n
+    ux, uy, uz = axis.x / n, axis.y / n, axis.z / n
+    vx, vy, vz = apparatus_velocity.x, apparatus_velocity.y, apparatus_velocity.z
+    a = (signal_speed - drift) * (signal_speed + drift)
+    t_out = _catch_up_time(ux * baseline, uy * baseline, uz * baseline, vx, vy, vz, a)
+    t_back = _catch_up_time(ux * -baseline, uy * -baseline, uz * -baseline, vx, vy, vz, a)
+    return 2.0 * baseline / (t_out + t_back)
 
-    def leg_time(sign: float) -> float:
-        target = unit * (sign * baseline)
 
-        def gap(t: float) -> float:
-            reach = Vec3(
-                target.x + apparatus_velocity.x * t,
-                target.y + apparatus_velocity.y * t,
-                target.z + apparatus_velocity.z * t,
-            )
-            return signal_speed * t - reach.norm()
+def _catch_up_time(
+    tx: float, ty: float, tz: float, vx: float, vy: float, vz: float, a: float
+) -> float:
+    """The t > 0 with |target + v t| = s t, given a = s^2 - |v|^2 > 0.
 
-        hi = 2.0 * baseline / (signal_speed - drift)
-        return solve_increasing(gap, 0.0, hi, ftol=1e-14 * (1.0 + baseline))
-
-    return 2.0 * baseline / (leg_time(1.0) + leg_time(-1.0))
+    That is the positive root of a t^2 - 2 b t - c = 0 with b = target . v
+    and c = |target|^2, taken as (b + sqrt(b^2 + a c)) / a when b >= 0 and
+    as c / (sqrt(b^2 + a c) - b) otherwise, so neither form subtracts
+    nearly equal numbers.
+    """
+    b = tx * vx + ty * vy + tz * vz
+    c = tx * tx + ty * ty + tz * tz
+    root = math.sqrt(b * b + a * c)
+    return (b + root) / a if b >= 0.0 else c / (root - b)

@@ -1,10 +1,22 @@
+import dataclasses
 import math
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from invarlab import Body, Vec3, cross, dot, pair_state
+from invarlab import (
+    Body,
+    BoundedVelocity,
+    GFunction,
+    Observables,
+    Vec3,
+    cross,
+    dot,
+    pair_state,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.builds(Vec3, finite, finite, finite)
@@ -114,3 +126,48 @@ def test_with_state_keeps_identity_and_properties():
     assert moved.id == "A" and moved.mass == 1.5
     assert moved.prop("charge") == 2.0
     assert math.isclose(moved.position.norm(), math.sqrt(3.0))
+
+
+def _rational(a):
+    # Module level, so a profile built on it pickles.
+    return 1.0 / (1.0 - a * a)
+
+
+PICKLABLE_PROFILE = GFunction("rational", 1.0, _rational)
+
+# (value, field changes for dataclasses.replace)
+VALUES = [
+    (Vec3(1.0, -2.5, 3.0), {"y": 0.5}),
+    (BoundedVelocity(Vec3(0.3, 0.1, -0.2), PICKLABLE_PROFILE), {"v": Vec3(0.0, 0.5, 0.0)}),
+    (Observables(Vec3(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 1.0), -0.5, 0.75), {"internal_energy": None}),
+]
+
+
+@pytest.mark.parametrize("value, change", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_types_are_frozen_hashable_and_copyable(value, change):
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(value)]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    twin = cls(**{name: getattr(value, name) for name in names})
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    changed = dataclasses.replace(value, **change)
+    assert changed != value
+    for name in names:
+        assert getattr(changed, name) == change.get(name, getattr(value, name))
+    restored = pickle.loads(pickle.dumps(value))
+    assert restored == value and hash(restored) == hash(value) and repr(restored) == repr(value)
+
+
+def test_value_types_reject_bad_fields_with_messages():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match=re.escape("non-finite vector component in (nan, 0.0, 0.0)")):
+        Vec3(nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape("non-finite vector component in (0.0, 1.0, -inf)")):
+        dataclasses.replace(Vec3(0.0, 1.0, 2.0), z=-inf)
+    with pytest.raises(ValueError, match=re.escape("speed 1.0 must be strictly below the bound 1.0")):
+        BoundedVelocity(Vec3(0.0, -1.0, 0.0), PICKLABLE_PROFILE)
+    slow = BoundedVelocity(Vec3(0.5, 0.0, 0.0), PICKLABLE_PROFILE)
+    with pytest.raises(ValueError, match=re.escape("speed 2.0 must be strictly below the bound 1.0")):
+        dataclasses.replace(slow, v=Vec3(2.0, 0.0, 0.0))

@@ -1,23 +1,32 @@
 """The float hot paths against the Vec3 formulas they replaced.
 
 The integrator, ``observables``, the inertia, boost-covariance,
-momentum and angular-momentum residuals, and frame ``compose`` and
-``inverse`` work on raw floats. The references below are the earlier
-implementations, written with tuple-comprehension rk4 stages, generator
-matrix products, validated ``Vec3`` arithmetic and ``Body`` snapshots.
+momentum and angular-momentum residuals, frame ``compose``, ``inverse``
+and ``transform_residual``, bounded ``oplus``, the invariance theorem
+check and the audits' random unit vectors and velocities work on raw
+floats. The references below are the earlier implementations, written
+with tuple-comprehension rk4 stages, generator matrix products, nested
+loops, validated ``Vec3`` arithmetic and ``Body`` snapshots.
 Both must agree exactly (``==``, not a tolerance): the arithmetic is the
 same operation for operation, which is what keeps the CSVs and reports
 byte-identical.
 """
 
+import math
 import random
 
 import pytest
 
 from invarlab import (
+    AuditResult,
     Body,
+    BoundedVelocity,
+    ConvergenceError,
     FrameTransform,
+    GFunction,
     Vec3,
+    check_invariance_theorem,
+    classical_g,
     angular_momentum_rate,
     compose,
     cross,
@@ -27,13 +36,18 @@ from invarlab import (
     integrate,
     inverse,
     linear_drag,
+    lorentz_g,
     merge_laws,
     momentum_rate,
     observables,
+    oplus,
     pair_state,
     perp_demo,
     potential_value,
+    rational_g,
     spring,
+    transform_residual,
+    zero_velocity,
 )
 from invarlab.audits import (
     AuditContext,
@@ -43,6 +57,7 @@ from invarlab.audits import (
     _audit_momentum,
     _boost_residuals,
     _inertia_residuals,
+    _random_velocity,
     _rate_mismatch,
     _unit_vector,
 )
@@ -360,3 +375,160 @@ def test_compose_and_inverse_equal_the_matrix_formulas():
             assert compose(left, right) == reference_compose(left, right)
         assert inverse(t1) == reference_inverse(t1)
     assert inverse(ident) == reference_inverse(ident)
+
+
+def reference_transform_residual(t1, t2):
+    """Earlier transform_residual: nested loops over the fields."""
+    worst = abs(t1.time_offset - t2.time_offset)
+    for i in range(3):
+        for j in range(3):
+            worst = max(worst, abs(t1.rotation[i][j] - t2.rotation[i][j]))
+    for a, b in ((t1.translation, t2.translation), (t1.boost, t2.boost)):
+        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
+    return worst
+
+
+def test_transform_residual_equals_the_loop():
+    rng = random.Random(43)
+    ident = identity()
+    for _ in range(300):
+        t1 = random_transform(rng, translation=5.0, boost=2.0, time_offset=3.0)
+        t2 = random_transform(rng, translation=5.0, boost=2.0, time_offset=3.0)
+        pairs = ((t1, t2), (compose(t1, inverse(t1)), ident), (compose(t1, ident), t1), (t1, t1))
+        for left, right in pairs:
+            assert transform_residual(left, right) == reference_transform_residual(left, right)
+
+
+def reference_oplus(u, v):
+    """Earlier oplus: validated Vec3 arithmetic on the weighted vectors."""
+    if not u.gfun.compatible(v.gfun):
+        raise ValueError(
+            f"cannot compose velocities under different profiles "
+            f"({u.gfun.name}, c={u.gfun.c}) vs ({v.gfun.name}, c={v.gfun.c})"
+        )
+    rhs = u.weighted() + v.weighted()
+    r = rhs.norm()
+    if r == 0.0:
+        return zero_velocity(u.gfun)
+    w = u.gfun.solve_speed(r)
+    return BoundedVelocity(rhs * (w / r), u.gfun)
+
+
+def reference_invariance_theorem(v2, v3, duration, *, tolerance=1e-12, perturbation=0.01):
+    """Earlier check_invariance_theorem: Vec3 arithmetic throughout."""
+    if duration <= 0.0:
+        raise ValueError("duration must be positive")
+    v1 = reference_oplus(v2, v3)
+    dt1 = duration * v1.weight()
+    dt2 = duration * v2.weight()
+    dt3 = duration * v3.weight()
+    lhs = v1.v * dt1
+    rhs = v2.v * dt2 + v3.v * dt3
+    residual = (lhs - rhs).norm()
+    predicted = perturbation * dt2 * v2.speed
+    perturbed = (lhs - v2.v * (dt2 * (1.0 + perturbation)) - v3.v * dt3).norm()
+    converse_ok = True
+    detail = f"perturbed residual {perturbed:.3e}, first-order prediction {predicted:.3e}"
+    if predicted > 0.0:
+        converse_ok = abs(perturbed - predicted) <= 0.1 * predicted
+    verdict = "PASS" if (residual <= tolerance and converse_ok) else "FAIL"
+    return AuditResult(
+        "proper-time-invariance", "distance-iff-proper-time", verdict, residual, tolerance, detail
+    )
+
+
+def reference_unit_vector(rng):
+    """Earlier _unit_vector: a Vec3 divided by its norm."""
+    while True:
+        v = Vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        n = v.norm()
+        if n > 1e-6:
+            return v / n
+
+
+def reference_random_velocity(rng, gfun, max_fraction):
+    scale = gfun.c if math.isfinite(gfun.c) else 10.0
+    return BoundedVelocity(
+        reference_unit_vector(rng) * (rng.uniform(0.0, max_fraction) * scale), gfun
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+PROFILES = [
+    lorentz_g(1.0),
+    rational_g(2.0),
+    classical_g(),
+    GFunction("quartic", 3.0, lambda a: 1.0 / (1.0 - (a / 3.0) ** 4)),
+]
+
+
+@pytest.mark.parametrize("gfun", PROFILES, ids=[g.name for g in PROFILES])
+def test_bounded_addition_equals_the_vec3_formulas(gfun):
+    rng = random.Random(f"oplus:{gfun.name}")
+    ref_rng = random.Random(f"oplus:{gfun.name}")
+    for _ in range(300):
+        u, v = _random_velocity(rng, gfun, 0.98), _random_velocity(rng, gfun, 0.98)
+        assert (u, v) == (
+            reference_random_velocity(ref_rng, gfun, 0.98),
+            reference_random_velocity(ref_rng, gfun, 0.98),
+        )
+        assert _unit_vector(rng) == reference_unit_vector(ref_rng)
+        for left, right in ((u, v), (v, u), (u, -u), (u, zero_velocity(gfun))):
+            assert oplus(left, right) == reference_oplus(left, right)
+        duration = rng.uniform(0.1, 2.0)
+        assert duration == ref_rng.uniform(0.1, 2.0)
+        assert check_invariance_theorem(u, v, duration) == reference_invariance_theorem(
+            u, v, duration
+        )
+
+
+def test_bounded_addition_errors_equal_the_vec3_formulas():
+    lorentz, classical = lorentz_g(1.0), classical_g()
+    # G reaches 1.4e308 at this speed: each weighted vector is finite,
+    # twice one is not.
+    steep = GFunction("steep", 1.0, lambda a: (1.0 - a) ** -30)
+    fast = BoundedVelocity(Vec3(0.0, 1.0 - 5.35e-11, 0.0), steep)
+    edge = BoundedVelocity(Vec3(math.nextafter(1.0, 0.0), 0.0, 0.0), lorentz)
+    large = BoundedVelocity(Vec3(1.2e154, 0.0, 0.0), classical)
+    cases = [
+        # Profiles differ.
+        (BoundedVelocity(Vec3(0.1, 0.0, 0.0), lorentz), zero_velocity(rational_g(1.0))),
+        # The weighted norm is not reachable below the bound.
+        (edge, edge),
+        # The weighted sum overflows.
+        (fast, fast),
+        # The weighted sum is finite, its norm is not.
+        (large, large),
+        # The sum is zero, the perturbed displacement overflows.
+        (fast, -fast),
+    ]
+    for u, v in cases:
+        assert outcome(oplus, u, v) == outcome(reference_oplus, u, v)
+        assert outcome(check_invariance_theorem, u, v, 1.0) == outcome(
+            reference_invariance_theorem, u, v, 1.0
+        )
+    # Only the stretched leg v2 (dt2 (1 + p)) leaves the float range.
+    args = (large, zero_velocity(classical), 1.49e154)
+    assert outcome(reference_invariance_theorem, *args) == (
+        ValueError,
+        "non-finite vector component in (inf, 0.0, 0.0)",
+    )
+    assert outcome(check_invariance_theorem, *args) == outcome(reference_invariance_theorem, *args)
+    assert outcome(oplus, edge, edge)[0] is ConvergenceError
+    assert outcome(oplus, fast, fast) == (
+        ValueError,
+        "non-finite vector component in (0.0, inf, 0.0)",
+    )
+    assert "perturbed residual inf" in check_invariance_theorem(fast, -fast, 1.0).detail
+    # The legs overflow only once they are scaled by the duration.
+    small = BoundedVelocity(Vec3(1e150, 0.0, 0.0), classical)
+    expected = outcome(reference_invariance_theorem, small, small, 1e200)
+    assert expected[0] is ValueError
+    assert outcome(check_invariance_theorem, small, small, 1e200) == expected

@@ -317,3 +317,62 @@ def test_reflections_must_be_a_json_boolean(value):
     for flag in (True, False):
         sc = parse_scenario(minimal_doc(frames={"count": 3, "reflections": flag}))
         assert sc.frames.reflections is flag
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("tolerances.momentumm", {"tolerances": {"momentumm": 1e-9}}),
+        ("audit_params.boost-covarience", {"audit_params": {"boost-covarience": {"count": 2}}}),
+    ],
+)
+def test_unknown_audit_keys_are_input_errors(tmp_path, capsys, monkeypatch, field, doc):
+    import invarlab.audits as audits
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the input error")
+
+    monkeypatch.setattr(audits, "integrate", no_integration)
+    integrator = {"method": "rk4", "step": 0.01, "t_end": 1.0}
+    path = write(tmp_path, minimal_doc(audits=["momentum"], integrator=integrator, **doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert re.search(rf"error: {re.escape(field)}: unknown audit name", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_catalog_keys_in_tolerances_and_audit_params_are_accepted(tmp_path):
+    doc = minimal_doc(
+        audits=["exchange"],
+        tolerances={"momentum": 1e-9, "exchange": 1e-10},
+        audit_params={"exchange": {"count": 3}, "inertia": {"steps": 5}},
+    )
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_step_count_above_the_limit_is_rejected_at_parse_time(monkeypatch):
+    import invarlab.scenario as scenario
+
+    monkeypatch.setattr(scenario, "MAX_STEPS", 1000)
+    at_limit = {"method": "verlet", "step": 0.001, "t_end": 1.0}
+    assert parse_scenario(minimal_doc(integrator=at_limit)).integrator.t_end == 1.0
+    over = dict(at_limit, t_end=1.002)
+    with pytest.raises(ScenarioError, match=r"integrator\.step: t_end / step = 1002 steps"):
+        parse_scenario(minimal_doc(integrator=over))
+
+
+def test_step_count_limit_applies_after_the_step_override(tmp_path, capsys, monkeypatch):
+    import invarlab.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a scenario above the step limit")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "out"
+    # kepler.json parses (10k steps); --step 1e-9 would ask for 3.6e10.
+    assert main(["run", "kepler.json", "--out", str(out), "--step", "1e-9"]) == 1
+    err = capsys.readouterr().err
+    assert "integrator.step: t_end / step = 3.628e+10 steps, above the limit of 1000000" in err
+    assert main(["run", "kepler.json", "--out", str(out), "--method", "verlet", "--step", "1e-300"]) == 1
+    assert "integrator.step" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invarlab.velocity_addition as velocity_addition
+from invarlab.velocity_addition import _catch_up_time
 from invarlab import (
     BoundedVelocity,
     ConvergenceError,
@@ -19,6 +20,7 @@ from invarlab import (
     oplus,
     proper_time,
     rational_g,
+    solve_increasing,
     zero_velocity,
 )
 
@@ -374,3 +376,89 @@ def test_classical_quotient_matches_prediction_generally():
 def test_classical_quotient_rejects_outrunning_apparatus():
     with pytest.raises(ValueError):
         classical_light_quotient(Vec3(2.0, 0, 0), 1.0, 1.0)
+
+
+def solver_echo_quotient(boost, baseline, signal_speed, axis):
+    """Classical echo quotient with each catch-up leg |target + v t| = s t
+    found by the root solver, as before the closed form."""
+    unit = axis / axis.norm()
+
+    def leg_time(sign):
+        target = unit * (sign * baseline)
+
+        def gap(t):
+            return signal_speed * t - (target + boost * t).norm()
+
+        hi = 2.0 * baseline / (signal_speed - boost.norm())
+        return solve_increasing(gap, 0.0, hi, ftol=1e-14 * (1.0 + baseline))
+
+    return 2.0 * baseline / (leg_time(1.0) + leg_time(-1.0))
+
+
+def echo_cases(signal_speed, seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        boost = random_unit(rng) * (rng.uniform(0.0, 0.99) * signal_speed)
+        axis = random_unit(rng) * rng.uniform(0.1, 10.0)
+        yield boost, rng.uniform(0.01, 100.0), axis
+    # Along the axis, against it, across it, at rest, and near the signal speed.
+    fixed = (Vec3(0.9, 0, 0), Vec3(-0.9, 0, 0), Vec3(0, 0.9, 0), Vec3(0, 0, 0), Vec3(0.999999, 0, 0))
+    for boost in fixed:
+        yield boost * signal_speed, 2.0, Vec3(1, 0, 0)
+
+
+@pytest.mark.parametrize("signal_speed", [1.0, 2.5])
+def test_classical_echo_closed_form_matches_the_root_solver(signal_speed):
+    for boost, baseline, axis in echo_cases(signal_speed, 37):
+        closed = classical_light_quotient(boost, baseline, signal_speed, axis)
+        solved = solver_echo_quotient(boost, baseline, signal_speed, axis)
+        assert abs(closed - solved) <= 1e-12 * signal_speed
+
+
+def exact_echo_quotient(boost, baseline, signal_speed, axis):
+    """The closed form evaluated in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = sum(Decimal(x) ** 2 for x in axis.as_tuple()).sqrt()
+        unit = [Decimal(x) / n for x in axis.as_tuple()]
+        v = [Decimal(x) for x in boost.as_tuple()]
+        a = Decimal(signal_speed) ** 2 - sum(x * x for x in v)
+        total = Decimal(0)
+        for sign in (1, -1):
+            target = [x * sign * Decimal(baseline) for x in unit]
+            b = sum(p * q for p, q in zip(target, v))
+            c = sum(p * p for p in target)
+            total += (b + (b * b + a * c).sqrt()) / a
+        return 2 * Decimal(baseline) / total
+
+
+@pytest.mark.parametrize("signal_speed", [1.0, 3e8])
+def test_classical_echo_closed_form_matches_a_decimal_oracle(signal_speed):
+    # The root solver's tolerance is absolute in length, so at c = 3e8 it
+    # is ~1e-8 off; the closed form stays within a few ulps at any scale.
+    for boost, baseline, axis in echo_cases(signal_speed, 38):
+        exact = exact_echo_quotient(boost, baseline, signal_speed, axis)
+        closed = classical_light_quotient(boost, baseline, signal_speed, axis)
+        assert abs(Decimal(closed) - exact) <= Decimal(3e-14) * exact
+
+
+def test_catch_up_time_is_accurate_on_both_legs():
+    # Near the signal speed the leg against the drift has b < 0 and
+    # b^2 >> a c, where (b + sqrt(b^2 + a c)) / a would lose ~1e-10.
+    rng = random.Random(39)
+    for _ in range(100):
+        s, drift = rng.uniform(0.5, 2.0), rng.uniform(0.999, 0.9999999)
+        unit, baseline = random_unit(rng), rng.uniform(0.1, 10.0)
+        v = unit * (drift * s)
+        a = (s - v.norm()) * (s + v.norm())
+        for sign in (1.0, -1.0):
+            target = unit * (sign * baseline)
+            t = _catch_up_time(*target.as_tuple(), *v.as_tuple(), a)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                dv = [Decimal(x) for x in v.as_tuple()]
+                dt = [Decimal(x) for x in target.as_tuple()]
+                da, b = Decimal(a), sum(p * q for p, q in zip(dt, dv))
+                c = sum(p * p for p in dt)
+                exact = (b + (b * b + da * c).sqrt()) / da
+                assert abs(Decimal(t) - exact) <= Decimal(1e-15) * exact
