@@ -5,72 +5,109 @@ and reports a verdict with the measured residual and the tolerance it was
 held to. Audits draw their randomness from per-audit seeded generators,
 so the report is deterministic for a given scenario and seed and does not
 depend on which other audits run.
+
+Each audit is declared once, as an ``AuditSpec`` in ``CATALOG``: name,
+lemma, description, default tolerance and typed ``audit_params`` schema.
+Its body returns only a ``Measurement``; ``run_audits`` resolves the
+tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .core import Body, Vec3, cross, distance, pair_state
-from .dynamics import (
-    DivergenceError,
-    Trajectory,
-    angular_momentum_rate,
-    integrate,
-    momentum_rate,
-)
+from .dynamics import DivergenceError, Trajectory, angular_momentum_rate, integrate, momentum_rate
 from .forces import (
-    SingularityError,
-    check_property_additivity,
-    force_on_a,
-    force_on_b,
-    force_pair,
-    merge_laws,
+    SingularityError, check_property_additivity, force_on_a, force_on_b, force_pair, merge_laws,
     superpose,
 )
 from .frames import (
-    FrameTransform,
-    apply,
-    check_objectivity,
-    compose,
-    identity,
-    inverse,
-    orthogonality_defect,
-    pure_boost,
-    pure_translation,
-    random_transform,
-    raw_apply,
-    transform_residual,
+    FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
+    pure_boost, pure_translation, random_transform, raw_apply, transform_residual,
 )
 from .report import AuditReport, AuditResult, ERROR, FAIL, PASS
 from .rootfind import ConvergenceError
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, _number, check_steps
 from .velocity_addition import (
-    BoundedVelocity,
-    GFunction,
-    check_invariance_theorem,
-    classical_light_quotient,
-    light_quotient,
-    oplus,
-    zero_velocity,
+    BoundedVelocity, GFunction, check_invariance_theorem, classical_light_quotient,
+    light_quotient, oplus, zero_velocity,
 )
 
 __all__ = [
-    "AuditSpec",
-    "AuditContext",
-    "CATALOG",
-    "audit_names",
-    "check_audit_names",
-    "format_catalog",
-    "run_audits",
+    "AuditSpec", "AuditContext", "CATALOG", "Measurement", "Param", "audit_names",
+    "check_audit_inputs", "format_catalog", "run_audits",
 ]
 
 
 class AuditConfigError(ValueError):
     """The scenario lacks something this audit needs."""
+
+
+class Param(NamedTuple):
+    """One key of an audit's ``audit_params``: its name, JSON type and
+    default. A default the scenario decides is a function of the scenario
+    (``None`` when the block it reads is missing), and ``shown`` describes
+    it in the catalog listing."""
+
+    name: str
+    kind: type
+    default: Any
+    shown: str = ""
+
+
+class Measurement(NamedTuple):
+    """What an audit body measured. The runner holds ``residual`` to the
+    tolerance; ``ok`` is any further pass condition, and ``tolerance`` is
+    set only by the audits that fix their own."""
+
+    residual: float
+    detail: str
+    ok: bool = True
+    tolerance: float | None = None
+
+
+@dataclass(frozen=True)
+class AuditSpec:
+    """One audit, declared once. ``tolerance`` is the default the scenario's
+    ``tolerances`` may override, or ``None`` for an audit that sets its own
+    (``run`` then returns it in its ``Measurement``)."""
+
+    name: str
+    lemma: str
+    description: str
+    run: Callable[[AuditContext], Measurement]
+    tolerance: float | None
+    params: tuple[Param, ...] = ()
+
+
+_DECLARED: list[AuditSpec] = []
+
+
+def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Param):
+    """Decorator: declare ``run`` as the catalog audit ``name``. The
+    catalog lists and runs the audits in declaration order."""
+
+    def declare(run: Callable[[AuditContext], Measurement]):
+        _DECLARED.append(AuditSpec(name, lemma, description, run, tolerance, params))
+        return run
+
+    return declare
+
+
+def _resolve_params(scenario: Scenario, audit: str) -> dict[str, Any]:
+    """The audit's params: the scenario's values where given, else the
+    schema defaults. Assumes ``check_audit_inputs`` accepted the scenario."""
+    out = {}
+    for p in _BY_NAME[audit].params:
+        value = scenario.audit_params.get(audit, {}).get(p.name, p.default)
+        value = value(scenario) if callable(value) else value
+        out[p.name] = value if value is None else p.kind(value)
+    return out
 
 
 class AuditContext:
@@ -89,20 +126,12 @@ class AuditContext:
     def rng(self, audit: str) -> random.Random:
         return random.Random(f"{self.seed}:{audit}")
 
-    def tolerance(self, audit: str, default: float) -> float:
-        return self.scenario.tolerances.get(audit, default)
+    def tolerance(self, audit: str) -> float | None:
+        """The scenario's tolerance for ``audit``, else the catalog default."""
+        return self.scenario.tolerances.get(audit, _BY_NAME[audit].tolerance)
 
-    def param(self, audit: str, key: str, default):
-        value = self.scenario.audit_params.get(audit, {}).get(key, default)
-        if isinstance(default, bool) or isinstance(value, bool):
-            raise AuditConfigError(f"audit_params.{audit}.{key}: booleans not supported")
-        if isinstance(default, int) and not isinstance(value, int):
-            raise AuditConfigError(f"audit_params.{audit}.{key}: expected an integer, got {value!r}")
-        if isinstance(default, float) and not isinstance(value, (int, float)):
-            raise AuditConfigError(f"audit_params.{audit}.{key}: expected a number, got {value!r}")
-        if isinstance(default, str) and not isinstance(value, str):
-            raise AuditConfigError(f"audit_params.{audit}.{key}: expected a string, got {value!r}")
-        return float(value) if isinstance(default, float) else value
+    def params(self, audit: str) -> dict[str, Any]:
+        return _resolve_params(self.scenario, audit)
 
     def trajectory(self, step_scale: float = 1.0) -> Trajectory:
         cfg = self.scenario.integrator
@@ -128,16 +157,9 @@ class AuditContext:
         cfg = self.scenario.frames
         if cfg.explicit:
             return list(cfg.explicit)
-        return [
-            random_transform(
-                rng,
-                translation=cfg.translation,
-                boost=cfg.boost,
-                time_offset=cfg.time_offset,
-                reflections=cfg.reflections,
-            )
-            for _ in range(cfg.count)
-        ]
+        return [random_transform(rng, translation=cfg.translation, boost=cfg.boost,
+                                 time_offset=cfg.time_offset, reflections=cfg.reflections)
+                for _ in range(cfg.count)]
 
     def addition(self):
         cfg = self.scenario.addition
@@ -159,24 +181,20 @@ def _unit_vector(rng: random.Random) -> Vec3:
     return Vec3(*_unit_components(rng))
 
 
-def _random_velocity(rng: random.Random, gfun: GFunction, max_fraction: float) -> BoundedVelocity:
+def _random_velocity(rng: random.Random, gfun: GFunction, fraction: float) -> BoundedVelocity:
     scale = gfun.c if math.isfinite(gfun.c) else 10.0
     x, y, z = _unit_components(rng)
-    s = rng.uniform(0.0, max_fraction) * scale
+    s = rng.uniform(0.0, fraction) * scale
     return BoundedVelocity(Vec3(x * s, y * s, z * s), gfun)
 
 
-def _random_pair(rng: random.Random, a0: Body, b0: Body, min_separation: float) -> tuple[Body, Body]:
+def _random_pair(rng: random.Random, a0: Body, b0: Body, min_sep: float) -> tuple[Body, Body]:
+    def vec() -> Vec3:
+        return Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+
     while True:
-        a = a0.with_state(
-            Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
-        )
-        b = b0.with_state(
-            Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
-        )
-        if pair_state(a, b).x_ab.norm() > max(0.1, min_separation):
+        a, b = a0.with_state(vec(), vec()), b0.with_state(vec(), vec())
+        if pair_state(a, b).x_ab.norm() > max(0.1, min_sep):
             return a, b
 
 
@@ -191,19 +209,19 @@ def _worst(residuals: Iterable[float], worst: float = 0.0) -> float:
     return worst
 
 
-# --- audit implementations ---
+# --- audit implementations, in catalog order ---
 
 
-def _audit_frame_group(ctx: AuditContext) -> AuditResult:
+@_declare("frame-group", "observer-choice-group",
+          "composition, identity, inverse and associativity of frame transforms", 1e-12,
+          Param("count", int, 200))
+def _audit_frame_group(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("frame-group")
-    tol = ctx.tolerance("frame-group", 1e-12)
-    count = ctx.param("frame-group", "count", 200)
+    count = ctx.params("frame-group")["count"]
     ident = identity()
     worst = 0.0
     for _ in range(count):
-        t1 = random_transform(rng)
-        t2 = random_transform(rng)
-        t3 = random_transform(rng)
+        t1, t2, t3 = (random_transform(rng) for _ in range(3))
         left = compose(compose(t1, t2), t3)
         right = compose(t1, compose(t2, t3))
         worst = max(worst, transform_residual(left, right))
@@ -212,15 +230,14 @@ def _audit_frame_group(ctx: AuditContext) -> AuditResult:
         worst = max(worst, transform_residual(compose(t1, inverse(t1)), ident))
         worst = max(worst, transform_residual(compose(inverse(t1), t1), ident))
         worst = max(worst, orthogonality_defect(left.rotation))
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "frame-group", "observer-choice-group", verdict, worst, tol, f"{count} random triples"
-    )
+    return Measurement(worst, f"{count} random triples")
 
 
-def _audit_objectivity(ctx: AuditContext) -> AuditResult:
+@_declare("objectivity-sweep", "objectivity-of-laws",
+          "relative-state norms invariant across frames; a subjective coordinate is not", 1e-12)
+def _audit_objectivity(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("objectivity-sweep")
-    tol = ctx.tolerance("objectivity-sweep", 1e-12)
+    tol = ctx.tolerance("objectivity-sweep")
     a, b = ctx.scenario.bodies
     transforms = ctx.frame_transforms(rng)
     reps = [(a, b)] + [(apply(t, a), apply(t, b)) for t in transforms]
@@ -236,26 +253,19 @@ def _audit_objectivity(ctx: AuditContext) -> AuditResult:
     shifts = [identity()] + [
         pure_translation(_unit_vector(rng) * rng.uniform(0.5, 2.0)) for _ in range(20)
     ]
-    counter = check_objectivity(
-        lambda rep: rep[0].position.x - a.position.x,
-        [(apply(t, a), apply(t, b)) for t in shifts],
-        tolerance=tol,
-    )
-    residual = max(x_norm.residual, v_norm.residual)
-    ok = x_norm.passed and v_norm.passed and not counter.passed
-    detail = (
-        f"{len(transforms)} frames; subjective counterexample "
-        f"{'detected' if not counter.passed else 'NOT detected'} "
-        f"(residual {counter.residual:.3e})"
-    )
-    return AuditResult(
-        "objectivity-sweep", "objectivity-of-laws", PASS if ok else FAIL, residual, tol, detail
-    )
+    shifted = [(apply(t, a), apply(t, b)) for t in shifts]
+    counter = check_objectivity(lambda r: r[0].position.x - a.position.x, shifted, tolerance=tol)
+    detail = (f"{len(transforms)} frames; subjective counterexample "
+              f"{'detected' if not counter.passed else 'NOT detected'} "
+              f"(residual {counter.residual:.3e})")
+    return Measurement(max(x_norm.residual, v_norm.residual), detail, ok=not counter.passed)
 
 
-def _audit_event_order(ctx: AuditContext) -> AuditResult:
+@_declare("event-order", "event-order-preservation",
+          "monotone clock changes keep the order of events", None, Param("count", int, 100))
+def _audit_event_order(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("event-order")
-    count = ctx.param("event-order", "count", 100)
+    count = ctx.params("event-order")["count"]
     violations = 0
     for _ in range(count):
         events = sorted(rng.uniform(-50.0, 50.0) for _ in range(12))
@@ -267,15 +277,7 @@ def _audit_event_order(ctx: AuditContext) -> AuditResult:
         mapped = [a * t + bcoef * math.atan(t) + ccoef * t**3 + shift for t in events]
         if any(t2 <= t1 for t1, t2 in zip(mapped, mapped[1:])):
             violations += 1
-    verdict = PASS if violations == 0 else FAIL
-    return AuditResult(
-        "event-order",
-        "event-order-preservation",
-        verdict,
-        float(violations),
-        0.0,
-        f"{count} monotone clock changes",
-    )
+    return Measurement(float(violations), f"{count} monotone clock changes", tolerance=0.0)
 
 
 def _inertia_residuals(traj: Trajectory, x0: Vec3, v0: Vec3) -> Iterator[float]:
@@ -293,25 +295,25 @@ def _inertia_residuals(traj: Trajectory, x0: Vec3, v0: Vec3) -> Iterator[float]:
         yield math.sqrt(dx * dx + dy * dy + dz * dz) / v_scale
 
 
-def _audit_inertia(ctx: AuditContext) -> AuditResult:
-    tol = ctx.tolerance("inertia", 1e-12)
-    steps = ctx.param("inertia", "steps", 10_000)
-    cfg = ctx.scenario.integrator
-    step = ctx.param("inertia", "step", cfg.step if cfg is not None else 1e-3)
+@_declare("inertia", "law-of-inertia", "isolated pair keeps constant relative velocity", 1e-12,
+          Param("steps", int, 10_000),
+          Param("step", float, lambda sc: sc.integrator.step if sc.integrator else 1e-3,
+                "integrator.step, else 0.001"))
+def _audit_inertia(ctx: AuditContext) -> Measurement:
+    p = ctx.params("inertia")
     a, b = ctx.scenario.bodies
-    traj = integrate(a, b, merge_laws(()), steps * step, step, "rk4")
+    traj = integrate(a, b, merge_laws(()), p["steps"] * p["step"], p["step"], "rk4")
     base = pair_state(a, b)
     worst = _worst(_inertia_residuals(traj, base.x_ab, base.v_ab))
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "inertia", "law-of-inertia", verdict, worst, tol, f"{steps} force-free steps"
-    )
+    return Measurement(worst, f"{p['steps']} force-free steps")
 
 
-def _audit_exchange(ctx: AuditContext) -> AuditResult:
+@_declare("exchange", "exchange-symmetry",
+          "swapping the bodies swaps the force pair; f + k closes through the normal channel",
+          1e-12, Param("count", int, 50))
+def _audit_exchange(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("exchange")
-    tol = ctx.tolerance("exchange", 1e-12)
-    count = ctx.param("exchange", "count", 50)
+    count = ctx.params("exchange")["count"]
     a0, b0 = ctx.scenario.bodies
     law = ctx.law
     worst = 0.0
@@ -321,46 +323,22 @@ def _audit_exchange(ctx: AuditContext) -> AuditResult:
         worst = max(worst, (force_on_b(law, a, b) - force_on_a(law, b, a)).norm())
         worst = max(worst, (force_on_a(law, a, b) - force_on_b(law, b, a)).norm())
         worst = max(worst, (f + k - momentum_rate(a, b, law)).norm())
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "exchange", "exchange-symmetry", verdict, worst, tol, f"{count} random pair states"
-    )
+    return Measurement(worst, f"{count} random pair states")
 
 
-def _audit_momentum(ctx: AuditContext) -> AuditResult:
-    tol = ctx.tolerance("momentum", 1e-9)
+def _audit_conserved(ctx: AuditContext, observable: str) -> Measurement:
+    """Largest distance of one ``Observables`` vector from its value at
+    sample 0, along the scenario trajectory."""
     traj = ctx.trajectory()
-    first = traj.observables(0).total_momentum
-    worst = _worst(
-        distance(traj.observables(i).total_momentum, first) for i in range(len(traj))
-    )
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "momentum",
-        "momentum-iff-no-normal-channel",
-        verdict,
-        worst,
-        tol,
-        f"{len(traj)} samples, method {traj.method}",
-    )
+    first = getattr(traj.observables(0), observable)
+    values = (getattr(traj.observables(i), observable) for i in range(len(traj)))
+    worst = _worst(distance(value, first) for value in values)
+    return Measurement(worst, f"{len(traj)} samples, method {traj.method}")
 
 
-def _audit_angular_momentum(ctx: AuditContext) -> AuditResult:
-    tol = ctx.tolerance("angular-momentum", 1e-9)
-    traj = ctx.trajectory()
-    first = traj.observables(0).angular_momentum
-    worst = _worst(
-        distance(traj.observables(i).angular_momentum, first) for i in range(len(traj))
-    )
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "angular-momentum",
-        "torque-iff-central-channels",
-        verdict,
-        worst,
-        tol,
-        f"{len(traj)} samples, method {traj.method}",
-    )
+_declare("momentum", "momentum-iff-no-normal-channel",
+         "total momentum constant along the trajectory",
+         1e-9)(partial(_audit_conserved, observable="total_momentum"))
 
 
 def _rate_mismatch(traj: Trajectory, series, predict) -> float:
@@ -389,69 +367,61 @@ def _rate_mismatch(traj: Trajectory, series, predict) -> float:
     return worst
 
 
-def _order_check_audit(ctx: AuditContext, name: str, lemma: str, series, predict) -> AuditResult:
-    floor = ctx.param(name, "floor", 1e-10)
+def _order_check_audit(ctx: AuditContext, name: str, series, predict) -> Measurement:
+    """Held to its own tolerance: ``floor`` when the mismatch at the
+    scenario step is already below it, else a 3.5x reduction at half the
+    step (second order in the step)."""
+    floor = ctx.params(name)["floor"]
     base = _rate_mismatch(ctx.trajectory(), series, predict)
     if base <= floor:
-        return AuditResult(
-            name, lemma, PASS, base, floor, "rate below noise floor; order check skipped"
-        )
+        return Measurement(base, "rate below noise floor; order check skipped", tolerance=floor)
     halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), series, predict)
-    target = base / 3.5
-    verdict = PASS if halved <= target else FAIL
     ratio = base / halved if halved > 0.0 else math.inf
-    return AuditResult(
-        name,
-        lemma,
-        verdict,
-        halved,
-        target,
-        f"mismatch {base:.3e} at h, {halved:.3e} at h/2 (reduction x{ratio:.2f}, need >=3.5)",
-    )
+    detail = f"mismatch {base:.3e} at h, {halved:.3e} at h/2 (reduction x{ratio:.2f}, need >=3.5)"
+    return Measurement(halved, detail, tolerance=base / 3.5)
 
 
-def _audit_momentum_rate(ctx: AuditContext) -> AuditResult:
+@_declare("momentum-rate", "generalized-action-reaction",
+          "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
+          Param("floor", float, 1e-10))
+def _audit_momentum_rate(ctx: AuditContext) -> Measurement:
     def series(a: Body, b: Body) -> Vec3:
         return a.velocity * a.mass + b.velocity * b.mass
 
-    return _order_check_audit(
-        ctx, "momentum-rate", "generalized-action-reaction", series, momentum_rate
-    )
+    return _order_check_audit(ctx, "momentum-rate", series, momentum_rate)
 
 
-def _audit_torque_rate(ctx: AuditContext) -> AuditResult:
+_declare("angular-momentum", "torque-iff-central-channels",
+         "angular momentum constant along the trajectory",
+         1e-9)(partial(_audit_conserved, observable="angular_momentum"))
+
+
+@_declare("torque-rate", "internal-torque-rate",
+          "measured dL/dt matches the internal-torque formula at second order in the step", None,
+          Param("floor", float, 1e-10))
+def _audit_torque_rate(ctx: AuditContext) -> Measurement:
     def series(a: Body, b: Body) -> Vec3:
         ps = pair_state(a, b)
         mu = a.mass * b.mass / (a.mass + b.mass)
         return cross(ps.x_ab, ps.v_ab * mu)
 
-    return _order_check_audit(
-        ctx, "torque-rate", "internal-torque-rate", series, angular_momentum_rate
-    )
+    return _order_check_audit(ctx, "torque-rate", series, angular_momentum_rate)
 
 
-def _audit_energy(ctx: AuditContext) -> AuditResult:
-    tol = ctx.tolerance("energy", 1e-9)
+@_declare("energy", "internal-energy-conservation",
+          "internal energy of a central law constant along the trajectory", 1e-9)
+def _audit_energy(ctx: AuditContext) -> Measurement:
     if not ctx.law.central:
-        raise AuditConfigError(
-            f"internal energy is undefined for the non-central law {ctx.law.name!r}"
-        )
+        law = ctx.law.name
+        raise AuditConfigError(f"internal energy is undefined for the non-central law {law!r}")
     traj = ctx.trajectory()
     e0 = traj.observables(0).internal_energy
     scale = abs(e0) if abs(e0) > 1e-12 else 1.0
     drifts = [abs(traj.observables(i).internal_energy - e0) / scale for i in range(len(traj))]
-    worst = max(drifts)
     window = max(2, len(drifts) // 10)
     early, late = max(drifts[:window]), max(drifts[-window:])
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "energy",
-        "internal-energy-conservation",
-        verdict,
-        worst,
-        tol,
-        f"relative drift; early-window {early:.3e}, late-window {late:.3e}",
-    )
+    detail = f"relative drift; early-window {early:.3e}, late-window {late:.3e}"
+    return Measurement(max(drifts), detail)
 
 
 def _boost_residuals(
@@ -475,46 +445,36 @@ def _boost_residuals(
         yield math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _audit_boost_covariance(ctx: AuditContext) -> AuditResult:
+@_declare("boost-covariance", "galilean-covariance",
+          "integrate-then-boost equals boost-then-integrate in relative state", 1e-9,
+          Param("count", int, 10), Param("boost", float, 1.0),
+          Param("t_end", float, lambda sc: sc.integrator and sc.integrator.t_end,
+                "integrator.t_end"),
+          Param("step", float, lambda sc: sc.integrator and sc.integrator.step, "integrator.step"))
+def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("boost-covariance")
-    tol = ctx.tolerance("boost-covariance", 1e-9)
-    count = ctx.param("boost-covariance", "count", 10)
-    scale = ctx.param("boost-covariance", "boost", 1.0)
     cfg = ctx.scenario.integrator
     if cfg is None:
         raise AuditConfigError("scenario has no integrator block")
-    t_end = ctx.param("boost-covariance", "t_end", cfg.t_end)
-    step = ctx.param("boost-covariance", "step", cfg.step)
+    p = ctx.params("boost-covariance")
+    t_end, step = p["t_end"], p["step"]
     a0, b0 = ctx.scenario.bodies
-    base = (
-        ctx.trajectory()
-        if (t_end == cfg.t_end and step == cfg.step)
-        else integrate(a0, b0, ctx.law, t_end, step, cfg.method)
-    )
+    same_run = t_end == cfg.t_end and step == cfg.step
+    base = ctx.trajectory() if same_run else integrate(a0, b0, ctx.law, t_end, step, cfg.method)
     worst = 0.0
-    for _ in range(count):
-        boost = pure_boost(_unit_vector(rng) * rng.uniform(0.1, scale))
-        boosted = integrate(
-            apply(boost, a0), apply(boost, b0), ctx.law, t_end, step, cfg.method
-        )
+    for _ in range(p["count"]):
+        boost = pure_boost(_unit_vector(rng) * rng.uniform(0.1, p["boost"]))
+        boosted = integrate(apply(boost, a0), apply(boost, b0), ctx.law, t_end, step, cfg.method)
         worst = _worst(_boost_residuals(boost, base, boosted), worst)
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "boost-covariance",
-        "galilean-covariance",
-        verdict,
-        worst,
-        tol,
-        f"{count} random boosts, {len(base)} samples each",
-    )
+    return Measurement(worst, f"{p['count']} random boosts, {len(base)} samples each")
 
 
-def _audit_superposition(ctx: AuditContext) -> AuditResult:
+@_declare("superposition", "acceleration-additivity",
+          "forces of stacked laws sum to the merged law's force", 1e-12, Param("count", int, 50))
+def _audit_superposition(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("superposition")
-    tol = ctx.tolerance("superposition", 1e-12)
-    count = ctx.param("superposition", "count", 50)
-    laws = ctx.scenario.laws
-    merged = ctx.law
+    count = ctx.params("superposition")["count"]
+    laws, merged = ctx.scenario.laws, ctx.law
     a0, b0 = ctx.scenario.bodies
     min_sep = merged.min_separation if merged.singular else 0.0
     worst = 0.0
@@ -522,32 +482,28 @@ def _audit_superposition(ctx: AuditContext) -> AuditResult:
         a, b = _random_pair(rng, a0, b0, min_sep)
         worst = max(worst, (superpose(laws, a, b) - force_on_a(merged, a, b)).norm())
         worst = max(worst, superpose((), a, b).norm())
-    verdict = PASS if worst <= tol else FAIL
-    return AuditResult(
-        "superposition",
-        "acceleration-additivity",
-        verdict,
-        worst,
-        tol,
-        f"{len(laws)} laws, {count} random pair states",
-    )
+    return Measurement(worst, f"{len(laws)} laws, {count} random pair states")
 
 
-def _audit_additivity(ctx: AuditContext) -> AuditResult:
-    tol = ctx.tolerance("additivity", 1e-9)
-    law_names = {law.name for law in ctx.scenario.laws}
-    default_property = "mass" if "gravity" in law_names or not law_names else "charge"
-    prop = ctx.param("additivity", "property", default_property)
+def _default_property(scenario: Scenario) -> str:
+    law_names = {law.name for law in scenario.laws}
+    return "mass" if "gravity" in law_names or not law_names else "charge"
+
+
+@_declare("additivity", "property-additivity",
+          "merging a coupling property adds the forces (linear laws pass, quadratic fail)", 1e-9,
+          Param("property", str, _default_property, "mass with gravity or no laws, else charge"))
+def _audit_additivity(ctx: AuditContext) -> Measurement:
+    tol = ctx.tolerance("additivity")
+    prop = ctx.params("additivity")["property"]
     a0, b0 = ctx.scenario.bodies
     value = a0.prop(prop)
     q1, q2 = (0.4 * value, 0.6 * value) if value != 0.0 else (1.0, -1.0)
 
     def split(q: float) -> Body:
         if prop == "mass":
-            return Body(a0.id, q, a0.position, a0.velocity, a0.properties)
-        props = dict(a0.properties)
-        props[prop] = q
-        return Body(a0.id, a0.mass, a0.position, a0.velocity, props)
+            return replace(a0, mass=q)
+        return replace(a0, properties={**a0.properties, prop: q})
 
     worst = 0.0
     failed = []
@@ -556,197 +512,75 @@ def _audit_additivity(ctx: AuditContext) -> AuditResult:
         worst = max(worst, result.residual)
         if not result.passed:
             failed.append(law.name)
-    verdict = PASS if not failed else FAIL
     detail = f"property {prop!r}, split {q1:g}/{q2:g}"
-    if failed:
-        detail += f"; failing laws: {', '.join(failed)}"
-    return AuditResult("additivity", "property-additivity", verdict, worst, tol, detail)
+    detail += f"; failing laws: {', '.join(failed)}" if failed else ""
+    return Measurement(worst, detail, ok=not failed)
 
 
-def _audit_oplus_group(ctx: AuditContext) -> AuditResult:
+@_declare("oplus-group", "bounded-addition-group",
+          "bounded velocity addition: closure, commutativity, associativity, inverses", 1e-10)
+def _audit_oplus_group(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("oplus-group")
-    tol = ctx.tolerance("oplus-group", 1e-10)
     cfg = ctx.addition()
     gfun = cfg.gfunction()
     neutral = zero_velocity(gfun)
     worst = 0.0
     closed = True
     for _ in range(cfg.samples):
-        u = _random_velocity(rng, gfun, cfg.max_speed)
-        v = _random_velocity(rng, gfun, cfg.max_speed)
-        w = _random_velocity(rng, gfun, cfg.max_speed)
+        u, v, w = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(3))
         uv = oplus(u, v)
         closed = closed and uv.speed < gfun.c
         worst = max(worst, (uv.v - oplus(v, u).v).norm())
         worst = max(worst, (oplus(uv, w).v - oplus(u, oplus(v, w)).v).norm())
         worst = max(worst, oplus(u, -u).v.norm())
         worst = max(worst, (oplus(u, neutral).v - u.v).norm())
-    verdict = PASS if (worst <= tol and closed) else FAIL
     detail = f"{cfg.samples} triples, profile {gfun.name}, c={gfun.c:g}"
-    if not closed:
-        detail += "; closure violated"
-    return AuditResult("oplus-group", "bounded-addition-group", verdict, worst, tol, detail)
+    detail += "" if closed else "; closure violated"
+    return Measurement(worst, detail, ok=closed)
 
 
-def _audit_proper_time(ctx: AuditContext) -> AuditResult:
+@_declare("proper-time", "distance-iff-proper-time",
+          "leg-by-leg displacements agree exactly when proper intervals agree", 1e-12)
+def _audit_proper_time(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("proper-time")
-    tol = ctx.tolerance("proper-time", 1e-12)
+    tol = ctx.tolerance("proper-time")
     cfg = ctx.addition()
     gfun = cfg.gfunction()
     worst = 0.0
     failures = 0
     for _ in range(cfg.samples):
-        v2 = _random_velocity(rng, gfun, cfg.max_speed)
-        v3 = _random_velocity(rng, gfun, cfg.max_speed)
+        v2, v3 = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(2))
         result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=tol)
         worst = max(worst, result.residual)
         if not result.passed:
             failures += 1
-    verdict = PASS if failures == 0 else FAIL
-    return AuditResult(
-        "proper-time",
-        "distance-iff-proper-time",
-        verdict,
-        worst,
-        tol,
-        f"{cfg.samples} splits, {failures} converse failures",
-    )
+    detail = f"{cfg.samples} splits, {failures} converse failures"
+    return Measurement(worst, detail, ok=failures == 0)
 
 
-def _audit_light_quotient(ctx: AuditContext) -> AuditResult:
+@_declare("light-quotient", "echo-quotient-invariance",
+          "echo speed quotient is frame independent under the bounded group, "
+          "not under plain addition", 1e-12, Param("count", int, 20))
+def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("light-quotient")
-    tol = ctx.tolerance("light-quotient", 1e-12)
     cfg = ctx.addition()
     gfun = cfg.gfunction()
     if not math.isfinite(gfun.c):
         raise AuditConfigError("light-quotient needs a bounded profile (finite c)")
-    count = ctx.param("light-quotient", "count", 20)
+    count = ctx.params("light-quotient")["count"]
     worst = 0.0
     classical_min = math.inf
     for _ in range(count):
-        boost = BoundedVelocity(
-            _unit_vector(rng) * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun
-        )
+        direction = _unit_vector(rng)
+        boost = BoundedVelocity(direction * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun)
         worst = max(worst, abs(light_quotient(boost, cfg.baseline) - gfun.c))
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
         classical_min = min(classical_min, abs(plain - gfun.c))
-    verdict = PASS if (worst <= tol and classical_min > 1e-6 * gfun.c) else FAIL
-    return AuditResult(
-        "light-quotient",
-        "echo-quotient-invariance",
-        verdict,
-        worst,
-        tol,
-        f"{count} boosts; plain-addition deviation >= {classical_min:.3e}",
-    )
+    detail = f"{count} boosts; plain-addition deviation >= {classical_min:.3e}"
+    return Measurement(worst, detail, ok=classical_min > 1e-6 * gfun.c)
 
 
-@dataclass(frozen=True)
-class AuditSpec:
-    name: str
-    lemma: str
-    description: str
-    run: Callable[[AuditContext], AuditResult]
-
-
-CATALOG: tuple[AuditSpec, ...] = (
-    AuditSpec(
-        "frame-group",
-        "observer-choice-group",
-        "composition, identity, inverse and associativity of frame transforms",
-        _audit_frame_group,
-    ),
-    AuditSpec(
-        "objectivity-sweep",
-        "objectivity-of-laws",
-        "relative-state norms invariant across frames; a subjective coordinate is not",
-        _audit_objectivity,
-    ),
-    AuditSpec(
-        "event-order",
-        "event-order-preservation",
-        "monotone clock changes keep the order of events",
-        _audit_event_order,
-    ),
-    AuditSpec(
-        "inertia",
-        "law-of-inertia",
-        "isolated pair keeps constant relative velocity",
-        _audit_inertia,
-    ),
-    AuditSpec(
-        "exchange",
-        "exchange-symmetry",
-        "swapping the bodies swaps the force pair; f + k closes through the normal channel",
-        _audit_exchange,
-    ),
-    AuditSpec(
-        "momentum",
-        "momentum-iff-no-normal-channel",
-        "total momentum constant along the trajectory",
-        _audit_momentum,
-    ),
-    AuditSpec(
-        "momentum-rate",
-        "generalized-action-reaction",
-        "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step",
-        _audit_momentum_rate,
-    ),
-    AuditSpec(
-        "angular-momentum",
-        "torque-iff-central-channels",
-        "angular momentum constant along the trajectory",
-        _audit_angular_momentum,
-    ),
-    AuditSpec(
-        "torque-rate",
-        "internal-torque-rate",
-        "measured dL/dt matches the internal-torque formula at second order in the step",
-        _audit_torque_rate,
-    ),
-    AuditSpec(
-        "energy",
-        "internal-energy-conservation",
-        "internal energy of a central law constant along the trajectory",
-        _audit_energy,
-    ),
-    AuditSpec(
-        "boost-covariance",
-        "galilean-covariance",
-        "integrate-then-boost equals boost-then-integrate in relative state",
-        _audit_boost_covariance,
-    ),
-    AuditSpec(
-        "superposition",
-        "acceleration-additivity",
-        "forces of stacked laws sum to the merged law's force",
-        _audit_superposition,
-    ),
-    AuditSpec(
-        "additivity",
-        "property-additivity",
-        "merging a coupling property adds the forces (linear laws pass, quadratic fail)",
-        _audit_additivity,
-    ),
-    AuditSpec(
-        "oplus-group",
-        "bounded-addition-group",
-        "bounded velocity addition: closure, commutativity, associativity, inverses",
-        _audit_oplus_group,
-    ),
-    AuditSpec(
-        "proper-time",
-        "distance-iff-proper-time",
-        "leg-by-leg displacements agree exactly when proper intervals agree",
-        _audit_proper_time,
-    ),
-    AuditSpec(
-        "light-quotient",
-        "echo-quotient-invariance",
-        "echo speed quotient is frame independent under the bounded group, not under plain addition",
-        _audit_light_quotient,
-    ),
-)
+CATALOG: tuple[AuditSpec, ...] = tuple(_DECLARED)
 
 _BY_NAME = {spec.name: spec for spec in CATALOG}
 
@@ -756,57 +590,90 @@ def audit_names() -> list[str]:
 
 
 def format_catalog() -> list[str]:
+    """One entry per audit: name, description and lemma, then a second line
+    with its default tolerance and its ``audit_params`` with their defaults."""
     width = max(len(spec.name) for spec in CATALOG)
-    return [
-        f"{spec.name:<{width}}  {spec.description}  [{spec.lemma}]" for spec in CATALOG
-    ]
+    entries = []
+    for spec in CATALOG:
+        tol = "set by the audit" if spec.tolerance is None else f"{spec.tolerance:g}"
+        params = "; ".join(
+            f"{p.name} ({p.kind.__name__}) = {p.shown or repr(p.default)}" for p in spec.params
+        )
+        entries.append(f"{spec.name:<{width}}  {spec.description}  [{spec.lemma}]\n{'':<{width}}"
+                       f"  tolerance {tol}; params: {params or 'none'}")
+    return entries
 
 
-def check_audit_names(scenario: Scenario) -> None:
-    """Every name in ``audits`` and every key of ``tolerances`` and
-    ``audit_params`` must be a catalog audit.
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def check_audit_inputs(scenario: Scenario) -> None:
+    """Validate the audit fields against the catalog before anything runs:
+    names and keys are catalog audits, no ``tolerances`` key names an audit
+    that sets its own, ``audit_params`` match their schema (numbers finite
+    and positive), and the audits' own integrations (``inertia.steps``,
+    ``boost-covariance`` ``t_end / step``) are at most ``MAX_STEPS`` steps.
 
     Raises:
-        ScenarioError: naming the field and the unknown name.
+        ScenarioError: naming the offending field.
     """
     known = ", ".join(audit_names())
     unknown = [name for name in scenario.audits if name not in _BY_NAME]
     if unknown:
-        raise ScenarioError(
-            f"audits: unknown audit name(s) {', '.join(sorted(set(unknown)))}; known: {known}"
-        )
-    for field, keys in (
-        ("tolerances", scenario.tolerances),
-        ("audit_params", scenario.audit_params),
-    ):
+        names = ", ".join(sorted(set(unknown)))
+        raise ScenarioError(f"audits: unknown audit name(s) {names}; known: {known}")
+    fields = (("tolerances", scenario.tolerances), ("audit_params", scenario.audit_params))
+    for field, keys in fields:
         for key in keys:
             if key not in _BY_NAME:
                 raise ScenarioError(f"{field}.{key}: unknown audit name; known: {known}")
+    for key in scenario.tolerances:
+        if _BY_NAME[key].tolerance is None:
+            raise ScenarioError(f"tolerances.{key}: {key} sets its own tolerance")
+    for audit, given in scenario.audit_params.items():
+        schema = {p.name: p for p in _BY_NAME[audit].params}
+        for key, value in given.items():
+            path = f"audit_params.{audit}.{key}"
+            if key not in schema:
+                names = ", ".join(schema) or "none"
+                raise ScenarioError(f"{path}: unknown parameter; known: {names}")
+            accepted, expected = _JSON_TYPES[schema[key].kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ScenarioError(f"{path}: expected {expected}, got {value!r}")
+            if schema[key].kind is not str:
+                _number(value, path, positive=True)
+    inertia = _resolve_params(scenario, "inertia")
+    check_steps("audit_params.inertia.steps", inertia["steps"])
+    if not inertia["steps"] * inertia["step"] < math.inf:
+        raise ScenarioError("audit_params.inertia.step: steps * step is not finite")
+    boost = _resolve_params(scenario, "boost-covariance")
+    t_end, step = boost["t_end"], boost["step"]
+    if t_end is not None and step is not None:
+        check_steps("audit_params.boost-covariance.step", t_end / step, ratio=True)
 
 
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
     """Run the scenario's requested audits in catalog order.
 
-    Unknown audit names, also as keys of ``tolerances`` or
-    ``audit_params``, are a scenario error (input problem, not a FAIL).
-    A singular encounter, a diverging integration or a missing scenario
-    block turns into an ERROR verdict for that audit alone. Passing an
-    existing ``context`` reuses its cached trajectories and failures.
+    Invalid audit inputs (see ``check_audit_inputs``) are a scenario
+    error (input problem, not a FAIL). A singular encounter, a diverging
+    integration or a missing scenario block turns into an ERROR verdict
+    for that audit alone. Passing an existing ``context`` reuses its
+    cached trajectories and failures. A nan residual compares false
+    against every tolerance, so it is a FAIL.
     """
-    check_audit_names(scenario)
+    check_audit_inputs(scenario)
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
     results = []
     for spec in requested:
         try:
-            results.append(spec.run(ctx))
+            m = spec.run(ctx)
         except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError) as exc:
-            results.append(
-                AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc))
-            )
-    return AuditReport(
-        scenario=scenario.name,
-        seed=seed,
-        results=tuple(results),
-        integrator=scenario.integrator.meta() if scenario.integrator else None,
-    )
+            results.append(AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc)))
+            continue
+        tol = ctx.tolerance(spec.name) if m.tolerance is None else m.tolerance
+        verdict = PASS if m.ok and m.residual <= tol else FAIL
+        results.append(AuditResult(spec.name, spec.lemma, verdict, m.residual, tol, m.detail))
+    integrator = scenario.integrator.meta() if scenario.integrator else None
+    return AuditReport(scenario.name, seed, tuple(results), integrator)

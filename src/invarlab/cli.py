@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .audits import AuditContext, check_audit_names, format_catalog, run_audits
+from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
 from .core import distance
 from .dynamics import DivergenceError
 from .forces import SingularityError
@@ -59,9 +59,10 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
     """Full pipeline: integrate (if configured), audit, write outputs.
 
     Raises:
-        ScenarioError: an unknown audit name, before anything is written.
+        ScenarioError: an invalid audit name, tolerance or audit parameter,
+            before anything is written.
     """
-    check_audit_names(scenario)
+    check_audit_inputs(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 

@@ -190,7 +190,12 @@ def superpose(laws: Sequence[ForceLaw], a: Body, b: Body) -> Vec3:
 
 
 def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
-    """Single law whose coefficients are the channel-wise sums."""
+    """Single law whose coefficients are the channel-wise sums.
+
+    The sums add left to right from 0.0, not with ``sum()``: from Python
+    3.12 on ``sum()`` adds floats with compensation, which would make the
+    outputs of a multi-law run depend on the Python version.
+    """
     laws = tuple(laws)
     if not laws:
         return free()
@@ -204,7 +209,10 @@ def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
             return fns[0]
 
         def summed(qa, qb, r, speed, radial, _fns=tuple(fns)):
-            return sum(fn(qa, qb, r, speed, radial) for fn in _fns)
+            total = 0.0
+            for fn in _fns:
+                total += fn(qa, qb, r, speed, radial)
+            return total
 
         return summed
 
@@ -214,7 +222,10 @@ def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
         pots = tuple(law.potential for law in radial_laws)
 
         def potential(qa, qb, r, _pots=pots):  # noqa: F811
-            return sum(p(qa, qb, r) for p in _pots)
+            total = 0.0
+            for p in _pots:
+                total += p(qa, qb, r)
+            return total
 
     singular_laws = [law for law in laws if law.singular]
     return ForceLaw(

@@ -25,7 +25,11 @@ Schema (version "v1"):
 Everything after "bodies" is optional. "frames" may instead be a list of
 explicit transforms ({"rotation": 3x3, "translation": [..], "boost": [..],
 "time_offset": s}). Validation reports the offending field by path before
-any computation runs.
+any computation runs. The audit fields ("audits", "tolerances",
+"audit_params") are checked against the catalog that ``invarlab audits``
+lists, with each audit's params, types and defaults: numeric params must
+be finite and positive, and no run, the audits' own integrations
+included, may take more than ``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .velocity_addition import GFUNCTIONS, GFunction
 __all__ = [
     "ScenarioError",
     "MAX_STEPS",
+    "check_steps",
     "IntegratorConfig",
     "FrameSweepConfig",
     "AdditionConfig",
@@ -63,6 +68,18 @@ class ScenarioError(ValueError):
 MAX_STEPS = 1_000_000
 
 
+def check_steps(path: str, steps: float, ratio: bool = False) -> None:
+    """Reject a run of more than ``MAX_STEPS`` steps (``ratio``: the count
+    is ``t_end / step``).
+
+    Raises:
+        ScenarioError: naming ``path``.
+    """
+    if not steps <= MAX_STEPS:
+        what = "t_end / step = " if ratio else ""
+        raise ScenarioError(f"{path}: {what}{steps:.4g} steps, above the limit of {MAX_STEPS}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration settings, checked at construction (and so also when
@@ -78,12 +95,7 @@ class IntegratorConfig:
     t_end: float
 
     def __post_init__(self) -> None:
-        steps = self.t_end / self.step
-        if not steps <= MAX_STEPS:
-            raise ScenarioError(
-                f"integrator.step: t_end / step = {steps:.4g} steps, "
-                f"above the limit of {MAX_STEPS}"
-            )
+        check_steps("integrator.step", self.t_end / self.step, ratio=True)
 
     def meta(self) -> dict:
         return {"method": self.method, "step": self.step, "t_end": self.t_end}
@@ -140,7 +152,10 @@ def _mapping(doc: Any, path: str) -> dict:
 def _number(value: Any, path: str, *, positive: bool = False, nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise _fail(path, "must be finite")
     if positive and not out > 0.0:
@@ -286,7 +301,7 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
     if "velocity_addition" in doc:
         adoc = _mapping(doc["velocity_addition"], "velocity_addition")
         g_name = adoc.get("g", "lorentz")
-        if g_name not in GFUNCTIONS:
+        if not isinstance(g_name, str) or g_name not in GFUNCTIONS:
             known = ", ".join(sorted(GFUNCTIONS))
             raise _fail("velocity_addition.g", f"unknown profile {g_name!r} (known: {known})")
         samples = adoc.get("samples", 200)

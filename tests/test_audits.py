@@ -128,9 +128,8 @@ def test_bad_audit_param_type_is_an_error_verdict():
         integrator=IntegratorConfig("rk4", 0.01, 0.5),
         audit_params={"boost-covariance": {"count": "ten"}},
     )
-    report = run_audits(sc, seed=1)
-    assert report.results[0].verdict == "ERROR"
-    assert "boost-covariance.count" in report.results[0].detail
+    with pytest.raises(ScenarioError, match=r"audit_params\.boost-covariance\.count: expected"):
+        run_audits(sc, seed=1)
 
 
 def test_catalog_listing_is_complete():
@@ -169,3 +168,33 @@ def test_integration_failures_are_cached_per_step_scale(monkeypatch):
         with pytest.raises(DivergenceError):
             ctx.trajectory(step_scale=scale)
     assert calls == [0.01, 0.005]
+
+
+def test_catalog_listing_shows_tolerances_and_params_from_the_specs():
+    entries = {entry.split()[0]: entry for entry in format_catalog()}
+    assert "tolerance 1e-12; params: steps (int) = 10000; step (float) = " in entries["inertia"]
+    assert "tolerance set by the audit; params: count (int) = 100" in entries["event-order"]
+    assert "tolerance 1e-09; params: none" in entries["momentum"]
+    for spec in audits.CATALOG:
+        assert all(f"{p.name} ({p.kind.__name__})" in entries[spec.name] for p in spec.params)
+
+
+@pytest.mark.parametrize(
+    "measured, verdict, tolerance",
+    [
+        (audits.Measurement(0.5e-12, "below"), "PASS", 1e-12),
+        (audits.Measurement(math.nan, "nan"), "FAIL", 1e-12),
+        (audits.Measurement(0.0, "extra condition", ok=False), "FAIL", 1e-12),
+        (audits.Measurement(2.0, "own tolerance", tolerance=3.0), "PASS", 3.0),
+    ],
+)
+def test_runner_alone_decides_the_verdict(monkeypatch, measured, verdict, tolerance):
+    from dataclasses import replace
+
+    spec = replace(audits.CATALOG[0], run=lambda ctx: measured)
+    monkeypatch.setattr(audits, "CATALOG", (spec,))
+    (result,) = run_audits(scenario_with(audits=(spec.name,)), seed=1).results
+    assert (result.audit, result.lemma) == (spec.name, spec.lemma)
+    assert (result.verdict, result.tolerance) == (verdict, tolerance)
+    assert result.detail == measured.detail
+    assert result.residual is measured.residual

@@ -158,6 +158,24 @@ def test_superpose_is_componentwise_sum():
     assert (force_on_a(merged, a, b) - parts).norm() < 1e-12
 
 
+def test_merged_channels_add_left_to_right():
+    # sum() on Python >= 3.12 compensates and would give 1.0 here.
+    a_val, b_val, c_val = 1e16, 1.0, -1e16
+    laws = [
+        ForceLaw(
+            f"const{i}", phi_e=lambda qa, qb, r, s, x, v=v: v, potential=lambda qa, qb, r, v=v: v
+        )
+        for i, v in enumerate((a_val, b_val, c_val))
+    ]
+    merged = merge_laws(laws)
+    a = body_at(Vec3(1, 0, 0), Vec3(0, 0, 0))
+    b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
+    expected = (a_val + b_val) + c_val
+    assert expected == 0.0
+    assert merged.phi_e(a.properties, b.properties, 1.0, 0.0, 0.0) == expected
+    assert merged.potential(a.properties, b.properties, 1.0) == expected
+
+
 def test_merged_law_keeps_potential_and_centrality():
     merged = merge_laws((gravity(1.0), spring(2.0)))
     assert merged.central

@@ -51,10 +51,9 @@ from invarlab import (
 )
 from invarlab.audits import (
     AuditContext,
-    _audit_angular_momentum,
     _audit_boost_covariance,
+    _audit_conserved,
     _audit_inertia,
-    _audit_momentum,
     _boost_residuals,
     _inertia_residuals,
     _random_velocity,
@@ -164,8 +163,9 @@ def reference_boost_residuals(boost, base, boosted):
 
 
 def reference_inertia_residual(ctx):
-    steps = ctx.param("inertia", "steps", 10_000)
-    step = ctx.param("inertia", "step", ctx.scenario.integrator.step)
+    params = ctx.scenario.audit_params.get("inertia", {})
+    steps = params.get("steps", 10_000)
+    step = float(params.get("step", ctx.scenario.integrator.step))
     a, b = ctx.scenario.bodies
     traj = integrate(a, b, merge_laws(()), steps * step, step, "rk4")
     worst = 0.0
@@ -176,8 +176,9 @@ def reference_inertia_residual(ctx):
 
 def reference_boost_residual(ctx):
     rng = ctx.rng("boost-covariance")
-    count = ctx.param("boost-covariance", "count", 10)
-    scale = ctx.param("boost-covariance", "boost", 1.0)
+    params = ctx.scenario.audit_params.get("boost-covariance", {})
+    count = params.get("count", 10)
+    scale = float(params.get("boost", 1.0))
     cfg = ctx.scenario.integrator
     a0, b0 = ctx.scenario.bodies
     base = ctx.trajectory()
@@ -268,10 +269,10 @@ def test_residuals_equal_the_vec3_formulas(label, bodies, law, method, t_end, st
     inertia = _audit_inertia(ctx)
     assert inertia.residual == reference_inertia_residual(ref)
     traj = ref.trajectory()
-    assert _audit_momentum(ctx).residual == reference_conserved_residual(traj, "total_momentum")
-    assert _audit_angular_momentum(ctx).residual == reference_conserved_residual(
-        traj, "angular_momentum"
-    )
+    momentum = _audit_conserved(ctx, "total_momentum")
+    assert momentum.residual == reference_conserved_residual(traj, "total_momentum")
+    angular = _audit_conserved(ctx, "angular_momentum")
+    assert angular.residual == reference_conserved_residual(traj, "angular_momentum")
 
 
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)

@@ -376,3 +376,102 @@ def test_step_count_limit_applies_after_the_step_override(tmp_path, capsys, monk
     assert main(["run", "kepler.json", "--out", str(out), "--method", "verlet", "--step", "1e-300"]) == 1
     assert "integrator.step" in capsys.readouterr().err
     assert not out.exists()
+
+
+def kepler_with(audit_params=None, tolerances=None):
+    doc = json.loads(resolve_scenario_path("kepler.json").read_text())
+    for audit, params in (audit_params or {}).items():
+        doc["audit_params"].setdefault(audit, {}).update(params)
+    if tolerances is not None:
+        doc["tolerances"] = tolerances
+    return doc
+
+
+def assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field):
+    import invarlab.audits as audits
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the input error")
+
+    monkeypatch.setattr(audits, "integrate", no_integration)
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) == 1
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"frame-group": {"cuont": 5}}, "audit_params.frame-group.cuont"),
+        ({"momentum": {"count": 5}}, "audit_params.momentum.count"),
+        ({"boost-covariance": {"count": "ten"}}, "audit_params.boost-covariance.count"),
+        ({"boost-covariance": {"count": 2.0}}, "audit_params.boost-covariance.count"),
+        ({"exchange": {"count": True}}, "audit_params.exchange.count"),
+        ({"boost-covariance": {"boost": "fast"}}, "audit_params.boost-covariance.boost"),
+        ({"boost-covariance": {"boost": 10**400}}, "audit_params.boost-covariance.boost"),
+        ({"additivity": {"property": 3}}, "audit_params.additivity.property"),
+    ],
+)
+def test_unknown_or_mistyped_audit_params_are_input_errors(
+    tmp_path, capsys, monkeypatch, params, field
+):
+    doc = kepler_with(params)
+    assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"inertia": {"step": -1.0}}, "audit_params.inertia.step"),
+        ({"frame-group": {"count": -5}}, "audit_params.frame-group.count"),
+        ({"boost-covariance": {"count": 0}}, "audit_params.boost-covariance.count"),
+        ({"exchange": {"count": 0}}, "audit_params.exchange.count"),
+        ({"momentum-rate": {"floor": 0.0}}, "audit_params.momentum-rate.floor"),
+        ({"inertia": {"steps": 10, "step": 1e308}}, "audit_params.inertia.step"),
+    ],
+)
+def test_nonpositive_or_unbounded_audit_sizes_are_input_errors(
+    tmp_path, capsys, monkeypatch, params, field
+):
+    doc = kepler_with(params)
+    assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"inertia": {"steps": 20_001}}, "audit_params.inertia.steps"),
+        ({"boost-covariance": {"t_end": 100.0}}, "audit_params.boost-covariance.step"),
+        ({"boost-covariance": {"step": 1e-4}}, "audit_params.boost-covariance.step"),
+    ],
+)
+def test_audit_integrations_above_the_step_limit_are_input_errors(
+    tmp_path, capsys, monkeypatch, params, field
+):
+    import invarlab.scenario as scenario
+
+    # kepler.json integrates 10k steps, so a limit of 20k still admits it.
+    monkeypatch.setattr(scenario, "MAX_STEPS", 20_000)
+    doc = kepler_with(params)
+    assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
+
+
+def test_audit_integrations_at_the_step_limit_are_accepted(monkeypatch):
+    import invarlab.scenario as scenario
+    from invarlab.audits import check_audit_inputs
+
+    monkeypatch.setattr(scenario, "MAX_STEPS", 20_000)
+    step = 0.0036275987284684354
+    at_limit = {"inertia": {"steps": 20_000}, "boost-covariance": {"t_end": 20_000 * step}}
+    doc = kepler_with(at_limit)
+    check_audit_inputs(parse_scenario(doc))
+
+
+@pytest.mark.parametrize("audit", ["event-order", "momentum-rate", "torque-rate"])
+def test_tolerances_for_audits_that_set_their_own_are_input_errors(
+    tmp_path, capsys, monkeypatch, audit
+):
+    doc = kepler_with(tolerances={audit: 1.0})
+    field = f"tolerances.{audit}"
+    assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
