@@ -48,8 +48,6 @@ from .frames import (
     identity,
     inverse,
     pure_boost,
-    pure_rotation,
-    pure_time_offset,
     pure_translation,
     random_rotation,
     random_transform,

@@ -326,13 +326,17 @@ def _audit_exchange(ctx: AuditContext) -> Measurement:
     return Measurement(worst, f"{count} random pair states")
 
 
+# Where each conserved vector sits in what ``Trajectory.observed`` yields.
+_OBSERVED_FIELD = {"total_momentum": 0, "angular_momentum": 1}
+
+
 def _audit_conserved(ctx: AuditContext, observable: str) -> Measurement:
     """Largest distance of one ``Observables`` vector from its value at
     sample 0, along the scenario trajectory."""
     traj = ctx.trajectory()
-    first = getattr(traj.observables(0), observable)
-    values = (getattr(traj.observables(i), observable) for i in range(len(traj)))
-    worst = _worst(distance(value, first) for value in values)
+    k = _OBSERVED_FIELD[observable]
+    first = next(traj.observed())[k]
+    worst = _worst(distance(obs[k], first) for obs in traj.observed())
     return Measurement(worst, f"{len(traj)} samples, method {traj.method}")
 
 
@@ -343,27 +347,40 @@ _declare("momentum", "momentum-iff-no-normal-channel",
 
 def _rate_mismatch(traj: Trajectory, series, predict) -> float:
     """Largest |central-difference rate of ``series`` - ``predict``| over
-    the interior samples.
+    the interior samples, in one pass over transient snapshots.
+
+    A sample whose series value overflows is named before any sample whose
+    rate does, wherever it lies: a failed rate stops the rates, and the
+    series runs on to the last sample.
 
     Raises:
         DivergenceError: the rows are finite, but the series, its rate or
             the mismatch leaves the floating-point range at some sample.
     """
-    states, times, law = traj.states, traj.times, traj.law
-    values: list[Vec3] = []
+    times, law = traj.times, traj.law
     worst = 0.0
+    failed: tuple[int, Exception] | None = None
+    # Series values of samples i - 2 and i - 1, and the snapshot of i - 1.
+    before = middle = middle_state = None
     i = 0
     try:
-        for i, (a, b) in enumerate(states):
-            values.append(series(a, b))
-        for i in range(1, len(states) - 1):
-            rate = (values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1])
-            mismatch = (rate - predict(*states[i], law)).norm()
-            if mismatch == math.inf:
-                raise OverflowError("|rate - prediction| is infinite")
-            worst = max(worst, mismatch)
+        for i, state in enumerate(traj.snapshots()):
+            value = series(*state)
+            if i >= 2 and failed is None:
+                try:
+                    rate = (value - before) / (times[i] - times[i - 2])
+                    mismatch = (rate - predict(*middle_state, law)).norm()
+                    if mismatch == math.inf:
+                        raise OverflowError("|rate - prediction| is infinite")
+                    worst = max(worst, mismatch)
+                except (OverflowError, ValueError) as exc:
+                    failed = (i - 1, exc)
+            before, middle, middle_state = middle, value, state
     except (OverflowError, ValueError) as exc:
         raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
+    if failed is not None:
+        i, exc = failed
+        raise DivergenceError(i, times[i], f"rate overflow: {exc}")
     return worst
 
 
@@ -415,9 +432,9 @@ def _audit_energy(ctx: AuditContext) -> Measurement:
         law = ctx.law.name
         raise AuditConfigError(f"internal energy is undefined for the non-central law {law!r}")
     traj = ctx.trajectory()
-    e0 = traj.observables(0).internal_energy
+    e0 = next(traj.observed())[2]
     scale = abs(e0) if abs(e0) > 1e-12 else 1.0
-    drifts = [abs(traj.observables(i).internal_energy - e0) / scale for i in range(len(traj))]
+    drifts = [abs(obs[2] - e0) / scale for obs in traj.observed()]
     window = max(2, len(drifts) // 10)
     early, late = max(drifts[:window]), max(drifts[-window:])
     detail = f"relative drift; early-window {early:.3e}, late-window {late:.3e}"

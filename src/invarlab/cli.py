@@ -41,18 +41,12 @@ def _write_drift_csv(ctx: AuditContext, out: Path) -> None:
     """Plot-ready deviations of the conserved candidates from their initial
     values; energy blank when undefined."""
     traj = ctx.trajectory()
-    first = traj.observables(0)
+    p0, l0, e0, _ = next(traj.observed())
     with (out / "drift.csv").open("w") as stream:
         stream.write("t,dP,dL,dE\n")
-        for i, t in enumerate(traj.times):
-            obs = traj.observables(i)
-            dp = distance(obs.total_momentum, first.total_momentum)
-            dl = distance(obs.angular_momentum, first.angular_momentum)
-            if obs.internal_energy is None:
-                de = ""
-            else:
-                de = repr(abs(obs.internal_energy - first.internal_energy))
-            stream.write(f"{t!r},{dp!r},{dl!r},{de}\n")
+        for t, (p, l, energy, _) in zip(traj.times, traj.observed()):
+            de = "" if energy is None else repr(abs(energy - e0))
+            stream.write(f"{t!r},{distance(p, p0)!r},{distance(l, l0)!r},{de}\n")
 
 
 def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:

@@ -68,9 +68,10 @@ def dot(u: Vec3, v: Vec3) -> float:
     return u.x * v.x + u.y * v.y + u.z * v.z
 
 
-def distance(u: Vec3, v: Vec3) -> float:
-    """|u - v|, without building the difference vector."""
-    dx, dy, dz = u.x - v.x, u.y - v.y, u.z - v.z
+def distance(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """|u - v| of two float triples, without building the difference."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    dx, dy, dz = ux - vx, uy - vy, uz - vz
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 

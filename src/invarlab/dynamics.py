@@ -25,6 +25,8 @@ Exact statements the audits lean on:
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
 from typing import Callable, IO, Iterator, Sequence
 
@@ -50,6 +52,11 @@ CSV_HEADER = (
 )
 
 DEFAULT_POTENTIAL_REFERENCE = 1.0
+
+_PACK_SAMPLE = struct.Struct("12d").pack
+
+# What ``observables`` returns: (P, L, E or None, mu).
+RawObservables = tuple[tuple[float, float, float], tuple[float, float, float], float | None, float]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -101,11 +108,12 @@ class Trajectory:
     Samples are stored as raw floats: ``rows`` holds 12 per sample, flat,
     in the order position of a, velocity of a, position of b, velocity of
     b (x, y, z each), and every one is checked finite at construction.
-    ``bodies`` are the templates that give the snapshots their id, mass
-    and properties. The ``(Body, Body)`` snapshots in ``states`` are built
-    from the rows the first time ``states`` is read, then cached; paths
-    that only need numbers read ``rows`` or ``samples()`` and never build
-    them.
+    ``integrate`` stores them in an ``array('d')``; any float sequence is
+    accepted. ``bodies`` are the templates that give the snapshots their
+    id, mass and properties, and the ``PropertyView``s that ``observables``
+    reads. Read-back works on the rows: ``samples()``, ``observed()``,
+    ``relative(i)``. ``snapshots()`` builds one transient ``(Body, Body)``
+    per sample; ``states`` keeps them all, built on first read.
 
     Raises:
         ValueError: ``rows`` does not hold 12 floats per time, or the
@@ -113,7 +121,7 @@ class Trajectory:
         DivergenceError: a row holds a non-finite value.
     """
 
-    __slots__ = ("times", "rows", "bodies", "law", "method", "step", "_states")
+    __slots__ = ("times", "rows", "bodies", "law", "method", "step", "_views", "_states")
 
     def __init__(
         self,
@@ -137,6 +145,7 @@ class Trajectory:
         self.law = law
         self.method = method
         self.step = step
+        self._views = (PropertyView(bodies[0]), PropertyView(bodies[1]))
         self._states: tuple[tuple[Body, Body], ...] | None = None
 
     def __len__(self) -> int:
@@ -147,23 +156,45 @@ class Trajectory:
         it = iter(self.rows)
         return zip(*[it] * 12)
 
+    def _row(self, i: int) -> tuple[int, Sequence[float]]:
+        """Sample i (negative counts from the end) and its 12 floats."""
+        i = range(len(self.times))[i]
+        return i, self.rows[12 * i : 12 * i + 12]
+
+    def snapshots(self) -> Iterator[tuple[Body, Body]]:
+        """One (a, b) snapshot per sample, built as it is read."""
+        a0, b0 = self.bodies
+        for ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz in self.samples():
+            yield (
+                a0.with_state(Vec3(ax, ay, az), Vec3(avx, avy, avz)),
+                b0.with_state(Vec3(bx, by, bz), Vec3(bvx, bvy, bvz)),
+            )
+
     @property
     def states(self) -> tuple[tuple[Body, Body], ...]:
-        """One (a, b) snapshot per sample, built on first read."""
+        """Every snapshot, built on first read and kept."""
         if self._states is None:
-            a0, b0 = self.bodies
-            self._states = tuple(
-                (
-                    a0.with_state(Vec3(ax, ay, az), Vec3(avx, avy, avz)),
-                    b0.with_state(Vec3(bx, by, bz), Vec3(bvx, bvy, bvz)),
-                )
-                for ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz in self.samples()
-            )
+            self._states = tuple(self.snapshots())
         return self._states
 
     def relative(self, i: int) -> PairState:
-        a, b = self.states[i]
-        return pair_state(a, b)
+        _, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz) = self._row(i)
+        return PairState(Vec3(ax - bx, ay - by, az - bz), Vec3(avx - bvx, avy - bvy, avz - bvz))
+
+    def _observe(self, i: int, row: Sequence[float]) -> RawObservables:
+        try:
+            return observables(self.law, *self._views, row)
+        except (OverflowError, ValueError) as exc:
+            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
+
+    def observed(self) -> Iterator[RawObservables]:
+        """``observables`` of each sample as plain floats, computed as they
+        are read, in time order.
+
+        Raises:
+            DivergenceError: at the first sample whose observables overflow.
+        """
+        return map(self._observe, range(len(self.times)), self.samples())
 
     def observables(self, i: int) -> Observables:
         """Observables of sample i.
@@ -171,21 +202,16 @@ class Trajectory:
         Raises:
             DivergenceError: they overflow the floating-point range.
         """
-        a, b = self.states[i]
-        try:
-            return observables(a, b, self.law)
-        except (OverflowError, ValueError) as exc:
-            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
+        (px, py, pz), (lx, ly, lz), energy, mu = self._observe(*self._row(i))
+        return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
 
     def write_csv(self, stream: IO[str]) -> None:
         """One row per sample; the energy column is blank when undefined."""
         stream.write(CSV_HEADER + "\n")
         for i, (t, row) in enumerate(zip(self.times, self.samples())):
-            obs = self.observables(i)
-            p, l = obs.total_momentum, obs.angular_momentum
-            cells = ",".join(map(repr, (t, *row, p.x, p.y, p.z, l.x, l.y, l.z)))
-            energy = "" if obs.internal_energy is None else repr(obs.internal_energy)
-            stream.write(f"{cells},{energy}\n")
+            p, l, energy, _ = self._observe(i, row)
+            cells = ",".join(map(repr, (t, *row, *p, *l)))
+            stream.write(f"{cells},{'' if energy is None else repr(energy)}\n")
 
 
 def integrate(
@@ -227,8 +253,10 @@ def integrate(
     avx, avy, avz = a0.velocity.x, a0.velocity.y, a0.velocity.z
     bx, by, bz = b0.position.x, b0.position.y, b0.position.z
     bvx, bvy, bvz = b0.velocity.x, b0.velocity.y, b0.velocity.z
-    rows = [ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz]
-    extend = rows.extend
+    rows = array("d", (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
+    # One packed sample appended as bytes: array.extend would convert a
+    # tuple item by item.
+    append, pack = rows.frombytes, _PACK_SAMPLE
 
     if method == "rk4":
         # Classic rk4 on the 12-component state, one scalar local per
@@ -292,7 +320,7 @@ def integrate(
             bvx += h6 * (b1x + 2.0 * b2x + 2.0 * b3x + b4x)
             bvy += h6 * (b1y + 2.0 * b2y + 2.0 * b3y + b4y)
             bvz += h6 * (b1z + 2.0 * b2z + 2.0 * b3z + b4z)
-            extend((ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
+            append(pack(ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
     else:
         fx, fy, fz, kx, ky, kz = force(
             law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
@@ -318,7 +346,7 @@ def integrate(
             bvy = bvy + 0.5 * h * (acc[4] + acc_new[4])
             bvz = bvz + 0.5 * h * (acc[5] + acc_new[5])
             acc = acc_new
-            extend((ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
+            append(pack(ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
 
     times = tuple(i * step for i in range(n_steps + 1))
     return Trajectory(times, rows, (a0, b0), law, method, step)
@@ -341,7 +369,16 @@ def potential_value(
     """
     if not law.central:
         raise ValueError(f"law {law.name!r} is not central; no potential exists")
-    qa, qb = PropertyView(a), PropertyView(b)
+    return _potential(law, PropertyView(a), PropertyView(b), r, reference_radius)
+
+
+def _potential(
+    law: ForceLaw,
+    qa: PropertyView,
+    qb: PropertyView,
+    r: float,
+    reference_radius: float = DEFAULT_POTENTIAL_REFERENCE,
+) -> float:
     if law.potential is not None:
         return law.potential(qa, qb, r)
     if law.phi_e is None:
@@ -353,20 +390,39 @@ def potential_value(
     return _adaptive_simpson(integrand, reference_radius, r, 1e-12)
 
 
-def observables(a: Body, b: Body, law: ForceLaw) -> Observables:
-    ma, mb = a.mass, b.mass
-    pa, pb, va, vb = a.position, b.position, a.velocity, b.velocity
+def observables(
+    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
+) -> RawObservables:
+    """P, L, E and mu of one sample (12 floats, ordered as ``Trajectory.rows``)
+    as plain floats: ``((Px, Py, Pz), (Lx, Ly, Lz), E, mu)``, E None when
+    the law is not central. ``qa``, ``qb`` are the bodies' property views.
+
+    Raises:
+        ValueError: a component of P, else of L, is not finite (the
+            message ``Vec3`` gives).
+        OverflowError: the kinetic energy overflows.
+    """
+    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+    ma, mb = qa["mass"], qb["mass"]
     mu = ma * mb / (ma + mb)
-    rx, ry, rz = pa.x - pb.x, pa.y - pb.y, pa.z - pb.z
-    ux, uy, uz = va.x - vb.x, va.y - vb.y, va.z - vb.z
+    momentum = (avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb)
+    _check_finite(momentum)
+    rx, ry, rz = ax - bx, ay - by, az - bz
+    ux, uy, uz = avx - bvx, avy - bvy, avz - bvz
     wx, wy, wz = ux * mu, uy * mu, uz * mu
-    momentum = Vec3(va.x * ma + vb.x * mb, va.y * ma + vb.y * mb, va.z * ma + vb.z * mb)
-    angular = Vec3(ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
+    angular = (ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
+    _check_finite(angular)
     energy: float | None = None
     if law.central:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
-        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential_value(law, a, b, r)
-    return Observables(momentum, angular, energy, mu)
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + _potential(law, qa, qb, r)
+    return momentum, angular, energy, mu
+
+
+def _check_finite(v: tuple[float, float, float]) -> None:
+    x, y, z = v
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
 
 
 def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:

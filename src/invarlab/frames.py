@@ -29,10 +29,8 @@ __all__ = [
     "IDENTITY_ROTATION",
     "FrameTransform",
     "identity",
-    "pure_rotation",
     "pure_translation",
     "pure_boost",
-    "pure_time_offset",
     "rotation_about",
     "apply",
     "compose",
@@ -49,14 +47,6 @@ Mat3 = tuple[tuple[float, float, float], tuple[float, float, float], tuple[float
 IDENTITY_ROTATION: Mat3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 ORTHOGONALITY_TOL = 1e-10
-
-
-def determinant(m: Mat3) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def orthogonality_defect(m: Mat3) -> float:
@@ -114,20 +104,12 @@ def identity() -> FrameTransform:
     return FrameTransform()
 
 
-def pure_rotation(rotation: Mat3) -> FrameTransform:
-    return FrameTransform(rotation=rotation)
-
-
 def pure_translation(d: Vec3) -> FrameTransform:
     return FrameTransform(translation=d)
 
 
 def pure_boost(w: Vec3) -> FrameTransform:
     return FrameTransform(boost=w)
-
-
-def pure_time_offset(s: float) -> FrameTransform:
-    return FrameTransform(time_offset=s)
 
 
 def rotation_about(axis: Vec3, angle: float) -> Mat3:

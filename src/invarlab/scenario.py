@@ -62,9 +62,11 @@ class ScenarioError(ValueError):
     """Invalid scenario document; the message names the field."""
 
 
-# A trajectory holds about 0.43 kB per sample as raw rows and 0.98 kB once
-# its (Body, Body) snapshots are read, so a run at the cap needs about
-# 1 GB, and a rate audit's extra half-step trajectory about 2 GB more.
+# Measured with tracemalloc on Python 3.11: a trajectory holds about
+# 0.13 kB per sample (12 floats in an array('d'), plus its time), and a
+# whole spring run with the five trajectory audits peaks at about 0.16 kB
+# per sample, so a run at the cap needs about 0.16 GB, and a rate audit's
+# extra half-step trajectory (twice the samples) about 0.26 GB more.
 MAX_STEPS = 1_000_000
 
 

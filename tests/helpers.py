@@ -8,6 +8,12 @@ import random
 from invarlab import Body, Vec3
 
 
+def sample_row(a: Body, b: Body) -> tuple[float, ...]:
+    """The 12 floats of one (a, b) sample, in the order of ``Trajectory.rows``."""
+    return (*a.position.as_tuple(), *a.velocity.as_tuple(),
+            *b.position.as_tuple(), *b.velocity.as_tuple())
+
+
 def kepler_pair(ma=1.0, mb=2.0, g=1.0, semi_major=1.0, ecc=0.0):
     """Two bodies on a relative gravity orbit starting at perihelion,
     center of mass at rest. Returns (body_a, body_b, period)."""

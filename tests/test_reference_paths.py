@@ -22,6 +22,7 @@ from invarlab import (
     Body,
     BoundedVelocity,
     ConvergenceError,
+    DivergenceError,
     FrameTransform,
     GFunction,
     Vec3,
@@ -46,6 +47,7 @@ from invarlab import (
     potential_value,
     rational_g,
     spring,
+    Trajectory,
     transform_residual,
     zero_velocity,
 )
@@ -65,7 +67,7 @@ from invarlab.forces import PropertyView, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
 
-from helpers import kepler_pair
+from helpers import kepler_pair, sample_row
 
 
 def reference_samples(a0, b0, law, t_end, step, method):
@@ -240,9 +242,57 @@ def test_observables_equal_the_vec3_formulas(label, bodies, law, method, t_end, 
     traj = integrate(*bodies, law, t_end, step, method)
     for i, (a, b) in enumerate(traj.states):
         expected = reference_observables(a, b, law)
-        assert observables(a, b, law) == expected
+        p, l, energy, mu = observables(law, PropertyView(a), PropertyView(b), sample_row(a, b))
+        assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
         assert traj.observables(i) == expected
     assert (expected.internal_energy is None) == (not law.central)
+
+
+def body_level_observables(a, b, law):
+    """Earlier observables(a, b, law): Vec3 fields, checked as built."""
+    ma, mb = a.mass, b.mass
+    pa, pb, va, vb = a.position, b.position, a.velocity, b.velocity
+    mu = ma * mb / (ma + mb)
+    rx, ry, rz = pa.x - pb.x, pa.y - pb.y, pa.z - pb.z
+    ux, uy, uz = va.x - vb.x, va.y - vb.y, va.z - vb.z
+    wx, wy, wz = ux * mu, uy * mu, uz * mu
+    momentum = Vec3(va.x * ma + vb.x * mb, va.y * ma + vb.y * mb, va.z * ma + vb.z * mb)
+    angular = Vec3(ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
+    energy = None
+    if law.central:
+        r = math.sqrt(rx * rx + ry * ry + rz * rz)
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential_value(law, a, b, r)
+    return Observables(momentum, angular, energy, mu)
+
+
+def test_observables_errors_equal_the_body_level_formulas():
+    big = 1e200
+    rows = [
+        # P overflows.
+        (0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308, 0.0, 0.0),
+        # L overflows, P does not.
+        (big, 0.0, 0.0, 0.0, big, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        # Both: P is named.
+        (big, 0.0, 0.0, 1e308, big, 0.0, 0.0, 0.0, 0.0, 1e308, 0.0, 0.0),
+        # Only the kinetic energy overflows (**2 raises OverflowError).
+        (0.0, 0.0, 0.0, 1e160, 0.0, 0.0, 0.0, 0.0, 0.0, -1e160, 0.0, 0.0),
+    ]
+    a0 = Body("A", 2.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    b0 = Body("B", 3.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    law = spring(1.0)
+    traj = Trajectory((0.0, 1.0, 2.0, 3.0), [x for row in rows for x in row], (a0, b0), law,
+                      "rk4", 1.0)
+    qa, qb = PropertyView(a0), PropertyView(b0)
+    for i, ((a, b), row) in enumerate(zip(traj.states, rows)):
+        expected = outcome(body_level_observables, a, b, law)
+        assert expected[0] in (ValueError, OverflowError)
+        assert outcome(observables, law, qa, qb, row) == expected
+        message = f"trajectory diverged at sample {i} (t = {float(i)!r}): observables overflow: "
+        assert outcome(traj.observables, i) == (DivergenceError, message + expected[1])
+    assert outcome(list, traj.observed()) == outcome(traj.observables, 0)
+    assert outcome(traj.observables, 2)[1].endswith(
+        "non-finite vector component in (inf, 2e+200, 0.0)"
+    )
 
 
 def _context(bodies, law, method, t_end, step, **audit_params):
@@ -325,6 +375,82 @@ def test_rate_mismatch_equals_the_finite_difference_formula(
         assert _rate_mismatch(traj, series, predict) == reference_rate_mismatch(
             traj, series, predict
         )
+
+
+def snapshot_rate_mismatch(traj, series, predict):
+    """Earlier _rate_mismatch: every series value from the cached
+    ``states`` first, then the rates, each error named by its sample."""
+    states, times, law = traj.states, traj.times, traj.law
+    values = []
+    worst = 0.0
+    i = 0
+    try:
+        for i, (a, b) in enumerate(states):
+            values.append(series(a, b))
+        for i in range(1, len(states) - 1):
+            rate = (values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1])
+            mismatch = (rate - predict(*states[i], law)).norm()
+            if mismatch == math.inf:
+                raise OverflowError("|rate - prediction| is infinite")
+            worst = max(worst, mismatch)
+    except (OverflowError, ValueError) as exc:
+        raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
+    return worst
+
+
+RATE_PAIRS = ((momentum_series, momentum_rate), (torque_series, angular_momentum_rate))
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_rate_mismatch_equals_the_snapshot_pass(label, bodies, law, method, t_end, step):
+    for h in (step, 0.5 * step):
+        traj = integrate(*bodies, law, t_end, h, method)
+        for series, predict in RATE_PAIRS:
+            assert _rate_mismatch(traj, series, predict) == snapshot_rate_mismatch(
+                traj, series, predict
+            )
+
+
+def velocity_trajectory(velocities):
+    """Force-free trajectory at unit time steps: A at (1, 0, 0) and B at
+    the origin, with the given (A vx, A vy, B vx) velocities."""
+    rows = []
+    for avx, avy, bvx in velocities:
+        rows += [1.0, 0.0, 0.0, avx, avy, 0.0, 0.0, 0.0, 0.0, bvx, 0.0, 0.0]
+    a = Body("A", 1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    b = Body("B", 1.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    times = tuple(float(i) for i in range(len(velocities)))
+    return Trajectory(times, rows, (a, b), merge_laws(()), "rk4", 1.0)
+
+
+def test_rate_mismatch_errors_equal_the_snapshot_pass():
+    huge = 1.7e308
+    flat = [(huge, huge, 0.0)] * 4
+    cases = [
+        # Rates are zero until sample 3, where the momentum difference
+        # overflows and the torque rate's norm does.
+        velocity_trajectory(flat + [(-huge, -huge, 0.0)]),
+        # The same, but the momentum series itself overflows later, at
+        # sample 5: that sample is the one named.
+        velocity_trajectory(flat + [(-huge, -huge, 0.0), (huge, huge, huge)]),
+        # Rates are finite, |rate - prediction| is not.
+        velocity_trajectory([(0.0, 0.0, 0.0)] * 2 + [(1e200, 1e200, 0.0)] * 2),
+        # rk4 on a spring too stiff for the step: the rows stay finite up
+        # to t = 1, the series and rates do not.
+        integrate(*_spring_pair(), spring(1e6), 1.0, 0.01, "rk4"),
+    ]
+    messages = []
+    for traj in cases:
+        for series, predict in RATE_PAIRS:
+            expected = outcome(snapshot_rate_mismatch, traj, series, predict)
+            assert expected[0] is DivergenceError
+            assert outcome(_rate_mismatch, traj, series, predict) == expected
+            messages.append(expected[1])
+    assert "at sample 3 (t = 3.0): rate overflow: non-finite vector component" in messages[0]
+    assert "at sample 3 (t = 3.0): rate overflow: |rate - prediction| is infinite" in messages[1]
+    assert "at sample 5 (t = 5.0): rate overflow: non-finite vector component" in messages[2]
+    assert "at sample 3 (t = 3.0)" in messages[3]
+    assert "at sample 1 (t = 1.0): rate overflow: |rate - prediction| is infinite" in messages[4]
 
 
 def reference_mat_vec(m, v):

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import re
 
 import pytest
 
-from invarlab import ScenarioError, Vec3, cross, load_scenario, parse_scenario
-from invarlab.cli import main, resolve_scenario_path
+from invarlab import ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario
+from invarlab.cli import main, resolve_scenario_path, run_scenario
+
+from test_golden_outputs import GOLDEN
 
 
 def minimal_doc(**overrides):
@@ -308,6 +311,38 @@ def test_cli_rate_audit_overflow_reports_error_and_exits_2(tmp_path, capsys):
         assert re.search(
             r"diverged at sample \d+ \(t = [0-9.]+\): rate overflow", verdicts[name]["detail"]
         )
+
+
+# report.json of the stiff spring run with torque-rate and momentum-rate,
+# recorded when the rate audits still read the cached (Body, Body)
+# snapshots in ``Trajectory.states``: the same samples, times and messages.
+STIFF_RATE_REPORT = "9d712e80d808451462a7c65780cf7685353bee83cf21e25d2b300bfa982c61d2"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_runs_read_back_without_the_snapshot_list(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Trajectory.states read at run time")
+
+    monkeypatch.setattr(Trajectory, "states", property(refuse))
+    for name, (code, digests) in sorted(GOLDEN.items()):
+        out = tmp_path / name
+        assert run_scenario(load_scenario(resolve_scenario_path(name)), out, seed=42) == code
+        assert {path.name: sha256(path) for path in out.iterdir()} == digests
+
+    doc = stiff_spring_doc(1.0)
+    doc["audits"] = ["torque-rate", "momentum-rate"]
+    out = tmp_path / "stiff"
+    assert run_scenario(parse_scenario(doc), out, seed=42) == 2
+    report = json.loads((out / "report.json").read_text())
+    verdicts = {entry["audit"]: entry["verdict"] for entry in report["audits"]}
+    assert verdicts == {"trajectory": "ERROR", "torque-rate": "ERROR", "momentum-rate": "ERROR"}
+    assert {path.name: sha256(path) for path in out.iterdir()} == {
+        "report.json": STIFF_RATE_REPORT
+    }
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None, [False]])
