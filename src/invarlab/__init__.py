@@ -7,7 +7,7 @@ bounded velocity-addition group with proper time. The CLI runs scenario
 files and emits trajectories plus machine-readable audit reports.
 """
 
-from .core import Body, PairState, Vec3, ZERO, cross, dot, pair_state
+from .core import Body, PairState, Vec3, ZERO, cross, pair_state
 from .dynamics import (
     DivergenceError,
     Observables,
@@ -51,7 +51,6 @@ from .frames import (
     pure_translation,
     random_rotation,
     random_transform,
-    rotation_about,
     transform_residual,
 )
 from .report import AuditReport, AuditResult, ERROR, FAIL, PASS

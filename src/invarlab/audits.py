@@ -21,7 +21,10 @@ from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .core import Body, Vec3, cross, distance, pair_state
-from .dynamics import DivergenceError, Trajectory, angular_momentum_rate, integrate, momentum_rate
+from .dynamics import (
+    DivergenceError, Trajectory, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
+    angular_momentum_rate, integrate, momentum_rate,
+)
 from .forces import (
     SingularityError, check_property_additivity, force_on_a, force_on_b, force_pair, merge_laws,
     superpose,
@@ -345,54 +348,15 @@ _declare("momentum", "momentum-iff-no-normal-channel",
          1e-9)(partial(_audit_conserved, observable="total_momentum"))
 
 
-def _rate_mismatch(traj: Trajectory, series, predict) -> float:
-    """Largest |central-difference rate of ``series`` - ``predict``| over
-    the interior samples, in one pass over transient snapshots.
-
-    A sample whose series value overflows is named before any sample whose
-    rate does, wherever it lies: a failed rate stops the rates, and the
-    series runs on to the last sample.
-
-    Raises:
-        DivergenceError: the rows are finite, but the series, its rate or
-            the mismatch leaves the floating-point range at some sample.
-    """
-    times, law = traj.times, traj.law
-    worst = 0.0
-    failed: tuple[int, Exception] | None = None
-    # Series values of samples i - 2 and i - 1, and the snapshot of i - 1.
-    before = middle = middle_state = None
-    i = 0
-    try:
-        for i, state in enumerate(traj.snapshots()):
-            value = series(*state)
-            if i >= 2 and failed is None:
-                try:
-                    rate = (value - before) / (times[i] - times[i - 2])
-                    mismatch = (rate - predict(*middle_state, law)).norm()
-                    if mismatch == math.inf:
-                        raise OverflowError("|rate - prediction| is infinite")
-                    worst = max(worst, mismatch)
-                except (OverflowError, ValueError) as exc:
-                    failed = (i - 1, exc)
-            before, middle, middle_state = middle, value, state
-    except (OverflowError, ValueError) as exc:
-        raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
-    if failed is not None:
-        i, exc = failed
-        raise DivergenceError(i, times[i], f"rate overflow: {exc}")
-    return worst
-
-
-def _order_check_audit(ctx: AuditContext, name: str, series, predict) -> Measurement:
+def _order_check_audit(ctx: AuditContext, name: str, rows, series, predict) -> Measurement:
     """Held to its own tolerance: ``floor`` when the mismatch at the
     scenario step is already below it, else a 3.5x reduction at half the
     step (second order in the step)."""
     floor = ctx.params(name)["floor"]
-    base = _rate_mismatch(ctx.trajectory(), series, predict)
+    base = _rate_mismatch(ctx.trajectory(), rows, series, predict)
     if base <= floor:
         return Measurement(base, "rate below noise floor; order check skipped", tolerance=floor)
-    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), series, predict)
+    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), rows, series, predict)
     ratio = base / halved if halved > 0.0 else math.inf
     detail = f"mismatch {base:.3e} at h, {halved:.3e} at h/2 (reduction x{ratio:.2f}, need >=3.5)"
     return Measurement(halved, detail, tolerance=base / 3.5)
@@ -405,7 +369,7 @@ def _audit_momentum_rate(ctx: AuditContext) -> Measurement:
     def series(a: Body, b: Body) -> Vec3:
         return a.velocity * a.mass + b.velocity * b.mass
 
-    return _order_check_audit(ctx, "momentum-rate", series, momentum_rate)
+    return _order_check_audit(ctx, "momentum-rate", _momentum_and_rate, series, momentum_rate)
 
 
 _declare("angular-momentum", "torque-iff-central-channels",
@@ -422,7 +386,9 @@ def _audit_torque_rate(ctx: AuditContext) -> Measurement:
         mu = a.mass * b.mass / (a.mass + b.mass)
         return cross(ps.x_ab, ps.v_ab * mu)
 
-    return _order_check_audit(ctx, "torque-rate", series, angular_momentum_rate)
+    return _order_check_audit(
+        ctx, "torque-rate", _angular_momentum_and_rate, series, angular_momentum_rate
+    )
 
 
 @_declare("energy", "internal-energy-conservation",

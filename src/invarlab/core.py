@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "distance", "dot", "pair_state"]
+__all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "distance", "pair_state"]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -62,10 +62,6 @@ _isfinite = math.isfinite
 _set_x, _set_y, _set_z = (Vec3.__dict__[name].__set__ for name in ("x", "y", "z"))
 
 ZERO = Vec3(0.0, 0.0, 0.0)
-
-
-def dot(u: Vec3, v: Vec3) -> float:
-    return u.x * v.x + u.y * v.y + u.z * v.z
 
 
 def distance(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:

@@ -20,6 +20,9 @@ Exact statements the audits lean on:
     dP/dt = f + k = 2 (x_ab x v_ab) phi_perp
     dL/dt = (x_ab x v_ab) phi_s
             + (m_b - m_a)/(m_a + m_b) x_ab x (x_ab x v_ab) phi_perp
+
+``_rate_mismatch`` holds a trajectory's finite-difference rates of P and L
+to them.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ DEFAULT_POTENTIAL_REFERENCE = 1.0
 
 _PACK_SAMPLE = struct.Struct("12d").pack
 
+Triple = tuple[float, float, float]
 # What ``observables`` returns: (P, L, E or None, mu).
-RawObservables = tuple[tuple[float, float, float], tuple[float, float, float], float | None, float]
+RawObservables = tuple[Triple, Triple, float | None, float]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -108,12 +112,12 @@ class Trajectory:
     Samples are stored as raw floats: ``rows`` holds 12 per sample, flat,
     in the order position of a, velocity of a, position of b, velocity of
     b (x, y, z each), and every one is checked finite at construction.
-    ``integrate`` stores them in an ``array('d')``; any float sequence is
-    accepted. ``bodies`` are the templates that give the snapshots their
-    id, mass and properties, and the ``PropertyView``s that ``observables``
-    reads. Read-back works on the rows: ``samples()``, ``observed()``,
-    ``relative(i)``. ``snapshots()`` builds one transient ``(Body, Body)``
-    per sample; ``states`` keeps them all, built on first read.
+    ``integrate`` stores them, and the times, in ``array('d')``s; any float
+    sequences are accepted. ``bodies`` give the snapshots their id, mass and
+    properties, and ``observables`` their ``PropertyView``s. Read-back works
+    on the rows: ``samples()``, ``observed()``, ``relative(i)``.
+    ``snapshots()`` builds one transient ``(Body, Body)`` per sample (the
+    rate audits' error path); ``states`` keeps them all, built on first read.
 
     Raises:
         ValueError: ``rows`` does not hold 12 floats per time, or the
@@ -181,12 +185,6 @@ class Trajectory:
         _, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz) = self._row(i)
         return PairState(Vec3(ax - bx, ay - by, az - bz), Vec3(avx - bvx, avy - bvy, avz - bvz))
 
-    def _observe(self, i: int, row: Sequence[float]) -> RawObservables:
-        try:
-            return observables(self.law, *self._views, row)
-        except (OverflowError, ValueError) as exc:
-            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
-
     def observed(self) -> Iterator[RawObservables]:
         """``observables`` of each sample as plain floats, computed as they
         are read, in time order.
@@ -194,7 +192,13 @@ class Trajectory:
         Raises:
             DivergenceError: at the first sample whose observables overflow.
         """
-        return map(self._observe, range(len(self.times)), self.samples())
+        law, (qa, qb), times = self.law, self._views, self.times
+        for i, row in enumerate(self.samples()):
+            try:
+                obs = observables(law, qa, qb, row)
+            except (OverflowError, ValueError) as exc:
+                raise DivergenceError(i, times[i], f"observables overflow: {exc}") from None
+            yield obs
 
     def observables(self, i: int) -> Observables:
         """Observables of sample i.
@@ -202,14 +206,17 @@ class Trajectory:
         Raises:
             DivergenceError: they overflow the floating-point range.
         """
-        (px, py, pz), (lx, ly, lz), energy, mu = self._observe(*self._row(i))
+        i, row = self._row(i)
+        try:
+            (px, py, pz), (lx, ly, lz), energy, mu = observables(self.law, *self._views, row)
+        except (OverflowError, ValueError) as exc:
+            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
         return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
 
     def write_csv(self, stream: IO[str]) -> None:
         """One row per sample; the energy column is blank when undefined."""
         stream.write(CSV_HEADER + "\n")
-        for i, (t, row) in enumerate(zip(self.times, self.samples())):
-            p, l, energy, _ = self._observe(i, row)
+        for t, row, (p, l, energy, _) in zip(self.times, self.samples(), self.observed()):
             cells = ",".join(map(repr, (t, *row, *p, *l)))
             stream.write(f"{cells},{'' if energy is None else repr(energy)}\n")
 
@@ -348,7 +355,7 @@ def integrate(
             acc = acc_new
             append(pack(ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
 
-    times = tuple(i * step for i in range(n_steps + 1))
+    times = array("d", (i * step for i in range(n_steps + 1)))
     return Trajectory(times, rows, (a0, b0), law, method, step)
 
 
@@ -405,18 +412,20 @@ def observables(
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
     ma, mb = qa["mass"], qb["mass"]
     mu = ma * mb / (ma + mb)
-    momentum = (avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb)
-    _check_finite(momentum)
+    px, py, pz = avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb
     rx, ry, rz = ax - bx, ay - by, az - bz
     ux, uy, uz = avx - bvx, avy - bvy, avz - bvz
     wx, wy, wz = ux * mu, uy * mu, uz * mu
-    angular = (ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
-    _check_finite(angular)
+    lx, ly, lz = ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
+    # One test in the common case: a sum that is not finite names P, else L.
+    if not math.isfinite(px + py + pz + lx + ly + lz):
+        _check_finite((px, py, pz))
+        _check_finite((lx, ly, lz))
     energy: float | None = None
     if law.central:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
         energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + _potential(law, qa, qb, r)
-    return momentum, angular, energy, mu
+    return (px, py, pz), (lx, ly, lz), energy, mu
 
 
 def _check_finite(v: tuple[float, float, float]) -> None:
@@ -452,6 +461,128 @@ def angular_momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
         weight = (b.mass - a.mass) / (a.mass + b.mass)
         rate = rate + cross(ps.x_ab, normal) * (weight * law.phi_perp(qa, qb, r, speed, radial))
     return rate
+
+
+# Row-level float kernels of the rate audits: P and dP/dt, L and dL/dt of
+# one sample (ordered as ``Trajectory.rows``), in the operation order of
+# the Vec3 formulas (``momentum_rate``, ``angular_momentum_rate``). Where
+# those would raise, a kernel's result is not finite (inf and nan survive
+# each product and sum here), or it raises ValueError before a law call.
+
+
+def _momentum_and_rate(
+    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
+) -> tuple[Triple, Triple]:
+    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+    ma, mb = qa["mass"], qb["mass"]
+    momentum = (avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb)
+    if law.phi_perp is None:
+        return momentum, (0.0, 0.0, 0.0)
+    rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+    if not math.isfinite(rx + ry + rz + ux + uy + uz):
+        raise ValueError("non-finite pair state")
+    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+    k = 2.0 * law.phi_perp(qa, qb, r, speed, rx * ux + ry * uy + rz * uz)
+    return momentum, ((ry * uz - rz * uy) * k, (rz * ux - rx * uz) * k, (rx * uy - ry * ux) * k)
+
+
+def _angular_momentum_and_rate(
+    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
+) -> tuple[Triple, Triple]:
+    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+    ma, mb = qa["mass"], qb["mass"]
+    rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+    mu = ma * mb / (ma + mb)
+    wx, wy, wz = ux * mu, uy * mu, uz * mu
+    angular = (ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
+    nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
+    # The Vec3 formula checks x_ab, v_ab and the normal even if no channel reads them.
+    if not math.isfinite(rx + ry + rz + ux + uy + uz + nx + ny + nz):
+        raise ValueError("non-finite pair state or normal")
+    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+    radial = rx * ux + ry * uy + rz * uz
+    tx = ty = tz = 0.0
+    if law.phi_s is not None:
+        s = law.phi_s(qa, qb, r, speed, radial)
+        tx, ty, tz = tx + nx * s, ty + ny * s, tz + nz * s
+    if law.phi_perp is not None:
+        k = (mb - ma) / (ma + mb) * law.phi_perp(qa, qb, r, speed, radial)
+        tx += (ry * nz - rz * ny) * k
+        ty += (rz * nx - rx * nz) * k
+        tz += (rx * ny - ry * nx) * k
+    return angular, (tx, ty, tz)
+
+
+def _rate_mismatch(traj: Trajectory, rows, series, predict) -> float:
+    """Largest |central-difference rate of the series - prediction| over
+    the interior samples, in one pass over the rows: ``rows`` gives a
+    sample's series value and prediction as floats. At the first value
+    that is not finite, or a kernel error, the pass hands the trajectory
+    to ``_snapshot_rate_mismatch``, the same work in Vec3s (``series``,
+    ``predict``), which names the failing sample. A finite run builds no
+    ``Body``.
+
+    Raises:
+        DivergenceError: the rows are finite, but the series, its rate or
+            the mismatch leaves the floating-point range at some sample.
+    """
+    times, law, (qa, qb) = traj.times, traj.law, traj._views
+    worst = 0.0
+    # Series values of samples i - 2 and i - 1, and the prediction of i - 1.
+    before = middle = predicted = None
+    try:
+        for i, row in enumerate(traj.samples()):
+            value, prediction = rows(law, qa, qb, row)
+            x, y, z = value
+            if not math.isfinite(x + y + z):
+                break
+            if i >= 2:
+                (bx, by, bz), (px, py, pz), dt = before, predicted, times[i] - times[i - 2]
+                dx, dy, dz = (x - bx) / dt - px, (y - by) / dt - py, (z - bz) / dt - pz
+                mismatch = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if not math.isfinite(mismatch):
+                    break
+                worst = max(worst, mismatch)
+            before, middle, predicted = middle, value, prediction
+        else:
+            return worst
+    except (ArithmeticError, ValueError):
+        pass
+    return _snapshot_rate_mismatch(traj, series, predict)
+
+
+def _snapshot_rate_mismatch(traj: Trajectory, series, predict) -> float:
+    """``_rate_mismatch`` in Vec3s over transient snapshots, its error path.
+
+    A sample whose series value overflows is named before any sample whose
+    rate does, wherever it lies: a failed rate stops the rates, and the
+    series runs on to the last sample.
+    """
+    times, law = traj.times, traj.law
+    worst = 0.0
+    failed: tuple[int, Exception] | None = None
+    # Series values of samples i - 2 and i - 1, and the snapshot of i - 1.
+    before = middle = middle_state = None
+    i = 0
+    try:
+        for i, state in enumerate(traj.snapshots()):
+            value = series(*state)
+            if i >= 2 and failed is None:
+                try:
+                    rate = (value - before) / (times[i] - times[i - 2])
+                    mismatch = (rate - predict(*middle_state, law)).norm()
+                    if mismatch == math.inf:
+                        raise OverflowError("|rate - prediction| is infinite")
+                    worst = max(worst, mismatch)
+                except (OverflowError, ValueError) as exc:
+                    failed = (i - 1, exc)
+            before, middle, middle_state = middle, value, state
+    except (OverflowError, ValueError) as exc:
+        raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
+    if failed is not None:
+        i, exc = failed
+        raise DivergenceError(i, times[i], f"rate overflow: {exc}")
+    return worst
 
 
 def finite_difference(values: Sequence[Vec3], times: Sequence[float]) -> list[Vec3]:

@@ -31,7 +31,6 @@ __all__ = [
     "identity",
     "pure_translation",
     "pure_boost",
-    "rotation_about",
     "apply",
     "compose",
     "inverse",
@@ -110,21 +109,6 @@ def pure_translation(d: Vec3) -> FrameTransform:
 
 def pure_boost(w: Vec3) -> FrameTransform:
     return FrameTransform(boost=w)
-
-
-def rotation_about(axis: Vec3, angle: float) -> Mat3:
-    """Rotation matrix for a right-handed turn around ``axis``."""
-    n = axis.norm()
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    ux, uy, uz = axis.x / n, axis.y / n, axis.z / n
-    c, s = math.cos(angle), math.sin(angle)
-    k = 1.0 - c
-    return (
-        (c + ux * ux * k, ux * uy * k - uz * s, ux * uz * k + uy * s),
-        (uy * ux * k + uz * s, c + uy * uy * k, uy * uz * k - ux * s),
-        (uz * ux * k - uy * s, uz * uy * k + ux * s, c + uz * uz * k),
-    )
 
 
 def raw_apply(

@@ -62,11 +62,12 @@ class ScenarioError(ValueError):
     """Invalid scenario document; the message names the field."""
 
 
-# Measured with tracemalloc on Python 3.11: a trajectory holds about
-# 0.13 kB per sample (12 floats in an array('d'), plus its time), and a
-# whole spring run with the five trajectory audits peaks at about 0.16 kB
-# per sample, so a run at the cap needs about 0.16 GB, and a rate audit's
-# extra half-step trajectory (twice the samples) about 0.26 GB more.
+# Measured with tracemalloc on Python 3.11 (a 100k-step spring.json run):
+# a trajectory holds about 0.11 kB per sample (13 doubles: 12 state floats
+# and the time, each in an array('d')), and the whole run with its bundled
+# audits peaks at about 0.14 kB per sample, so a run at the cap needs about
+# 0.14 GB, and a rate audit's extra half-step trajectory (twice the
+# samples) about 0.21 GB more.
 MAX_STEPS = 1_000_000
 
 

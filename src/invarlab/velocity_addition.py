@@ -90,9 +90,6 @@ class GFunction:
             raise ValueError(f"speed {speed} outside [0, {self.c})")
         return self.g(speed)
 
-    def weighted_norm(self, speed: float) -> float:
-        return speed * self(speed)
-
     def solve_speed(self, weighted: float) -> float:
         """Invert a |a| G(|a|) = weighted; unique root in [0, c)."""
         if weighted < 0.0:

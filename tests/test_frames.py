@@ -19,7 +19,6 @@ from invarlab import (
     pure_translation,
     random_rotation,
     random_transform,
-    rotation_about,
     transform_residual,
 )
 from invarlab.frames import orthogonality_defect
@@ -170,13 +169,6 @@ def test_random_rotation_is_orthogonal():
     for _ in range(50):
         rot = random_rotation(rng, reflections=True)
         assert orthogonality_defect(rot) < 1e-12
-
-
-def test_rotation_about_axis():
-    rot = rotation_about(Vec3(0, 0, 1), math.pi / 2.0)
-    t = FrameTransform(rotation=rot)
-    out = apply(t, Body("A", 1.0, Vec3(1, 0, 0), Vec3(0, 0, 0)))
-    assert (out.position - Vec3(0, 1, 0)).norm() < 1e-15
 
 
 def test_pair_state_transforms_with_rotation_only():

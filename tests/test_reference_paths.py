@@ -23,6 +23,7 @@ from invarlab import (
     BoundedVelocity,
     ConvergenceError,
     DivergenceError,
+    ForceLaw,
     FrameTransform,
     GFunction,
     Vec3,
@@ -59,10 +60,11 @@ from invarlab.audits import (
     _boost_residuals,
     _inertia_residuals,
     _random_velocity,
-    _rate_mismatch,
     _unit_vector,
 )
-from invarlab.dynamics import Observables
+from invarlab.dynamics import (
+    Observables, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
+)
 from invarlab.forces import PropertyView, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
@@ -365,14 +367,21 @@ def torque_series(a, b):
     return cross(ps.x_ab, ps.v_ab * mu)
 
 
+# Each rate audit's row kernel, with the Vec3 series and prediction it
+# must equal.
+RATE_CHECKS = (
+    (_momentum_and_rate, momentum_series, momentum_rate),
+    (_angular_momentum_and_rate, torque_series, angular_momentum_rate),
+)
+
+
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
 def test_rate_mismatch_equals_the_finite_difference_formula(
     label, bodies, law, method, t_end, step
 ):
     traj = integrate(*bodies, law, t_end, step, method)
-    pairs = ((momentum_series, momentum_rate), (torque_series, angular_momentum_rate))
-    for series, predict in pairs:
-        assert _rate_mismatch(traj, series, predict) == reference_rate_mismatch(
+    for rows, series, predict in RATE_CHECKS:
+        assert _rate_mismatch(traj, rows, series, predict) == reference_rate_mismatch(
             traj, series, predict
         )
 
@@ -398,17 +407,21 @@ def snapshot_rate_mismatch(traj, series, predict):
     return worst
 
 
-RATE_PAIRS = ((momentum_series, momentum_rate), (torque_series, angular_momentum_rate))
+def refuse_snapshots(self):
+    raise AssertionError("a finite trajectory went down the snapshot path")
 
 
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
-def test_rate_mismatch_equals_the_snapshot_pass(label, bodies, law, method, t_end, step):
+def test_rate_mismatch_equals_the_snapshot_pass(
+    label, bodies, law, method, t_end, step, monkeypatch
+):
     for h in (step, 0.5 * step):
         traj = integrate(*bodies, law, t_end, h, method)
-        for series, predict in RATE_PAIRS:
-            assert _rate_mismatch(traj, series, predict) == snapshot_rate_mismatch(
-                traj, series, predict
-            )
+        # The reference reads ``states``, which are kept once built.
+        expected = [snapshot_rate_mismatch(traj, s, p) for _, s, p in RATE_CHECKS]
+        with monkeypatch.context() as patched:
+            patched.setattr(Trajectory, "snapshots", refuse_snapshots)
+            assert [_rate_mismatch(traj, *check) for check in RATE_CHECKS] == expected
 
 
 def velocity_trajectory(velocities):
@@ -421,6 +434,13 @@ def velocity_trajectory(velocities):
     b = Body("B", 1.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     times = tuple(float(i) for i in range(len(velocities)))
     return Trajectory(times, rows, (a, b), merge_laws(()), "rk4", 1.0)
+
+
+def constant_trajectory(row, law, masses=(1.0, 1.0)):
+    """Three equal samples of one 12-float row at unit time steps."""
+    a = Body("A", masses[0], Vec3(*row[0:3]), Vec3(*row[3:6]))
+    b = Body("B", masses[1], Vec3(*row[6:9]), Vec3(*row[9:12]))
+    return Trajectory((0.0, 1.0, 2.0), list(row) * 3, (a, b), law, "rk4", 1.0)
 
 
 def test_rate_mismatch_errors_equal_the_snapshot_pass():
@@ -438,19 +458,65 @@ def test_rate_mismatch_errors_equal_the_snapshot_pass():
         # rk4 on a spring too stiff for the step: the rows stay finite up
         # to t = 1, the series and rates do not.
         integrate(*_spring_pair(), spring(1e6), 1.0, 0.01, "rk4"),
+        # A at (10, 0, 0) moving at (0, 1, 0) around B at rest: the series
+        # are finite, both predictions overflow: 2 * 1e308 in dP/dt, and
+        # 100 * 5e307 in the normal-channel part of dL/dt.
+        constant_trajectory(
+            [10.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            perp_demo(1e308),
+            masses=(1.0, 3.0),
+        ),
     ]
     messages = []
     for traj in cases:
-        for series, predict in RATE_PAIRS:
+        for rows, series, predict in RATE_CHECKS:
             expected = outcome(snapshot_rate_mismatch, traj, series, predict)
             assert expected[0] is DivergenceError
-            assert outcome(_rate_mismatch, traj, series, predict) == expected
+            assert outcome(_rate_mismatch, traj, rows, series, predict) == expected
             messages.append(expected[1])
     assert "at sample 3 (t = 3.0): rate overflow: non-finite vector component" in messages[0]
     assert "at sample 3 (t = 3.0): rate overflow: |rate - prediction| is infinite" in messages[1]
     assert "at sample 5 (t = 5.0): rate overflow: non-finite vector component" in messages[2]
     assert "at sample 3 (t = 3.0)" in messages[3]
     assert "at sample 1 (t = 1.0): rate overflow: |rate - prediction| is infinite" in messages[4]
+    assert messages[8] == (
+        "trajectory diverged at sample 1 (t = 1.0): rate overflow: "
+        "non-finite vector component in (nan, nan, inf)"
+    )
+    assert messages[9] == (
+        "trajectory diverged at sample 1 (t = 1.0): rate overflow: "
+        "non-finite vector component in (0.0, -inf, 0.0)"
+    )
+
+
+def strict_coefficient(qa, qb, r, speed, radial):
+    assert math.isfinite(r), "law called at a non-finite separation"
+    return 1.0
+
+
+def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow():
+    # The float pass must hand over wherever the Vec3 formulas raise, also
+    # where the overflowing value never reaches a rate.
+    huge = 1.7e308
+    momentum, torque = RATE_CHECKS
+    # x_ab overflows: the Vec3 formulas raise before calling the law.
+    strict = ForceLaw("strict", phi_s=strict_coefficient, phi_perp=strict_coefficient)
+    apart = constant_trajectory([1e308, 0, 0, 0, 1.0, 0, -1e308, 0, 0, 0, 0, 0], strict)
+    cases = [
+        # P overflows only at the middle of three samples.
+        (momentum, velocity_trajectory([(0.0, 0.0, 0.0), (huge, 0.0, huge), (0.0, 0.0, 0.0)]),
+         "at sample 1 (t = 1.0): rate overflow: non-finite vector component in (inf, 0.0, 0.0)"),
+        # Free law: dL/dt is zero, but x_ab x v_ab overflows while L does not.
+        (torque, constant_trajectory([1e200, 0, 0, 0, 1e200, 0, 0, 0, 0, 0, 0, 0],
+                                     merge_laws(()), masses=(1e-150, 1e-150)),
+         "at sample 1 (t = 1.0): rate overflow: non-finite vector component in (0.0, 0.0, inf)"),
+        (momentum, apart, "at sample 1 (t = 1.0): rate overflow: non-finite vector component"),
+        (torque, apart, "at sample 0 (t = 0.0): rate overflow: non-finite vector component"),
+    ]
+    for (rows, series, predict), traj, where in cases:
+        expected = outcome(snapshot_rate_mismatch, traj, series, predict)
+        assert expected[0] is DivergenceError and where in expected[1]
+        assert outcome(_rate_mismatch, traj, rows, series, predict) == expected
 
 
 def reference_mat_vec(m, v):

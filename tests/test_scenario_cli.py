@@ -325,14 +325,23 @@ def sha256(path):
 
 def test_runs_read_back_without_the_snapshot_list(tmp_path, capsys, monkeypatch):
     def refuse(self):
-        raise AssertionError("Trajectory.states read at run time")
+        raise AssertionError("Trajectory snapshots built at run time")
 
+    # A finite run builds no Body per sample, nor the list (``states`` is
+    # built from ``snapshots``). perp-demo runs both rate audits, each
+    # also at h/2.
+    with monkeypatch.context() as patched:
+        patched.setattr(Trajectory, "snapshots", refuse)
+        for name, (code, digests) in sorted(GOLDEN.items()):
+            out = tmp_path / name
+            assert run_scenario(load_scenario(resolve_scenario_path(name)), out, seed=42) == code
+            assert {path.name: sha256(path) for path in out.iterdir()} == digests
+    report = json.loads((tmp_path / "perp-demo.json" / "report.json").read_text())
+    details = {entry["audit"]: entry["detail"] for entry in report["audits"]}
+    assert "at h/2" in details["momentum-rate"] and "at h/2" in details["torque-rate"]
+
+    # A rate overflow is named by the snapshot pass, still without the list.
     monkeypatch.setattr(Trajectory, "states", property(refuse))
-    for name, (code, digests) in sorted(GOLDEN.items()):
-        out = tmp_path / name
-        assert run_scenario(load_scenario(resolve_scenario_path(name)), out, seed=42) == code
-        assert {path.name: sha256(path) for path in out.iterdir()} == digests
-
     doc = stiff_spring_doc(1.0)
     doc["audits"] = ["torque-rate", "momentum-rate"]
     out = tmp_path / "stiff"
