@@ -18,10 +18,10 @@ from .dynamics import (
     momentum_rate,
     observables,
     path_time,
-    potential_value,
 )
 from .forces import (
     ForceLaw,
+    ForceOverflowError,
     PRESETS,
     SingularityError,
     charge_squared,

@@ -26,8 +26,8 @@ from .dynamics import (
     angular_momentum_rate, integrate, momentum_rate,
 )
 from .forces import (
-    SingularityError, check_property_additivity, force_on_a, force_on_b, force_pair, merge_laws,
-    superpose,
+    ForceOverflowError, SingularityError, check_property_additivity, force_on_a, force_on_b,
+    force_pair, merge_laws, superpose,
 )
 from .frames import (
     FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
@@ -325,7 +325,12 @@ def _audit_exchange(ctx: AuditContext) -> Measurement:
         f, k = force_pair(law, a, b)
         worst = max(worst, (force_on_b(law, a, b) - force_on_a(law, b, a)).norm())
         worst = max(worst, (force_on_a(law, a, b) - force_on_b(law, b, a)).norm())
-        worst = max(worst, (f + k - momentum_rate(a, b, law)).norm())
+        # The forces are finite; f + k or 2 (x_ab x v_ab) phi_perp may not be.
+        try:
+            closure = f + k - momentum_rate(a, b, law)
+        except ValueError as exc:
+            raise ForceOverflowError(f"law {law.name!r}: {exc}") from None
+        worst = max(worst, closure.norm())
     return Measurement(worst, f"{count} random pair states")
 
 
@@ -640,10 +645,10 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
 
     Invalid audit inputs (see ``check_audit_inputs``) are a scenario
     error (input problem, not a FAIL). A singular encounter, a diverging
-    integration or a missing scenario block turns into an ERROR verdict
-    for that audit alone. Passing an existing ``context`` reuses its
-    cached trajectories and failures. A nan residual compares false
-    against every tolerance, so it is a FAIL.
+    integration, a force that overflows or a missing scenario block turns
+    into an ERROR verdict for that audit alone. Passing an existing
+    ``context`` reuses its cached trajectories and failures. A nan
+    residual compares false against every tolerance, so it is a FAIL.
     """
     check_audit_inputs(scenario)
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
@@ -652,7 +657,8 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     for spec in requested:
         try:
             m = spec.run(ctx)
-        except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError) as exc:
+        except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError,
+                ForceOverflowError) as exc:
             results.append(AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc)))
             continue
         tol = ctx.tolerance(spec.name) if m.tolerance is None else m.tolerance

@@ -21,7 +21,7 @@ from .core import distance
 from .dynamics import DivergenceError
 from .forces import SingularityError
 from .report import AuditReport, AuditResult, ERROR
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _number, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
 
@@ -123,14 +123,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
+        if args.step is not None:  # the rule of the document's integrator.step
+            _number(args.step, "--step", positive=True)
         scenario = load_scenario(resolve_scenario_path(args.scenario))
         if args.step is not None or args.method is not None:
             if scenario.integrator is None:
                 raise ScenarioError("integrator: cannot override; scenario has no integrator block")
             cfg = scenario.integrator
             if args.step is not None:
-                if args.step <= 0:
-                    raise ScenarioError("--step must be positive")
                 cfg = replace(cfg, step=args.step)
             if args.method is not None:
                 cfg = replace(cfg, method=args.method)

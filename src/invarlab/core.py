@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["Vec3", "ZERO", "Body", "PairState", "cross", "distance", "pair_state"]
+__all__ = ["Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state"]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -120,6 +121,15 @@ class PairState:
 
     def __neg__(self) -> "PairState":
         return PairState(-self.x_ab, -self.v_ab)
+
+
+class Check(NamedTuple):
+    """A library check's residual, whether it passed (its tolerance and any
+    further condition) and a note; the audits turn it into a verdict."""
+
+    residual: float
+    passed: bool
+    detail: str = ""
 
 
 def pair_state(a: Body, b: Body) -> PairState:

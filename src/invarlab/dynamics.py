@@ -43,7 +43,6 @@ __all__ = [
     "CSV_HEADER",
     "integrate",
     "observables",
-    "potential_value",
     "path_time",
     "momentum_rate",
     "angular_momentum_rate",
@@ -53,8 +52,6 @@ __all__ = [
 CSV_HEADER = (
     "t,ax,ay,az,avx,avy,avz,bx,by,bz,bvx,bvy,bvz,Px,Py,Pz,Lx,Ly,Lz,E"
 )
-
-DEFAULT_POTENTIAL_REFERENCE = 1.0
 
 _PACK_SAMPLE = struct.Struct("12d").pack
 
@@ -359,33 +356,14 @@ def integrate(
     return Trajectory(times, rows, (a0, b0), law, method, step)
 
 
-def potential_value(
-    law: ForceLaw,
-    a: Body,
-    b: Body,
-    r: float,
-    *,
-    reference_radius: float = DEFAULT_POTENTIAL_REFERENCE,
-) -> float:
-    """Potential V(r) of a central law for this body pair.
+def _potential(law: ForceLaw, qa: PropertyView, qb: PropertyView, r: float) -> float:
+    """Potential V(r) of a central law for the bodies with property views
+    ``qa``, ``qb``.
 
     Uses the registered closed form when the law carries one; otherwise
-    integrates V'(rho) = -phi_e(rho) rho from the reference radius, where
-    the potential is gauged to zero. The gauge constant cancels in every
-    drift check.
+    integrates V'(rho) = -phi_e(rho) rho from rho = 1, where the potential
+    is gauged to zero. The gauge constant cancels in every drift check.
     """
-    if not law.central:
-        raise ValueError(f"law {law.name!r} is not central; no potential exists")
-    return _potential(law, PropertyView(a), PropertyView(b), r, reference_radius)
-
-
-def _potential(
-    law: ForceLaw,
-    qa: PropertyView,
-    qb: PropertyView,
-    r: float,
-    reference_radius: float = DEFAULT_POTENTIAL_REFERENCE,
-) -> float:
     if law.potential is not None:
         return law.potential(qa, qb, r)
     if law.phi_e is None:
@@ -394,7 +372,7 @@ def _potential(
     def integrand(rho: float) -> float:
         return -law.phi_e(qa, qb, rho, 0.0, 0.0) * rho
 
-    return _adaptive_simpson(integrand, reference_radius, r, 1e-12)
+    return _adaptive_simpson(integrand, 1.0, r, 1e-12)
 
 
 def observables(

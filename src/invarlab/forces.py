@@ -25,13 +25,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .core import Body, Vec3, pair_state
-from .report import AuditResult, FAIL, PASS
+from .core import Body, Check, Vec3, pair_state
 
 __all__ = [
     "PhiFn",
     "PotentialFn",
     "SingularityError",
+    "ForceOverflowError",
     "PropertyView",
     "ForceLaw",
     "force_on_a",
@@ -60,6 +60,18 @@ PotentialFn = Callable[[Mapping[str, float], Mapping[str, float], float], float]
 
 class SingularityError(ValueError):
     """Bodies closer than a singular law can be evaluated at."""
+
+
+class ForceOverflowError(ArithmeticError):
+    """A force, or a sum of forces, left the floating-point range. Raised by
+    ``force_pair`` (so by ``force_on_a``, ``force_on_b`` and the additivity
+    check) and by ``superpose``."""
+
+
+def _force(name: str, x: float, y: float, z: float) -> Vec3:
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ForceOverflowError(f"law {name!r}: force ({x}, {y}, {z}) is not finite")
+    return Vec3(x, y, z)
 
 
 class PropertyView(Mapping):
@@ -170,7 +182,7 @@ def force_pair(law: ForceLaw, a: Body, b: Body) -> tuple[Vec3, Vec3]:
         ps.v_ab.y,
         ps.v_ab.z,
     )
-    return Vec3(fx, fy, fz), Vec3(kx, ky, kz)
+    return _force(law.name, fx, fy, fz), _force(law.name, kx, ky, kz)
 
 
 def force_on_a(law: ForceLaw, a: Body, b: Body) -> Vec3:
@@ -183,10 +195,11 @@ def force_on_b(law: ForceLaw, a: Body, b: Body) -> Vec3:
 
 def superpose(laws: Sequence[ForceLaw], a: Body, b: Body) -> Vec3:
     """Sum of the forces on A over a list of laws; empty list gives zero."""
-    total = Vec3(0.0, 0.0, 0.0)
+    x = y = z = 0.0
     for law in laws:
-        total = total + force_on_a(law, a, b)
-    return total
+        f = force_on_a(law, a, b)
+        x, y, z = x + f.x, y + f.y, z + f.z
+    return _force("+".join(law.name for law in laws), x, y, z)
 
 
 def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
@@ -281,11 +294,11 @@ def check_property_additivity(
     b: Body,
     *,
     tolerance: float = 1e-9,
-) -> AuditResult:
+) -> Check:
     """Does merging the named property add the forces?
 
     a1 and a2 must be identical except in the named property. The merged
-    body carries the summed property; the verdict compares its force
+    body carries the summed property; the check compares its force
     against the sum of the split forces.
     """
     if a1.position != a2.position or a1.velocity != a2.velocity:
@@ -308,15 +321,7 @@ def check_property_additivity(
     f_merged = force_on_a(law, merged, b)
     f_sum = force_on_a(law, a1, b) + force_on_a(law, a2, b)
     residual = (f_merged - f_sum).norm()
-    verdict = PASS if residual <= tolerance else FAIL
-    return AuditResult(
-        audit=f"additivity[{property_name}]",
-        lemma="property-additivity",
-        verdict=verdict,
-        residual=residual,
-        tolerance=tolerance,
-        detail=f"law {law.name!r}",
-    )
+    return Check(residual, residual <= tolerance, f"law {law.name!r}")
 
 
 # --- Built-in law presets ---

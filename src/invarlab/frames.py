@@ -21,8 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .core import Vec3, ZERO, Body
-from .report import AuditResult, PASS, FAIL
+from .core import Vec3, ZERO, Body, Check
 
 __all__ = [
     "Mat3",
@@ -267,28 +266,18 @@ T = TypeVar("T")
 
 
 def check_objectivity(
-    law: Callable[[T], float],
-    representations: Sequence[T],
-    *,
-    tolerance: float = 1e-9,
-    labels: Sequence[str] | None = None,
-    audit: str = "objectivity",
-    lemma: str = "objectivity-of-laws",
-) -> AuditResult:
+    law: Callable[[T], float], representations: Sequence[T], *, tolerance: float = 1e-9
+) -> Check:
     """Evaluate a scalar law on every representation of the same situation.
 
     The law holds objectively when its residual vanishes in all of them;
-    the verdict is FAIL with the worst offender named otherwise.
+    the detail names the worst offender.
     """
     worst = 0.0
-    worst_label = ""
+    worst_index = 0
     for i, rep in enumerate(representations):
         value = abs(law(rep))
         if value > worst:
             worst = value
-            worst_label = labels[i] if labels is not None else f"representation {i}"
-    if worst <= tolerance:
-        return AuditResult(audit, lemma, PASS, residual=worst, tolerance=tolerance)
-    return AuditResult(
-        audit, lemma, FAIL, residual=worst, tolerance=tolerance, detail=f"worst: {worst_label}"
-    )
+            worst_index = i
+    return Check(worst, worst <= tolerance, f"worst: representation {worst_index}")

@@ -11,9 +11,9 @@ Because the weighted vectors simply add, the operation is a commutative
 group: 0 is neutral, -u is the inverse of u, and associativity holds.
 Since a |a| G(|a|) maps [0, c) bijectively onto [0, inf), the result
 always exists and |w| < c: the bound cannot be crossed. Recovering |w|
-from the weighted norm inverts a -> a G(a): the shipped bounded profiles
-do it in closed form, any other profile by a scalar root solve
-(bracketed bisection with a safeguarded Newton refinement).
+from the weighted norm inverts a -> a G(a): the shipped profiles do it in
+closed form, a user-supplied profile without an inverse by a scalar root
+solve (bracketed bisection with a safeguarded Newton refinement).
 
 Proper time divides a subjective interval by the weight of the moving
 object, T = t / g(v). For any split v1 = v2 (+) v3 the weighted-vector
@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Vec3
-from .report import AuditResult, FAIL, PASS
+from .core import Check, Vec3
 from .rootfind import ConvergenceError, solve_increasing
 
 __all__ = [
@@ -97,10 +96,7 @@ class GFunction:
         if weighted == 0.0:
             return 0.0
         # G >= 1 puts the root at or below `weighted`; cap just under c.
-        if math.isfinite(self.c):
-            hi = min(weighted, self.c * (1.0 - 1e-15))
-        else:
-            hi = weighted
+        hi = min(weighted, self.c * (1.0 - 1e-15))
 
         def f(a: float) -> float:
             return a * self.g(a) - weighted
@@ -157,8 +153,8 @@ def rational_g(c: float = 1.0) -> GFunction:
 
 
 def classical_g() -> GFunction:
-    """Degenerate unbounded profile G = 1: plain vector addition."""
-    return GFunction("classical", math.inf, lambda a: 1.0, lambda a: 0.0)
+    """Degenerate unbounded profile G = 1: plain vector addition, inverted by a = w."""
+    return GFunction("classical", math.inf, lambda a: 1.0, lambda a: 0.0, lambda w: w)
 
 
 GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
@@ -247,15 +243,15 @@ def check_invariance_theorem(
     duration: float,
     *,
     tolerance: float = 1e-12,
-    perturbation: float = 0.01,
-) -> AuditResult:
+) -> Check:
     """Distance bookkeeping across three observers sharing one process.
 
     With v1 = v2 (+) v3 and equal proper duration on every leg, the direct
     displacement must match the two-leg sum: v1 dt1 = v2 dt2 + v3 dt3
     where dt_i = duration * G(|v_i|). The converse is probed by stretching
-    one subjective interval and confirming the identity breaks by the
-    predicted first-order amount.
+    one subjective interval by 1% and confirming the identity breaks by
+    the predicted first-order amount. The check passes when the residual
+    is within ``tolerance`` and the converse holds.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -264,7 +260,7 @@ def check_invariance_theorem(
     dt2 = duration * v2.weight()
     dt3 = duration * v3.weight()
     # Components, in the operation order of the vector expressions
-    # |v1 dt1 - (v2 dt2 + v3 dt3)| and |v1 dt1 - v2 (dt2 (1 + p)) - v3 dt3|.
+    # |v1 dt1 - (v2 dt2 + v3 dt3)| and |v1 dt1 - v2 (dt2 (1 + stretch)) - v3 dt3|.
     a, b, c = v1.v, v2.v, v3.v
     lx, ly, lz = a.x * dt1, a.y * dt1, a.z * dt1
     cx, cy, cz = c.x * dt3, c.y * dt3, c.z * dt3
@@ -273,8 +269,9 @@ def check_invariance_theorem(
     dz = lz - (b.z * dt2 + cz)
     residual = math.sqrt(dx * dx + dy * dy + dz * dz)
 
-    predicted = perturbation * dt2 * v2.speed
-    k = dt2 * (1.0 + perturbation)
+    stretch = 0.01  # the converse probe lengthens dt2 by 1%
+    predicted = stretch * dt2 * v2.speed
+    k = dt2 * (1.0 + stretch)
     dx = (lx - b.x * k) - cx
     dy = (ly - b.y * k) - cy
     dz = (lz - b.z * k) - cz
@@ -288,15 +285,7 @@ def check_invariance_theorem(
     detail = f"perturbed residual {perturbed:.3e}, first-order prediction {predicted:.3e}"
     if predicted > 0.0:
         converse_ok = abs(perturbed - predicted) <= 0.1 * predicted
-    verdict = PASS if (residual <= tolerance and converse_ok) else FAIL
-    return AuditResult(
-        audit="proper-time-invariance",
-        lemma="distance-iff-proper-time",
-        verdict=verdict,
-        residual=residual,
-        tolerance=tolerance,
-        detail=detail,
-    )
+    return Check(residual, residual <= tolerance and converse_ok, detail)
 
 
 def light_quotient(frame_boost: BoundedVelocity, baseline: float) -> float:

@@ -25,10 +25,9 @@ from invarlab import (
     pair_state,
     path_time,
     perp_demo,
-    potential_value,
     spring,
 )
-from invarlab.dynamics import CSV_HEADER
+from invarlab.dynamics import CSV_HEADER, _potential
 from invarlab.forces import PropertyView
 
 from helpers import kepler_pair, sample_row
@@ -109,7 +108,7 @@ def test_registered_potentials_match_force_by_finite_differences():
     for law in (gravity(0.7), coulomb(1.3), spring(2.1)):
         qa, qb = PropertyView(a), PropertyView(b)
         for r in (0.8, 1.7, 3.0):
-            dv = (potential_value(law, a, b, r + h) - potential_value(law, a, b, r - h)) / (2 * h)
+            dv = (_potential(law, qa, qb, r + h) - _potential(law, qa, qb, r - h)) / (2 * h)
             # -dV/dr must equal phi_e(r) * r
             phi = law.phi_e(qa, qb, r, 0.0, 0.0)
             assert abs(-dv - phi * r) < 1e-6 * max(1.0, abs(phi * r))
@@ -123,8 +122,9 @@ def test_potential_quadrature_fallback_matches_closed_form():
     )
     a = Body("A", 2.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
     b = Body("B", 3.0, Vec3(0, 0, 0), Vec3(0, 0, 0))
+    qa, qb = PropertyView(a), PropertyView(b)
     for r1, r2 in ((0.5, 2.0), (1.0, 4.0)):
-        numeric = potential_value(bare, a, b, r2) - potential_value(bare, a, b, r1)
+        numeric = _potential(bare, qa, qb, r2) - _potential(bare, qa, qb, r1)
         closed = (-6.0 / r2) - (-6.0 / r1)
         assert abs(numeric - closed) < 1e-10
 

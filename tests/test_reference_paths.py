@@ -18,7 +18,6 @@ import random
 import pytest
 
 from invarlab import (
-    AuditResult,
     Body,
     BoundedVelocity,
     ConvergenceError,
@@ -45,7 +44,6 @@ from invarlab import (
     oplus,
     pair_state,
     perp_demo,
-    potential_value,
     rational_g,
     spring,
     Trajectory,
@@ -62,8 +60,9 @@ from invarlab.audits import (
     _random_velocity,
     _unit_vector,
 )
+from invarlab.core import Check
 from invarlab.dynamics import (
-    Observables, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
+    Observables, _angular_momentum_and_rate, _momentum_and_rate, _potential, _rate_mismatch,
 )
 from invarlab.forces import PropertyView, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
@@ -142,7 +141,7 @@ def reference_observables(a, b, law):
     if law.central:
         r = ps.x_ab.norm()
         speed2 = ps.v_ab.x**2 + ps.v_ab.y**2 + ps.v_ab.z**2
-        energy = 0.5 * mu * speed2 + potential_value(law, a, b, r)
+        energy = 0.5 * mu * speed2 + _potential(law, PropertyView(a), PropertyView(b), r)
     return Observables(momentum, angular, energy, mu)
 
 
@@ -624,10 +623,7 @@ def reference_invariance_theorem(v2, v3, duration, *, tolerance=1e-12, perturbat
     detail = f"perturbed residual {perturbed:.3e}, first-order prediction {predicted:.3e}"
     if predicted > 0.0:
         converse_ok = abs(perturbed - predicted) <= 0.1 * predicted
-    verdict = "PASS" if (residual <= tolerance and converse_ok) else "FAIL"
-    return AuditResult(
-        "proper-time-invariance", "distance-iff-proper-time", verdict, residual, tolerance, detail
-    )
+    return Check(residual, residual <= tolerance and converse_ok, detail)
 
 
 def reference_unit_vector(rng):

@@ -313,6 +313,46 @@ def test_cli_rate_audit_overflow_reports_error_and_exits_2(tmp_path, capsys):
         )
 
 
+GRAVITY_1E300 = {"preset": "gravity", "params": {"g": 1e300}}
+
+
+@pytest.mark.parametrize(
+    "audit, laws, detail",
+    [
+        # With both masses 1e10, g m_a m_b = 1e320 overflows every force.
+        ("exchange", [GRAVITY_1E300], "law 'gravity': force ("),
+        ("superposition", [GRAVITY_1E300], "law 'gravity': force ("),
+        ("additivity", [GRAVITY_1E300], "law 'gravity': force ("),
+        # |x_ab| components are below 4, so each force is finite; the sum
+        # of two is not once a component exceeds about 2.04.
+        ("superposition", [{"preset": "spring", "params": {"kappa": 4.4e307}}] * 2,
+         "law 'spring+spring': force ("),
+        # Each force of the pair is finite, f + k = 2 (x_ab x v_ab) phi_perp is not.
+        ("exchange", [{"preset": "perp-demo", "params": {"strength": 1e307}}],
+         "law 'perp-demo': non-finite vector component in ("),
+    ],
+    ids=["exchange", "superposition", "additivity", "superposition-sum", "exchange-closure"],
+)
+def test_cli_force_overflow_reports_error_and_exits_2(tmp_path, capsys, audit, laws, detail):
+    doc = minimal_doc(audits=[audit], laws=laws)
+    for body in doc["bodies"]:
+        body["mass"] = 1e10
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) == 2
+    [entry] = json.loads((out / "report.json").read_text())["audits"]
+    assert (entry["audit"], entry["verdict"]) == (audit, "ERROR")
+    assert entry["detail"].startswith(detail)
+    assert [path.name for path in out.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+def test_cli_step_override_must_be_finite_and_positive(tmp_path, capsys, step):
+    out = tmp_path / "out"
+    assert main(["run", "kepler.json", "--out", str(out), "--step", step]) == 1
+    assert capsys.readouterr().err.startswith("error: --step: must be ")
+    assert not out.exists()
+
+
 # report.json of the stiff spring run with torque-rate and momentum-rate,
 # recorded when the rate audits still read the cached (Body, Body)
 # snapshots in ``Trajectory.states``: the same samples, times and messages.

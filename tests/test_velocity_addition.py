@@ -10,6 +10,7 @@ from invarlab.velocity_addition import _catch_up_time
 from invarlab import (
     BoundedVelocity,
     ConvergenceError,
+    GFUNCTIONS,
     GFunction,
     Vec3,
     check_invariance_theorem,
@@ -165,7 +166,9 @@ def exact_speed(profile, c, w):
     with localcontext() as ctx:
         ctx.prec = 50
         w, c = Decimal(w), Decimal(c)
-        if profile == "lorentz":
+        if profile == "classical":
+            a = w
+        elif profile == "lorentz":
             u = w / c
             a = c * u / (1 + u * u).sqrt()
             assert abs(a / (1 - (a / c) ** 2).sqrt() - w) <= Decimal("1e-40") * w
@@ -176,28 +179,30 @@ def exact_speed(profile, c, w):
 
 
 def closed_form_cases():
+    """(profile, speed scale, weighted norm): the bounded profiles at two
+    bounds c, the classical one at the same two speed scales."""
     rng = random.Random(34)
     fractions = [1e-12, 1e-6, 0.001, 0.5, 0.9, 0.99, 0.999]
     fractions += [rng.uniform(0.0, 0.999) for _ in range(300)]
-    for factory in (lorentz_g, rational_g):
-        for c in (1.0, 3e8):
-            gfun = factory(c)
-            for frac in fractions:
-                speed = frac * c
-                yield gfun, speed * gfun(speed)
+    profiles = [(factory(c), c) for factory in (lorentz_g, rational_g) for c in (1.0, 3e8)]
+    profiles += [(classical_g(), scale) for scale in (1.0, 3e8)]
+    for gfun, scale in profiles:
+        for frac in fractions:
+            speed = frac * scale
+            yield gfun, scale, speed * gfun(speed)
 
 
 def test_closed_form_inverses_match_a_decimal_oracle():
-    for gfun, w in closed_form_cases():
+    for gfun, _, w in closed_form_cases():
         exact = exact_speed(gfun.name, gfun.c, w)
         assert abs(gfun.inverse(w) - exact) <= 3 * math.ulp(exact), (gfun.name, gfun.c, w)
         assert gfun.solve_speed(w) == gfun.inverse(w)
 
 
 def test_closed_form_inverses_agree_with_the_root_solver():
-    for gfun, w in closed_form_cases():
+    for gfun, scale, w in closed_form_cases():
         solver_only = GFunction(gfun.name, gfun.c, gfun.g, gfun.g_prime)
-        assert abs(gfun.solve_speed(w) - solver_only.solve_speed(w)) <= 1e-12 * gfun.c
+        assert abs(gfun.solve_speed(w) - solver_only.solve_speed(w)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("factory", [lorentz_g, rational_g])
@@ -221,14 +226,16 @@ def test_only_profiles_without_a_closed_form_use_the_solver(monkeypatch):
     solve_increasing = velocity_addition.solve_increasing
     monkeypatch.setattr(velocity_addition, "solve_increasing", counting)
     custom = GFunction("quartic", 1.0, lambda a: 1.0 / (1.0 - a**4))
-    expected_solves = ((lorentz_g(1.0), 0), (rational_g(2.0), 0), (classical_g(), 1), (custom, 1))
+    shipped = [factory() for factory in GFUNCTIONS.values()]
+    expected_solves = [(gfun, 0) for gfun in shipped] + [(rational_g(2.0), 0), (custom, 1)]
     for gfun, expected in expected_solves:
         calls.clear()
         u = BoundedVelocity(Vec3(0.3, 0.1, 0.0), gfun)
         v = BoundedVelocity(Vec3(0.0, 0.4, 0.2), gfun)
         oplus(u, v)
         assert len(calls) == expected, gfun.name
-    assert custom.inverse is None and classical_g().inverse is None
+    assert custom.inverse is None and all(gfun.inverse is not None for gfun in shipped)
+    assert classical_g().solve_speed(0.75) == 0.75
 
 
 def test_closure_survives_extreme_operands():
