@@ -54,6 +54,9 @@ CSV_HEADER = (
 )
 
 _PACK_SAMPLE = struct.Struct("12d").pack
+# A trajectory.csv row: t and the 12 state floats, then the P, L and E cells
+# as text.
+_CSV_ROW = ",".join(["%r"] * 13 + ["%s"] * 7) + "\n"
 
 Triple = tuple[float, float, float]
 # What ``observables`` returns: (P, L, E or None, mu).
@@ -91,6 +94,27 @@ _set_momentum, _set_angular, _set_energy, _set_mu = (
     Observables.__dict__[name].__set__
     for name in ("total_momentum", "angular_momentum", "internal_energy", "reduced_mass")
 )
+
+
+# Bound of ``_ReprMemo``: spring-verlet's P and L columns hold a few
+# hundred values each; an rk4 run's L columns are all distinct.
+_REPR_MEMO_SIZE = 2048
+
+
+class _ReprMemo(dict):
+    """``repr`` of floats, remembered: at most ``_REPR_MEMO_SIZE`` of them,
+    all forgotten when full. Zeros are not remembered: 0.0 and -0.0 are
+    equal keys that print differently."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            if len(self) == _REPR_MEMO_SIZE:
+                self.clear()
+            self[x] = text
+        return text
 
 
 class DivergenceError(ArithmeticError):
@@ -189,13 +213,13 @@ class Trajectory:
         Raises:
             DivergenceError: at the first sample whose observables overflow.
         """
-        law, (qa, qb), times = self.law, self._views, self.times
-        for i, row in enumerate(self.samples()):
-            try:
-                obs = observables(law, qa, qb, row)
-            except (OverflowError, ValueError) as exc:
-                raise DivergenceError(i, times[i], f"observables overflow: {exc}") from None
-            yield obs
+        law, (qa, qb) = self.law, self._views
+        i = 0
+        try:
+            for i, row in enumerate(self.samples()):
+                yield observables(law, qa, qb, row)
+        except (OverflowError, ValueError) as exc:
+            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
 
     def observables(self, i: int) -> Observables:
         """Observables of sample i.
@@ -211,11 +235,18 @@ class Trajectory:
         return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
 
     def write_csv(self, stream: IO[str]) -> None:
-        """One row per sample; the energy column is blank when undefined."""
-        stream.write(CSV_HEADER + "\n")
+        """One row per sample; the energy column is blank when undefined.
+
+        Every cell is ``repr`` of its float. A central pair law conserves P
+        and L, so their six columns repeat a few values: those cells go
+        through a bounded ``_ReprMemo``.
+        """
+        write = stream.write
+        write(CSV_HEADER + "\n")
+        conserved = _ReprMemo().__getitem__
         for t, row, (p, l, energy, _) in zip(self.times, self.samples(), self.observed()):
-            cells = ",".join(map(repr, (t, *row, *p, *l)))
-            stream.write(f"{cells},{'' if energy is None else repr(energy)}\n")
+            energy_cell = "" if energy is None else repr(energy)
+            write(_CSV_ROW % (t, *row, *map(conserved, (*p, *l)), energy_cell))
 
 
 def integrate(
@@ -402,7 +433,10 @@ def observables(
     energy: float | None = None
     if law.central:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
-        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + _potential(law, qa, qb, r)
+        potential = law.potential
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + (
+            _potential(law, qa, qb, r) if potential is None else potential(qa, qb, r)
+        )
     return (px, py, pz), (lx, ly, lz), energy, mu
 
 

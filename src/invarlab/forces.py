@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .core import Body, Check, Vec3, pair_state
@@ -120,7 +121,9 @@ class ForceLaw:
     min_separation: float = 1e-9
     radial_only: bool = True
 
-    @property
+    # Read once per trajectory sample; ``dataclasses.replace`` builds a new
+    # instance, so the cached value never outlives the fields it reads.
+    @cached_property
     def central(self) -> bool:
         return self.phi_s is None and self.phi_perp is None and self.radial_only
 

@@ -271,13 +271,16 @@ def check_objectivity(
     """Evaluate a scalar law on every representation of the same situation.
 
     The law holds objectively when its residual vanishes in all of them;
-    the detail names the worst offender.
+    the detail names the worst offender. A nan residual is the worst and
+    stays so (it compares false against every other), so it never passes.
     """
     worst = 0.0
     worst_index = 0
     for i, rep in enumerate(representations):
         value = abs(law(rep))
-        if value > worst:
+        if value > worst or value != value:
             worst = value
             worst_index = i
+            if value != value:
+                break
     return Check(worst, worst <= tolerance, f"worst: representation {worst_index}")

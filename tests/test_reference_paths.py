@@ -4,14 +4,19 @@ The integrator, ``observables``, the inertia, boost-covariance,
 momentum and angular-momentum residuals, frame ``compose``, ``inverse``
 and ``transform_residual``, bounded ``oplus``, the invariance theorem
 check and the audits' random unit vectors and velocities work on raw
-floats. The references below are the earlier implementations, written
-with tuple-comprehension rk4 stages, generator matrix products, nested
-loops, validated ``Vec3`` arithmetic and ``Body`` snapshots.
+floats; ``Trajectory.write_csv`` memoizes the ``repr`` of its P and L
+cells, and the exchange audit evaluates each force pair once. The
+references below are the earlier implementations, written with
+tuple-comprehension rk4 stages, generator matrix products, nested loops,
+validated ``Vec3`` arithmetic, ``Body`` snapshots, one ``repr`` per CSV
+cell and five force evaluations per exchange state.
 Both must agree exactly (``==``, not a tolerance): the arithmetic is the
 same operation for operation, which is what keeps the CSVs and reports
 byte-identical.
 """
 
+import dataclasses
+import io
 import math
 import random
 
@@ -32,6 +37,9 @@ from invarlab import (
     compose,
     cross,
     finite_difference,
+    force_on_a,
+    force_on_b,
+    force_pair,
     identity,
     gravity,
     integrate,
@@ -50,19 +58,23 @@ from invarlab import (
     transform_residual,
     zero_velocity,
 )
+from invarlab import forces
 from invarlab.audits import (
     AuditContext,
     _audit_boost_covariance,
     _audit_conserved,
+    _audit_exchange,
     _audit_inertia,
     _boost_residuals,
     _inertia_residuals,
+    _random_pair,
     _random_velocity,
     _unit_vector,
 )
 from invarlab.core import Check
 from invarlab.dynamics import (
-    Observables, _angular_momentum_and_rate, _momentum_and_rate, _potential, _rate_mismatch,
+    CSV_HEADER, Observables, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate,
+    _potential, _rate_mismatch,
 )
 from invarlab.forces import PropertyView, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
@@ -296,6 +308,61 @@ def test_observables_errors_equal_the_body_level_formulas():
     )
 
 
+def reference_write_csv(traj, stream):
+    """Earlier ``Trajectory.write_csv``: one ``repr`` per cell."""
+    stream.write(CSV_HEADER + "\n")
+    for t, row, (p, l, energy, _) in zip(traj.times, traj.samples(), traj.observed()):
+        cells = ",".join(map(repr, (t, *row, *p, *l)))
+        stream.write(f"{cells},{'' if energy is None else repr(energy)}\n")
+
+
+def csv_text(write, traj):
+    stream = io.StringIO()
+    write(traj, stream)
+    return stream.getvalue()
+
+
+def signed_zero_trajectory():
+    """Free pair at rest whose P and L cells print 0.0, then -0.0, then
+    0.0 again: equal keys that a memo must not serve for each other."""
+    rows = []
+    for zero in (0.0, -0.0, 0.0, -0.0):
+        rows += [1.0, 0.0, 0.0, zero, zero, zero, 0.0, 0.0, 0.0, zero, zero, zero]
+    a = Body("A", 1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    b = Body("B", 2.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
+    return Trajectory((0.0, 1.0, 2.0, 3.0), rows, (a, b), merge_laws(()), "rk4", 1.0)
+
+
+def conserved_cells(traj):
+    return [x for p, l, _, _ in traj.observed() for x in (*p, *l)]
+
+
+def test_csv_writer_equals_one_repr_per_cell():
+    # rk4 on drag + perp-demo conserves neither P nor L: more distinct
+    # cells than the memo holds, so it is emptied on the way.
+    churn = integrate(*_drag_pair(), merge_laws((linear_drag(0.3), perp_demo(0.5))), 12.0,
+                      0.004, "rk4")
+    assert len({x for x in conserved_cells(churn) if x}) > 2 * _REPR_MEMO_SIZE
+    zeros = signed_zero_trajectory()
+    cells = [repr(x) for x in conserved_cells(zeros)]
+    assert "0.0" in cells and "-0.0" in cells
+    cases = [integrate(*bodies, law, t_end, step, method)
+             for _, bodies, law, method, t_end, step in CASES]
+    for traj in cases + [churn, zeros]:
+        assert csv_text(Trajectory.write_csv, traj) == csv_text(reference_write_csv, traj)
+    # drag + perp-demo is not central: its energy cells are blank.
+    assert all(line.endswith(",") for line in csv_text(Trajectory.write_csv, churn).splitlines()[1:])
+
+
+def test_replaced_force_law_recomputes_central():
+    law = spring(1.3)
+    assert law.central
+    dragged = dataclasses.replace(law, phi_s=linear_drag(0.3).phi_s)
+    assert not dragged.central
+    assert dataclasses.replace(dragged, phi_s=None).central
+    assert not dataclasses.replace(law, radial_only=False).central
+
+
 def _context(bodies, law, method, t_end, step, **audit_params):
     scenario = Scenario(
         name="reference",
@@ -324,6 +391,39 @@ def test_residuals_equal_the_vec3_formulas(label, bodies, law, method, t_end, st
     assert momentum.residual == reference_conserved_residual(traj, "total_momentum")
     angular = _audit_conserved(ctx, "angular_momentum")
     assert angular.residual == reference_conserved_residual(traj, "angular_momentum")
+
+
+def reference_exchange_residual(ctx):
+    """Earlier exchange audit: five force evaluations per random state."""
+    rng = ctx.rng("exchange")
+    count = ctx.scenario.audit_params.get("exchange", {}).get("count", 50)
+    a0, b0 = ctx.scenario.bodies
+    law = ctx.law
+    worst = 0.0
+    for _ in range(count):
+        a, b = _random_pair(rng, a0, b0, law.min_separation if law.singular else 0.0)
+        f, k = force_pair(law, a, b)
+        worst = max(worst, (force_on_b(law, a, b) - force_on_a(law, b, a)).norm())
+        worst = max(worst, (force_on_a(law, a, b) - force_on_b(law, b, a)).norm())
+        worst = max(worst, (f + k - momentum_rate(a, b, law)).norm())
+    return worst
+
+
+@pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
+def test_exchange_residual_equals_the_five_evaluation_formula(
+    label, bodies, law, method, t_end, step, monkeypatch
+):
+    params = {"exchange": {"count": 20}}
+    expected = reference_exchange_residual(_context(bodies, law, method, t_end, step, **params))
+    evals = []
+
+    def counted(*args):
+        evals.append(args)
+        return raw_force_pair(*args)
+
+    monkeypatch.setattr(forces, "raw_force_pair", counted)
+    assert _audit_exchange(_context(bodies, law, method, t_end, step, **params)).residual == expected
+    assert len(evals) == 2 * 20
 
 
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -343,6 +344,25 @@ def test_cli_force_overflow_reports_error_and_exits_2(tmp_path, capsys, audit, l
     assert (entry["audit"], entry["verdict"]) == (audit, "ERROR")
     assert entry["detail"].startswith(detail)
     assert [path.name for path in out.iterdir()] == ["report.json"]
+
+
+def test_cli_objectivity_sweep_fails_on_a_nan_residual(tmp_path, capsys):
+    # |x_ab|^2 = 4e400 overflows, so |x_ab| is inf in every frame and each
+    # x-norm residual is inf - inf = nan, which must not read as a pass.
+    doc = minimal_doc(
+        bodies=[
+            {"id": "A", "mass": 1.0, "position": [0, 0, 0], "velocity": [0, 0, 0]},
+            {"id": "B", "mass": 1.0, "position": [-2e200, 0, 0], "velocity": [0, 0, 0]},
+        ],
+        laws=[{"preset": "spring", "params": {"kappa": 1.0}}],
+        frames={"count": 5},
+        audits=["objectivity-sweep"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) == 2
+    [entry] = json.loads((out / "report.json").read_text())["audits"]
+    assert entry["verdict"] == "FAIL" and math.isnan(entry["residual"])
+    assert capsys.readouterr().out.startswith("FAIL  objectivity-sweep residual=nan")
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
