@@ -227,12 +227,15 @@ def _audit_frame_group(ctx: AuditContext) -> Measurement:
         t1, t2, t3 = (random_transform(rng) for _ in range(3))
         left = compose(compose(t1, t2), t3)
         right = compose(t1, compose(t2, t3))
-        worst = max(worst, transform_residual(left, right))
-        worst = max(worst, transform_residual(compose(t1, ident), t1))
-        worst = max(worst, transform_residual(compose(ident, t1), t1))
-        worst = max(worst, transform_residual(compose(t1, inverse(t1)), ident))
-        worst = max(worst, transform_residual(compose(inverse(t1), t1), ident))
-        worst = max(worst, orthogonality_defect(left.rotation))
+        residuals = (
+            transform_residual(left, right),
+            transform_residual(compose(t1, ident), t1),
+            transform_residual(compose(ident, t1), t1),
+            transform_residual(compose(t1, inverse(t1)), ident),
+            transform_residual(compose(inverse(t1), t1), ident),
+            orthogonality_defect(left.rotation),
+        )
+        worst = _worst(residuals, worst)
     return Measurement(worst, f"{count} random triples")
 
 
@@ -324,14 +327,12 @@ def _audit_exchange(ctx: AuditContext) -> Measurement:
         a, b = _random_pair(rng, a0, b0, law.min_separation if law.singular else 0.0)
         f, k = force_pair(law, a, b)
         f_swapped, k_swapped = force_pair(law, b, a)
-        worst = max(worst, (k - f_swapped).norm())
-        worst = max(worst, (f - k_swapped).norm())
         # The forces are finite; f + k or 2 (x_ab x v_ab) phi_perp may not be.
         try:
             closure = f + k - momentum_rate(a, b, law)
         except ValueError as exc:
             raise ForceOverflowError(f"law {law.name!r}: {exc}") from None
-        worst = max(worst, closure.norm())
+        worst = _worst(((k - f_swapped).norm(), (f - k_swapped).norm(), closure.norm()), worst)
     return Measurement(worst, f"{count} random pair states")
 
 
@@ -469,8 +470,11 @@ def _audit_superposition(ctx: AuditContext) -> Measurement:
     worst = 0.0
     for _ in range(count):
         a, b = _random_pair(rng, a0, b0, min_sep)
-        worst = max(worst, (superpose(laws, a, b) - force_on_a(merged, a, b)).norm())
-        worst = max(worst, superpose((), a, b).norm())
+        residuals = (
+            (superpose(laws, a, b) - force_on_a(merged, a, b)).norm(),
+            superpose((), a, b).norm(),
+        )
+        worst = _worst(residuals, worst)
     return Measurement(worst, f"{len(laws)} laws, {count} random pair states")
 
 
@@ -498,7 +502,7 @@ def _audit_additivity(ctx: AuditContext) -> Measurement:
     failed = []
     for law in ctx.scenario.laws or (ctx.law,):
         result = check_property_additivity(law, prop, split(q1), split(q2), b0, tolerance=tol)
-        worst = max(worst, result.residual)
+        worst = _worst((result.residual,), worst)
         if not result.passed:
             failed.append(law.name)
     detail = f"property {prop!r}, split {q1:g}/{q2:g}"
@@ -519,10 +523,13 @@ def _audit_oplus_group(ctx: AuditContext) -> Measurement:
         u, v, w = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(3))
         uv = oplus(u, v)
         closed = closed and uv.speed < gfun.c
-        worst = max(worst, (uv.v - oplus(v, u).v).norm())
-        worst = max(worst, (oplus(uv, w).v - oplus(u, oplus(v, w)).v).norm())
-        worst = max(worst, oplus(u, -u).v.norm())
-        worst = max(worst, (oplus(u, neutral).v - u.v).norm())
+        residuals = (
+            (uv.v - oplus(v, u).v).norm(),
+            (oplus(uv, w).v - oplus(u, oplus(v, w)).v).norm(),
+            oplus(u, -u).v.norm(),
+            (oplus(u, neutral).v - u.v).norm(),
+        )
+        worst = _worst(residuals, worst)
     detail = f"{cfg.samples} triples, profile {gfun.name}, c={gfun.c:g}"
     detail += "" if closed else "; closure violated"
     return Measurement(worst, detail, ok=closed)
@@ -540,7 +547,7 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
     for _ in range(cfg.samples):
         v2, v3 = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(2))
         result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=tol)
-        worst = max(worst, result.residual)
+        worst = _worst((result.residual,), worst)
         if not result.passed:
             failures += 1
     detail = f"{cfg.samples} splits, {failures} converse failures"
@@ -562,7 +569,7 @@ def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     for _ in range(count):
         direction = _unit_vector(rng)
         boost = BoundedVelocity(direction * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun)
-        worst = max(worst, abs(light_quotient(boost, cfg.baseline) - gfun.c))
+        worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c),), worst)
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
         classical_min = min(classical_min, abs(plain - gfun.c))
     detail = f"{count} boosts; plain-addition deviation >= {classical_min:.3e}"

@@ -54,9 +54,15 @@ CSV_HEADER = (
 )
 
 _PACK_SAMPLE = struct.Struct("12d").pack
-# A trajectory.csv row: t and the 12 state floats, then the P, L and E cells
-# as text.
-_CSV_ROW = ",".join(["%r"] * 13 + ["%s"] * 7) + "\n"
+# The conserved cells of one sample: P, L and E, or P and L alone when the
+# law is not central and E is undefined.
+_PACK_CONSERVED = {True: struct.Struct("7d").pack, False: struct.Struct("6d").pack}
+# A trajectory.csv row: t and the 12 state floats, the P and L cells as
+# text, then E (a blank cell when undefined).
+_CSV_ROW = {
+    True: ",".join(["%r"] * 13 + ["%s"] * 6 + ["%r"]) + "\n",
+    False: ",".join(["%r"] * 13 + ["%s"] * 6) + ",\n",
+}
 
 Triple = tuple[float, float, float]
 # What ``observables`` returns: (P, L, E or None, mu).
@@ -234,19 +240,47 @@ class Trajectory:
             raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
         return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
 
-    def write_csv(self, stream: IO[str]) -> None:
-        """One row per sample; the energy column is blank when undefined.
+    def conserved(self) -> array:
+        """The numeric phase of ``write_csv``: P, L and E of every sample,
+        flat in one ``array('d')``, 7 floats per sample (Px, Py, Pz, Lx,
+        Ly, Lz, E), or 6 when the law is not central and E is undefined.
+        One ``observed()`` pass.
+
+        Raises:
+            DivergenceError: at the first sample whose observables overflow.
+        """
+        central = self.law.central
+        cells = array("d")
+        append, pack = cells.frombytes, _PACK_CONSERVED[central]
+        for (px, py, pz), (lx, ly, lz), energy, _ in self.observed():
+            append(pack(px, py, pz, lx, ly, lz, energy) if central else pack(px, py, pz, lx, ly, lz))
+        return cells
+
+    def write_csv_text(self, stream: IO[str], cells: Sequence[float]) -> None:
+        """The text phase of ``write_csv``: one row per sample from the
+        times, the rows and ``cells`` (what ``conserved`` returns).
 
         Every cell is ``repr`` of its float. A central pair law conserves P
         and L, so their six columns repeat a few values: those cells go
         through a bounded ``_ReprMemo``.
         """
-        write = stream.write
+        central = self.law.central
+        write, template = stream.write, _CSV_ROW[central]
         write(CSV_HEADER + "\n")
-        conserved = _ReprMemo().__getitem__
-        for t, row, (p, l, energy, _) in zip(self.times, self.samples(), self.observed()):
-            energy_cell = "" if energy is None else repr(energy)
-            write(_CSV_ROW % (t, *row, *map(conserved, (*p, *l)), energy_cell))
+        memo = _ReprMemo().__getitem__
+        it = iter(cells)
+        for t, row, c in zip(self.times, self.samples(), zip(*[it] * (7 if central else 6))):
+            write(template % (t, *row, *map(memo, c[:6]), *c[6:]))
+
+    def write_csv(self, stream: IO[str]) -> None:
+        """One row per sample; the energy column is blank when undefined.
+        Runs the numeric phase, then the text phase, in this process.
+
+        Raises:
+            DivergenceError: a sample's observables overflow; nothing is
+                written.
+        """
+        self.write_csv_text(stream, self.conserved())
 
 
 def integrate(

@@ -198,3 +198,49 @@ def test_runner_alone_decides_the_verdict(monkeypatch, measured, verdict, tolera
     assert (result.verdict, result.tolerance) == (verdict, tolerance)
     assert result.detail == measured.detail
     assert result.residual is measured.residual
+
+
+def nan_on_second_call(fn, nan_result):
+    """``fn``, except that its second call returns ``nan_result``."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return nan_result if len(calls) == 2 else fn(*args)
+
+    return patched
+
+
+class NanVector(Vec3):
+    """Stands in for a vector with a nan component, which ``Vec3`` refuses:
+    a difference with it is itself, and its norm is nan."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def __sub__(self, other):
+        return self
+
+    __rsub__ = __sub__
+
+    def norm(self) -> float:
+        return math.nan
+
+
+def test_frame_group_keeps_a_nan_residual_after_a_finite_one(monkeypatch):
+    patched = nan_on_second_call(audits.transform_residual, math.nan)
+    monkeypatch.setattr(audits, "transform_residual", patched)
+    (result,) = run_audits(scenario_with(audits=("frame-group",)), seed=1).results
+    assert result.verdict == "FAIL" and math.isnan(result.residual)
+
+
+def test_oplus_group_keeps_a_nan_residual(monkeypatch):
+    from types import SimpleNamespace
+
+    patched = nan_on_second_call(audits.oplus, SimpleNamespace(v=NanVector()))
+    monkeypatch.setattr(audits, "oplus", patched)
+    sc = scenario_with(audits=("oplus-group",), addition=AdditionConfig(samples=5))
+    (result,) = run_audits(sc, seed=1).results
+    assert result.verdict == "FAIL" and math.isnan(result.residual)

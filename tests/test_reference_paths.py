@@ -274,7 +274,8 @@ def body_level_observables(a, b, law):
     energy = None
     if law.central:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
-        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential_value(law, a, b, r)
+        potential = _potential(law, PropertyView(a), PropertyView(b), r)
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential
     return Observables(momentum, angular, energy, mu)
 
 
@@ -290,14 +291,23 @@ def test_observables_errors_equal_the_body_level_formulas():
         # Only the kinetic energy overflows (**2 raises OverflowError).
         (0.0, 0.0, 0.0, 1e160, 0.0, 0.0, 0.0, 0.0, 0.0, -1e160, 0.0, 0.0),
     ]
+    # A finite sample, last, so that the energy terms are compared too.
+    finite = (1.0, 0.5, 0.0, 0.3, 0.7, 0.0, -1.0, 0.0, 0.25, -0.2, 0.1, 0.4)
+    rows.append(finite)
     a0 = Body("A", 2.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     b0 = Body("B", 3.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     law = spring(1.0)
-    traj = Trajectory((0.0, 1.0, 2.0, 3.0), [x for row in rows for x in row], (a0, b0), law,
-                      "rk4", 1.0)
+    traj = Trajectory((0.0, 1.0, 2.0, 3.0, 4.0), [x for row in rows for x in row], (a0, b0),
+                      law, "rk4", 1.0)
     qa, qb = PropertyView(a0), PropertyView(b0)
     for i, ((a, b), row) in enumerate(zip(traj.states, rows)):
         expected = outcome(body_level_observables, a, b, law)
+        if row is finite:
+            p, l, energy, mu = observables(law, qa, qb, row)
+            assert expected.internal_energy is not None
+            assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
+            assert traj.observables(i) == expected
+            continue
         assert expected[0] in (ValueError, OverflowError)
         assert outcome(observables, law, qa, qb, row) == expected
         message = f"trajectory diverged at sample {i} (t = {float(i)!r}): observables overflow: "

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import threading
 
 import pytest
 
 from invarlab import ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario
+import invarlab.cli as cli
 from invarlab.cli import main, resolve_scenario_path, run_scenario
+from invarlab.dynamics import DivergenceError
 
 from test_golden_outputs import GOLDEN
 
@@ -579,3 +583,110 @@ def test_tolerances_for_audits_that_set_their_own_are_input_errors(
     doc = kepler_with(tolerances={audit: 1.0})
     field = f"tolerances.{audit}"
     assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
+
+
+# The text phase of trajectory.csv: a forked child where os.fork exists,
+# this process otherwise.
+
+
+def count_forks(monkeypatch, fork=True):
+    """Count the children forked from here on, or, with ``fork`` false,
+    remove ``os.fork`` so that the text phase runs in this process; returns
+    the list of the children's pids."""
+    pids = []
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+        return pids
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_needs_fork_and_one_thread(monkeypatch):
+    assert cli._can_fork()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert not cli._can_fork()
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive() and cli._can_fork()
+    count_forks(monkeypatch, fork=False)
+    assert not cli._can_fork()
+
+
+def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
+    pids = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 0
+    assert len(pids) == 1
+    assert_no_child_left()
+    assert {path.name: sha256(path) for path in out.iterdir()} == GOLDEN["spring.json"][1]
+
+
+@pytest.mark.parametrize("name", ["spring.json", "kepler.json"])
+def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monkeypatch, name):
+    scenario = load_scenario(resolve_scenario_path(name))
+    outputs = {}
+    for fork in (True, False):
+        pids = count_forks(monkeypatch, fork)
+        out = tmp_path / f"fork-{fork}"
+        assert run_scenario(scenario, out, seed=42) == 0
+        assert len(pids) == fork
+        outputs[fork] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert outputs[True] == outputs[False]
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs[True].items()} == (
+        GOLDEN[name][1]
+    )
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "fork, message",
+    [(True, "writing trajectory.csv failed: OSError: disk full"), (False, "disk full")],
+)
+def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork, message):
+    def disk_full(self, stream, cells):
+        stream.write("t,ax")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+    count_forks(monkeypatch, fork)
+    out = tmp_path / "out"
+    with pytest.raises(OSError) as raised:
+        run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42)
+    assert str(raised.value) == message
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch, fork):
+    def diverge(ctx, out):
+        (out / "drift.csv").write_text("t,dP,dL,dE\n")
+        raise DivergenceError(7, 0.07, "injected")
+
+    monkeypatch.setattr(cli, "_write_drift_csv", diverge)
+    pids = count_forks(monkeypatch, fork)
+    out = tmp_path / "out"
+    assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 2
+    assert len(pids) == fork
+    assert_no_child_left()
+    assert [path.name for path in out.iterdir()] == ["report.json"]
+    trajectory, *_ = json.loads((out / "report.json").read_text())["audits"]
+    assert trajectory["audit"] == "trajectory" and trajectory["verdict"] == "ERROR"
+    assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
