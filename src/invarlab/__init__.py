@@ -24,6 +24,7 @@ from .forces import (
     ForceOverflowError,
     PRESETS,
     SingularityError,
+    bind,
     charge_squared,
     check_property_additivity,
     coulomb,

@@ -409,9 +409,9 @@ def _audit_energy(ctx: AuditContext) -> Measurement:
     scale = abs(e0) if abs(e0) > 1e-12 else 1.0
     drifts = [abs(obs[2] - e0) / scale for obs in traj.observed()]
     window = max(2, len(drifts) // 10)
-    early, late = max(drifts[:window]), max(drifts[-window:])
+    early, late = _worst(drifts[:window]), _worst(drifts[-window:])
     detail = f"relative drift; early-window {early:.3e}, late-window {late:.3e}"
-    return Measurement(max(drifts), detail)
+    return Measurement(_worst(drifts), detail)
 
 
 def _boost_residuals(

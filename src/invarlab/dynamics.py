@@ -15,7 +15,9 @@ conservation audits sharper). Observables along a trajectory:
 
 with the potential V taken from the law's registered closed form or
 recovered by quadrature of the radial coefficient, V'(r) = -phi_e(r) r.
-Exact statements the audits lean on:
+Every kernel here evaluates the law through its pair-bound form
+(``forces.bind``), made once per trajectory. Exact statements the audits
+lean on:
 
     dP/dt = f + k = 2 (x_ab x v_ab) phi_perp
     dL/dt = (x_ab x v_ab) phi_s
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, IO, Iterator, Sequence
 
 from .core import Body, PairState, Vec3, cross, pair_state
-from .forces import ForceLaw, PropertyView, raw_force_pair
+from .forces import ForceLaw, PairLaw, _adaptive_simpson, bind, raw_force_pair
 
 __all__ = [
     "DivergenceError",
@@ -141,8 +143,9 @@ class Trajectory:
     b (x, y, z each), and every one is checked finite at construction.
     ``integrate`` stores them, and the times, in ``array('d')``s; any float
     sequences are accepted. ``bodies`` give the snapshots their id, mass and
-    properties, and ``observables`` their ``PropertyView``s. Read-back works
-    on the rows: ``samples()``, ``observed()``, ``relative(i)``.
+    properties; ``pair`` is ``law`` bound to them, which the read-back
+    kernels evaluate. Read-back works on the rows: ``samples()``,
+    ``observed()``, ``relative(i)``.
     ``snapshots()`` builds one transient ``(Body, Body)`` per sample (the
     rate audits' error path); ``states`` keeps them all, built on first read.
 
@@ -152,7 +155,7 @@ class Trajectory:
         DivergenceError: a row holds a non-finite value.
     """
 
-    __slots__ = ("times", "rows", "bodies", "law", "method", "step", "_views", "_states")
+    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step", "_states")
 
     def __init__(
         self,
@@ -174,9 +177,9 @@ class Trajectory:
         self.rows = rows
         self.bodies = bodies
         self.law = law
+        self.pair: PairLaw = bind(law, *bodies)
         self.method = method
         self.step = step
-        self._views = (PropertyView(bodies[0]), PropertyView(bodies[1]))
         self._states: tuple[tuple[Body, Body], ...] | None = None
 
     def __len__(self) -> int:
@@ -219,11 +222,11 @@ class Trajectory:
         Raises:
             DivergenceError: at the first sample whose observables overflow.
         """
-        law, (qa, qb) = self.law, self._views
+        pair = self.pair
         i = 0
         try:
             for i, row in enumerate(self.samples()):
-                yield observables(law, qa, qb, row)
+                yield observables(pair, row)
         except (OverflowError, ValueError) as exc:
             raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
 
@@ -235,7 +238,7 @@ class Trajectory:
         """
         i, row = self._row(i)
         try:
-            (px, py, pz), (lx, ly, lz), energy, mu = observables(self.law, *self._views, row)
+            (px, py, pz), (lx, ly, lz), energy, mu = observables(self.pair, row)
         except (OverflowError, ValueError) as exc:
             raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
         return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
@@ -312,8 +315,8 @@ def integrate(
             f"velocity Verlet needs a velocity-independent (central) law; {law.name!r} is not"
         )
     n_steps = max(1, round(t_end / step))
-    # Property maps are fixed along a trajectory, so the views are bound once.
-    qa, qb = PropertyView(a0), PropertyView(b0)
+    # Properties are fixed along a trajectory, so the law is bound once.
+    pair = bind(law, a0, b0)
     inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
     force = raw_force_pair
     h = step
@@ -336,7 +339,7 @@ def integrate(
         h6 = h / 6.0
         for _ in range(n_steps):
             f1x, f1y, f1z, k1x, k1y, k1z = force(
-                law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+                pair, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
             )
             a1x, a1y, a1z = f1x * inv_ma, f1y * inv_ma, f1z * inv_ma
             b1x, b1y, b1z = k1x * inv_mb, k1y * inv_mb, k1z * inv_mb
@@ -344,7 +347,7 @@ def integrate(
             av2x, av2y, av2z = avx + hh * a1x, avy + hh * a1y, avz + hh * a1z
             bv2x, bv2y, bv2z = bvx + hh * b1x, bvy + hh * b1y, bvz + hh * b1z
             f2x, f2y, f2z, k2x, k2y, k2z = force(
-                law, qa, qb,
+                pair,
                 (ax + hh * avx) - (bx + hh * bvx),
                 (ay + hh * avy) - (by + hh * bvy),
                 (az + hh * avz) - (bz + hh * bvz),
@@ -356,7 +359,7 @@ def integrate(
             av3x, av3y, av3z = avx + hh * a2x, avy + hh * a2y, avz + hh * a2z
             bv3x, bv3y, bv3z = bvx + hh * b2x, bvy + hh * b2y, bvz + hh * b2z
             f3x, f3y, f3z, k3x, k3y, k3z = force(
-                law, qa, qb,
+                pair,
                 (ax + hh * av2x) - (bx + hh * bv2x),
                 (ay + hh * av2y) - (by + hh * bv2y),
                 (az + hh * av2z) - (bz + hh * bv2z),
@@ -368,7 +371,7 @@ def integrate(
             av4x, av4y, av4z = avx + h * a3x, avy + h * a3y, avz + h * a3z
             bv4x, bv4y, bv4z = bvx + h * b3x, bvy + h * b3y, bvz + h * b3z
             f4x, f4y, f4z, k4x, k4y, k4z = force(
-                law, qa, qb,
+                pair,
                 (ax + h * av3x) - (bx + h * bv3x),
                 (ay + h * av3y) - (by + h * bv3y),
                 (az + h * av3z) - (bz + h * bv3z),
@@ -392,7 +395,7 @@ def integrate(
             append(pack(ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
     else:
         fx, fy, fz, kx, ky, kz = force(
-            law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+            pair, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
         )
         acc = (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
         half_h2 = 0.5 * h * h
@@ -405,7 +408,7 @@ def integrate(
             bz = bz + h * bvz + half_h2 * acc[5]
             # Central law: velocities passed here are ignored by the force.
             fx, fy, fz, kx, ky, kz = force(
-                law, qa, qb, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+                pair, ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
             )
             acc_new = (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
             avx = avx + 0.5 * h * (acc[0] + acc_new[0])
@@ -421,31 +424,10 @@ def integrate(
     return Trajectory(times, rows, (a0, b0), law, method, step)
 
 
-def _potential(law: ForceLaw, qa: PropertyView, qb: PropertyView, r: float) -> float:
-    """Potential V(r) of a central law for the bodies with property views
-    ``qa``, ``qb``.
-
-    Uses the registered closed form when the law carries one; otherwise
-    integrates V'(rho) = -phi_e(rho) rho from rho = 1, where the potential
-    is gauged to zero. The gauge constant cancels in every drift check.
-    """
-    if law.potential is not None:
-        return law.potential(qa, qb, r)
-    if law.phi_e is None:
-        return 0.0
-
-    def integrand(rho: float) -> float:
-        return -law.phi_e(qa, qb, rho, 0.0, 0.0) * rho
-
-    return _adaptive_simpson(integrand, 1.0, r, 1e-12)
-
-
-def observables(
-    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
-) -> RawObservables:
+def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
     """P, L, E and mu of one sample (12 floats, ordered as ``Trajectory.rows``)
     as plain floats: ``((Px, Py, Pz), (Lx, Ly, Lz), E, mu)``, E None when
-    the law is not central. ``qa``, ``qb`` are the bodies' property views.
+    the law bound in ``pair`` is not central.
 
     Raises:
         ValueError: a component of P, else of L, is not finite (the
@@ -453,8 +435,7 @@ def observables(
         OverflowError: the kinetic energy overflows.
     """
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
-    ma, mb = qa["mass"], qb["mass"]
-    mu = ma * mb / (ma + mb)
+    ma, mb, mu = pair.ma, pair.mb, pair.mu
     px, py, pz = avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb
     rx, ry, rz = ax - bx, ay - by, az - bz
     ux, uy, uz = avx - bvx, avy - bvy, avz - bvz
@@ -465,12 +446,10 @@ def observables(
         _check_finite((px, py, pz))
         _check_finite((lx, ly, lz))
     energy: float | None = None
-    if law.central:
+    potential = pair.potential
+    if potential is not None:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
-        potential = law.potential
-        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + (
-            _potential(law, qa, qb, r) if potential is None else potential(qa, qb, r)
-        )
+        energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential(r)
     return (px, py, pz), (lx, ly, lz), energy, mu
 
 
@@ -488,24 +467,24 @@ def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
     r = ps.x_ab.norm()
     speed = ps.v_ab.norm()
     radial = ps.x_ab.x * ps.v_ab.x + ps.x_ab.y * ps.v_ab.y + ps.x_ab.z * ps.v_ab.z
-    c = law.phi_perp(PropertyView(a), PropertyView(b), r, speed, radial)
+    c = bind(law, a, b).phi_perp(r, speed, radial)
     return cross(ps.x_ab, ps.v_ab) * (2.0 * c)
 
 
 def angular_momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
     """Exact d(angular momentum)/dt (the internal torque)."""
     ps = pair_state(a, b)
-    qa, qb = PropertyView(a), PropertyView(b)
+    pair = bind(law, a, b)
     r = ps.x_ab.norm()
     speed = ps.v_ab.norm()
     radial = ps.x_ab.x * ps.v_ab.x + ps.x_ab.y * ps.v_ab.y + ps.x_ab.z * ps.v_ab.z
     normal = cross(ps.x_ab, ps.v_ab)
     rate = Vec3(0.0, 0.0, 0.0)
-    if law.phi_s is not None:
-        rate = rate + normal * law.phi_s(qa, qb, r, speed, radial)
-    if law.phi_perp is not None:
+    if pair.phi_s is not None:
+        rate = rate + normal * pair.phi_s(r, speed, radial)
+    if pair.phi_perp is not None:
         weight = (b.mass - a.mass) / (a.mass + b.mass)
-        rate = rate + cross(ps.x_ab, normal) * (weight * law.phi_perp(qa, qb, r, speed, radial))
+        rate = rate + cross(ps.x_ab, normal) * (weight * pair.phi_perp(r, speed, radial))
     return rate
 
 
@@ -516,29 +495,27 @@ def angular_momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
 # each product and sum here), or it raises ValueError before a law call.
 
 
-def _momentum_and_rate(
-    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
-) -> tuple[Triple, Triple]:
+def _momentum_and_rate(pair: PairLaw, row: Sequence[float]) -> tuple[Triple, Triple]:
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
-    ma, mb = qa["mass"], qb["mass"]
+    ma, mb = pair.ma, pair.mb
     momentum = (avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb)
-    if law.phi_perp is None:
+    phi_perp = pair.phi_perp
+    if phi_perp is None:
         return momentum, (0.0, 0.0, 0.0)
     rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
     if not math.isfinite(rx + ry + rz + ux + uy + uz):
         raise ValueError("non-finite pair state")
     r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
-    k = 2.0 * law.phi_perp(qa, qb, r, speed, rx * ux + ry * uy + rz * uz)
+    k = 2.0 * phi_perp(r, speed, rx * ux + ry * uy + rz * uz)
     return momentum, ((ry * uz - rz * uy) * k, (rz * ux - rx * uz) * k, (rx * uy - ry * ux) * k)
 
 
 def _angular_momentum_and_rate(
-    law: ForceLaw, qa: PropertyView, qb: PropertyView, row: Sequence[float]
+    pair: PairLaw, row: Sequence[float]
 ) -> tuple[Triple, Triple]:
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
-    ma, mb = qa["mass"], qb["mass"]
+    ma, mb, mu = pair.ma, pair.mb, pair.mu
     rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
-    mu = ma * mb / (ma + mb)
     wx, wy, wz = ux * mu, uy * mu, uz * mu
     angular = (ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
     nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
@@ -548,11 +525,11 @@ def _angular_momentum_and_rate(
     r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
     radial = rx * ux + ry * uy + rz * uz
     tx = ty = tz = 0.0
-    if law.phi_s is not None:
-        s = law.phi_s(qa, qb, r, speed, radial)
+    if pair.phi_s is not None:
+        s = pair.phi_s(r, speed, radial)
         tx, ty, tz = tx + nx * s, ty + ny * s, tz + nz * s
-    if law.phi_perp is not None:
-        k = (mb - ma) / (ma + mb) * law.phi_perp(qa, qb, r, speed, radial)
+    if pair.phi_perp is not None:
+        k = (mb - ma) / (ma + mb) * pair.phi_perp(r, speed, radial)
         tx += (ry * nz - rz * ny) * k
         ty += (rz * nx - rx * nz) * k
         tz += (rx * ny - ry * nx) * k
@@ -572,13 +549,13 @@ def _rate_mismatch(traj: Trajectory, rows, series, predict) -> float:
         DivergenceError: the rows are finite, but the series, its rate or
             the mismatch leaves the floating-point range at some sample.
     """
-    times, law, (qa, qb) = traj.times, traj.law, traj._views
+    times, pair = traj.times, traj.pair
     worst = 0.0
     # Series values of samples i - 2 and i - 1, and the prediction of i - 1.
     before = middle = predicted = None
     try:
         for i, row in enumerate(traj.samples()):
-            value, prediction = rows(law, qa, qb, row)
+            value, prediction = rows(pair, row)
             x, y, z = value
             if not math.isfinite(x + y + z):
                 break
@@ -676,33 +653,3 @@ def path_time(points: Sequence[Vec3], speed: Callable[[float], float]) -> float:
         total += _adaptive_simpson(pace, s0, s0 + seg, 1e-12)
         s0 += seg
     return total
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Recursive Simpson quadrature with interval-halving error control."""
-    if a == b:
-        return 0.0
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl, fr = f(lmid), f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, fl, fmid, left, 0.5 * eps, depth - 1) + recurse(
-            mid, hi, fmid, fr, fhi, right, 0.5 * eps, depth - 1
-        )
-
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return sign * recurse(a, b, fa, fm, fb, whole, tol, 48)

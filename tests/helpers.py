@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import random
 
-from invarlab import Body, Vec3
+from invarlab import Body, SingularityError, Vec3
+from invarlab.forces import _adaptive_simpson
 
 
 def sample_row(a: Body, b: Body) -> tuple[float, ...]:
@@ -57,3 +58,50 @@ def random_body(rng: random.Random, name: str, charge: float = 0.0) -> Body:
         Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
         {"charge": charge},
     )
+
+
+def unbound_raw_force_pair(law, qa, qb, rx, ry, rz, wx, wy, wz):
+    """Earlier ``raw_force_pair``: the law's PhiFns called with the property
+    views ``qa``, ``qb`` and all three invariants at every evaluation. The
+    oracle the pair-bound kernel must equal bit for bit."""
+    r = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if law.singular and r < law.min_separation:
+        raise SingularityError(
+            f"law {law.name!r}: separation {r:.3e} below minimum {law.min_separation:.3e}"
+        )
+    speed = math.sqrt(wx * wx + wy * wy + wz * wz)
+    radial = rx * wx + ry * wy + rz * wz
+
+    fx = fy = fz = 0.0
+    if law.phi_e is not None:
+        c = law.phi_e(qa, qb, r, speed, radial)
+        fx += rx * c
+        fy += ry * c
+        fz += rz * c
+    if law.phi_s is not None:
+        c = law.phi_s(qa, qb, r, speed, radial)
+        fx += wx * c
+        fy += wy * c
+        fz += wz * c
+    px = py = pz = 0.0
+    if law.phi_perp is not None:
+        c = law.phi_perp(qa, qb, r, speed, radial)
+        px = (ry * wz - rz * wy) * c
+        py = (rz * wx - rx * wz) * c
+        pz = (rx * wy - ry * wx) * c
+    return (fx + px, fy + py, fz + pz, -fx + px, -fy + py, -fz + pz)
+
+
+def unbound_potential(law, qa, qb, r):
+    """Earlier potential V(r) of a central law from its declared form: the
+    registered closed form, else quadrature of V'(rho) = -phi_e(rho) rho
+    from rho = 1."""
+    if law.potential is not None:
+        return law.potential(qa, qb, r)
+    if law.phi_e is None:
+        return 0.0
+
+    def integrand(rho: float) -> float:
+        return -law.phi_e(qa, qb, rho, 0.0, 0.0) * rho
+
+    return _adaptive_simpson(integrand, 1.0, r, 1e-12)

@@ -56,6 +56,32 @@ def test_energy_audit_errors_for_non_central_law():
     assert report.overall == "FAIL"
 
 
+def test_energy_audit_keeps_a_nan_drift_after_finite_ones():
+    from invarlab import ForceLaw
+
+    def nan_spring(every):
+        """A library-built unit spring whose potential is nan at every
+        ``every``-th call, so first at a sample mid-trajectory."""
+        calls = []
+
+        def potential(qa, qb, r):
+            calls.append(r)
+            return math.nan if len(calls) % every == 0 else 0.5 * r * r
+
+        return ForceLaw("nan-spring", phi_e=lambda qa, qb, r, speed, radial: -1.0,
+                        potential=potential)
+
+    def energy(law):
+        sc = scenario_with(laws=(law,), audits=("energy",), tolerances={"energy": 1e-3},
+                           integrator=IntegratorConfig("verlet", 0.01, 30.0))
+        return run_audits(sc, seed=1).results[0]
+
+    finite = energy(nan_spring(10**9))
+    assert finite.verdict == "PASS" and finite.residual > 0.0
+    result = energy(nan_spring(1000))
+    assert result.verdict == "FAIL" and math.isnan(result.residual)
+
+
 def test_trajectory_audit_without_integrator_block_errors():
     from invarlab import gravity
 

@@ -27,8 +27,8 @@ from invarlab import (
     perp_demo,
     spring,
 )
-from invarlab.dynamics import CSV_HEADER, _potential
-from invarlab.forces import PropertyView
+from invarlab.dynamics import CSV_HEADER
+from invarlab.forces import PropertyView, bind
 
 from helpers import kepler_pair, sample_row
 
@@ -73,7 +73,7 @@ def test_spring_matches_analytic_oscillator():
 
 def body_observables(a, b, law):
     """The row-level ``observables`` kernel on one (a, b) pair."""
-    return observables(law, PropertyView(a), PropertyView(b), sample_row(a, b))
+    return observables(bind(law, a, b), sample_row(a, b))
 
 
 def test_observables_at_rest():
@@ -107,8 +107,9 @@ def test_registered_potentials_match_force_by_finite_differences():
     h = 1e-6
     for law in (gravity(0.7), coulomb(1.3), spring(2.1)):
         qa, qb = PropertyView(a), PropertyView(b)
+        potential = bind(law, a, b).potential
         for r in (0.8, 1.7, 3.0):
-            dv = (_potential(law, qa, qb, r + h) - _potential(law, qa, qb, r - h)) / (2 * h)
+            dv = (potential(r + h) - potential(r - h)) / (2 * h)
             # -dV/dr must equal phi_e(r) * r
             phi = law.phi_e(qa, qb, r, 0.0, 0.0)
             assert abs(-dv - phi * r) < 1e-6 * max(1.0, abs(phi * r))
@@ -122,9 +123,9 @@ def test_potential_quadrature_fallback_matches_closed_form():
     )
     a = Body("A", 2.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
     b = Body("B", 3.0, Vec3(0, 0, 0), Vec3(0, 0, 0))
-    qa, qb = PropertyView(a), PropertyView(b)
+    potential = bind(bare, a, b).potential
     for r1, r2 in ((0.5, 2.0), (1.0, 4.0)):
-        numeric = _potential(bare, qa, qb, r2) - _potential(bare, qa, qb, r1)
+        numeric = potential(r2) - potential(r1)
         closed = (-6.0 / r2) - (-6.0 / r1)
         assert abs(numeric - closed) < 1e-10
 

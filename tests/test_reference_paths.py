@@ -74,13 +74,13 @@ from invarlab.audits import (
 from invarlab.core import Check
 from invarlab.dynamics import (
     CSV_HEADER, Observables, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate,
-    _potential, _rate_mismatch,
+    _rate_mismatch,
 )
-from invarlab.forces import PropertyView, raw_force_pair
+from invarlab.forces import PropertyView, bind, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
 
-from helpers import kepler_pair, sample_row
+from helpers import kepler_pair, sample_row, unbound_potential, unbound_raw_force_pair
 
 
 def reference_samples(a0, b0, law, t_end, step, method):
@@ -89,7 +89,7 @@ def reference_samples(a0, b0, law, t_end, step, method):
     inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
 
     def accels(xa, ya, za, vax, vay, vaz, xb, yb, zb, vbx, vby, vbz):
-        fx, fy, fz, kx, ky, kz = raw_force_pair(
+        fx, fy, fz, kx, ky, kz = unbound_raw_force_pair(
             law, qa, qb, xa - xb, ya - yb, za - zb, vax - vbx, vay - vby, vaz - vbz
         )
         return (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
@@ -153,7 +153,7 @@ def reference_observables(a, b, law):
     if law.central:
         r = ps.x_ab.norm()
         speed2 = ps.v_ab.x**2 + ps.v_ab.y**2 + ps.v_ab.z**2
-        energy = 0.5 * mu * speed2 + _potential(law, PropertyView(a), PropertyView(b), r)
+        energy = 0.5 * mu * speed2 + unbound_potential(law, PropertyView(a), PropertyView(b), r)
     return Observables(momentum, angular, energy, mu)
 
 
@@ -255,7 +255,7 @@ def test_observables_equal_the_vec3_formulas(label, bodies, law, method, t_end, 
     traj = integrate(*bodies, law, t_end, step, method)
     for i, (a, b) in enumerate(traj.states):
         expected = reference_observables(a, b, law)
-        p, l, energy, mu = observables(law, PropertyView(a), PropertyView(b), sample_row(a, b))
+        p, l, energy, mu = observables(bind(law, a, b), sample_row(a, b))
         assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
         assert traj.observables(i) == expected
     assert (expected.internal_energy is None) == (not law.central)
@@ -274,7 +274,7 @@ def body_level_observables(a, b, law):
     energy = None
     if law.central:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
-        potential = _potential(law, PropertyView(a), PropertyView(b), r)
+        potential = unbound_potential(law, PropertyView(a), PropertyView(b), r)
         energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential
     return Observables(momentum, angular, energy, mu)
 
@@ -299,17 +299,17 @@ def test_observables_errors_equal_the_body_level_formulas():
     law = spring(1.0)
     traj = Trajectory((0.0, 1.0, 2.0, 3.0, 4.0), [x for row in rows for x in row], (a0, b0),
                       law, "rk4", 1.0)
-    qa, qb = PropertyView(a0), PropertyView(b0)
+    pair = bind(law, a0, b0)
     for i, ((a, b), row) in enumerate(zip(traj.states, rows)):
         expected = outcome(body_level_observables, a, b, law)
         if row is finite:
-            p, l, energy, mu = observables(law, qa, qb, row)
+            p, l, energy, mu = observables(pair, row)
             assert expected.internal_energy is not None
             assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
             assert traj.observables(i) == expected
             continue
         assert expected[0] in (ValueError, OverflowError)
-        assert outcome(observables, law, qa, qb, row) == expected
+        assert outcome(observables, pair, row) == expected
         message = f"trajectory diverged at sample {i} (t = {float(i)!r}): observables overflow: "
         assert outcome(traj.observables, i) == (DivergenceError, message + expected[1])
     assert outcome(list, traj.observed()) == outcome(traj.observables, 0)
