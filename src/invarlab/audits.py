@@ -8,15 +8,27 @@ depend on which other audits run.
 
 Each audit is declared once, as an ``AuditSpec`` in ``CATALOG``: name,
 lemma, description, default tolerance and typed ``audit_params`` schema.
-Its body returns only a ``Measurement``; ``run_audits`` resolves the
+Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
+
+A scenario without an integrator has no trajectory for its audits to
+share, so when it requests more than one audit, ``os.fork`` exists, this
+process runs one thread and more than one CPU is usable, ``run_audits``
+forks one worker for the first requested audit in catalog order and runs
+the others here. The worker sends its result back as ``marshal`` data
+(exact for every float); a worker that cannot be forked, fails or sends
+too little has its audit rerun here. The split is fixed, and each audit
+draws from its own seeded generator, so the report does not depend on
+where an audit ran.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -29,6 +41,7 @@ from .forces import (
     ForceOverflowError, SingularityError, check_property_additivity, force_on_a,
     force_pair, merge_laws, superpose,
 )
+from .forking import can_fork, reap_child, start_child
 from .frames import (
     FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
     pure_boost, pure_translation, random_transform, raw_apply, transform_residual,
@@ -565,13 +578,15 @@ def _audit_light_quotient(ctx: AuditContext) -> Measurement:
         raise AuditConfigError("light-quotient needs a bounded profile (finite c)")
     count = ctx.params("light-quotient")["count"]
     worst = 0.0
-    classical_min = math.inf
+    deviations = []
     for _ in range(count):
         direction = _unit_vector(rng)
         boost = BoundedVelocity(direction * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun)
         worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c),), worst)
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
-        classical_min = min(classical_min, abs(plain - gfun.c))
+        deviations.append(abs(plain - gfun.c))
+    # Unlike min(), a nan stays, as in _worst, so it cannot pass as a deviation.
+    classical_min = math.nan if any(d != d for d in deviations) else min(deviations)
     detail = f"{count} boosts; plain-addition deviation >= {classical_min:.3e}"
     return Measurement(worst, detail, ok=classical_min > 1e-6 * gfun.c)
 
@@ -648,6 +663,35 @@ def check_audit_inputs(scenario: Scenario) -> None:
         check_steps("audit_params.boost-covariance.step", t_end / step, ratio=True)
 
 
+def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
+    """Run one audit and hold its measurement to its tolerance."""
+    try:
+        m = spec.run(ctx)
+    except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError,
+            ForceOverflowError) as exc:
+        return AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc))
+    tol = ctx.tolerance(spec.name) if m.tolerance is None else m.tolerance
+    verdict = PASS if m.ok and m.residual <= tol else FAIL
+    return AuditResult(spec.name, spec.lemma, verdict, m.residual, tol, m.detail)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; on one, a worker would only add a fork."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _received(payload: bytes, error: str | None) -> AuditResult | None:
+    """The worker's result, or None if it failed or sent too little."""
+    if error is not None:
+        return None
+    try:
+        return AuditResult(*marshal.loads(payload))
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
     """Run the scenario's requested audits in catalog order.
 
@@ -657,20 +701,27 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     into an ERROR verdict for that audit alone. Passing an existing
     ``context`` reuses its cached trajectories and failures. A nan
     residual compares false against every tolerance, so it is a FAIL.
+    The first audit may run in a forked worker (see the module notes);
+    no worker outlives this call.
     """
     check_audit_inputs(scenario)
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
-    results = []
-    for spec in requested:
+    worker = None
+    if scenario.integrator is None and len(requested) > 1 and can_fork() and _usable_cpus() > 1:
         try:
-            m = spec.run(ctx)
-        except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError,
-                ForceOverflowError) as exc:
-            results.append(AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc)))
-            continue
-        tol = ctx.tolerance(spec.name) if m.tolerance is None else m.tolerance
-        verdict = PASS if m.ok and m.residual <= tol else FAIL
-        results.append(AuditResult(spec.name, spec.lemma, verdict, m.residual, tol, m.detail))
+            worker = start_child(lambda: marshal.dumps(astuple(_verdict(requested[0], ctx))))
+        except OSError:
+            pass
+    if worker is None:
+        results = [_verdict(spec, ctx) for spec in requested]
+    else:
+        try:
+            rest = [_verdict(spec, ctx) for spec in requested[1:]]
+        finally:
+            sent = reap_child(worker)
+        # A failed worker's audit gives the same verdict here, and an
+        # exception it hit surfaces with its traceback.
+        results = [_received(*sent) or _verdict(requested[0], ctx), *rest]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, seed, tuple(results), integrator)

@@ -5,20 +5,27 @@ Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
-trajectory.csv is written in two phases: the numeric one (P, L and E of
-every sample) in this process, the text one in a forked child while this
-process writes drift.csv and runs the audits. Without ``os.fork``, or with
-other threads running, the text phase runs in this process.
+Two kinds of work may leave this process, each for one forked child
+(``forking``), and never both in one run:
+
+- trajectory.csv is written in two phases: the numeric one (P, L and E of
+  every sample) in this process, the text one in a child while this process
+  writes drift.csv and runs the audits. A failed child is an OSError.
+- A scenario without an integrator has its audits split by ``run_audits``
+  between this process and one worker (see ``audits``).
+
+Without ``os.fork``, or with other threads running, all of it runs in this
+process, and so do the audits on one usable CPU. Where a piece of work ran
+never changes an output byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import threading
 import time
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
@@ -28,6 +35,7 @@ from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
 from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
+from .forking import Child, can_fork, reap_child, start_child
 from .report import AuditReport, AuditResult, ERROR
 from .scenario import Scenario, ScenarioError, _number, load_scenario
 
@@ -57,59 +65,12 @@ def _write_drift_csv(ctx: AuditContext, out: Path) -> None:
             stream.write(f"{t!r},{distance(p, p0)!r},{distance(l, l0)!r},{de}\n")
 
 
-def _can_fork() -> bool:
-    """Whether a child may write trajectory.csv's text: ``os.fork`` exists
-    and this process runs one thread, since a fork copies no other thread,
-    nor what it holds."""
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
-# Longest error text a failing child sends: far below what a pipe holds, so
-# the child never blocks on a parent that waits for it.
-_CHILD_ERROR_BYTES = 1024
-
-
-def _fork_text_phase(
-    stream: IO[str], trajectory: Trajectory, cells: Sequence[float]
-) -> tuple[int, int]:
-    """Fork a child that writes trajectory.csv's text phase to its copy of
-    ``stream``; returns its pid and the read end of its error pipe.
-
-    The child always ends in ``os._exit``: 0 on success, or 1 after sending
-    ``TypeName: message`` through the pipe. It never returns into the
-    caller's frames.
-    """
-    errors, sender = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(errors)
-        os.close(sender)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(errors)
-            trajectory.write_csv_text(stream, cells)
-            stream.flush()
-            status = 0
-        except BaseException as exc:  # interrupts too: the child must not unwind
-            text = f"{type(exc).__name__}: {exc}".encode(errors="replace")
-            os.write(sender, text[:_CHILD_ERROR_BYTES])
-        finally:
-            os._exit(status)
-    os.close(sender)
-    return pid, errors
-
-
-def _reap_text_phase(pid: int, errors: int) -> str | None:
-    """Wait for the child of ``_fork_text_phase``; its error text, or None
-    if it succeeded."""
-    with open(errors, "rb") as pipe:
-        _, status = os.waitpid(pid, 0)
-        text = pipe.read().decode(errors="replace")
-    code = os.waitstatus_to_exitcode(status)
-    return (text or f"exit status {code}") if code else None
+def _text_phase(stream: IO[str], trajectory: Trajectory, cells: Sequence[float]) -> bytes:
+    """The text child's work: trajectory.csv's text phase into its copy of
+    ``stream``. It sends nothing back."""
+    trajectory.write_csv_text(stream, cells)
+    stream.flush()
+    return b""
 
 
 def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
@@ -127,15 +88,15 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
 
     ctx = AuditContext(scenario, seed)
     trajectory_failure: AuditResult | None = None
-    child: tuple[int, int] | None = None
+    child: Child | None = None
     try:
         if scenario.integrator is not None:
             try:
                 trajectory = ctx.trajectory()
                 cells = trajectory.conserved()
                 with (out_dir / "trajectory.csv").open("w") as stream:
-                    if _can_fork():
-                        child = _fork_text_phase(stream, trajectory, cells)
+                    if can_fork():
+                        child = start_child(partial(_text_phase, stream, trajectory, cells))
                     else:
                         trajectory.write_csv_text(stream, cells)
                 del cells
@@ -151,7 +112,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
                 )
         report = run_audits(scenario, seed, context=ctx)
     finally:
-        child_error = None if child is None else _reap_text_phase(*child)
+        child_error = None if child is None else reap_child(child)[1]
     if child_error is not None:
         raise OSError(f"writing trajectory.csv failed: {child_error}")
     if trajectory_failure is not None:

@@ -270,3 +270,12 @@ def test_oplus_group_keeps_a_nan_residual(monkeypatch):
     sc = scenario_with(audits=("oplus-group",), addition=AdditionConfig(samples=5))
     (result,) = run_audits(sc, seed=1).results
     assert result.verdict == "FAIL" and math.isnan(result.residual)
+
+
+def test_light_quotient_keeps_a_nan_plain_quotient_after_a_finite_one(monkeypatch):
+    patched = nan_on_second_call(audits.classical_light_quotient, math.nan)
+    monkeypatch.setattr(audits, "classical_light_quotient", patched)
+    sc = scenario_with(audits=("light-quotient",), addition=AdditionConfig(samples=5))
+    (result,) = run_audits(sc, seed=1).results
+    assert result.verdict == "FAIL"
+    assert result.detail == "20 boosts; plain-addition deviation >= nan"

@@ -8,7 +8,10 @@ import threading
 import pytest
 
 from invarlab import ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario
+import invarlab.audits as audits
 import invarlab.cli as cli
+import invarlab.forking as forking
+from invarlab.audits import run_audits
 from invarlab.cli import main, resolve_scenario_path, run_scenario
 from invarlab.dynamics import DivergenceError
 
@@ -615,18 +618,18 @@ def assert_no_child_left():
 
 
 def test_a_child_needs_fork_and_one_thread(monkeypatch):
-    assert cli._can_fork()
+    assert forking.can_fork()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert not cli._can_fork()
+        assert not forking.can_fork()
     finally:
         release.set()
         waiter.join(timeout=10)
-    assert not waiter.is_alive() and cli._can_fork()
+    assert not waiter.is_alive() and forking.can_fork()
     count_forks(monkeypatch, fork=False)
-    assert not cli._can_fork()
+    assert not forking.can_fork()
 
 
 def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
@@ -690,3 +693,126 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
     trajectory, *_ = json.loads((out / "report.json").read_text())["audits"]
     assert trajectory["audit"] == "trajectory" and trajectory["verdict"] == "ERROR"
     assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
+
+
+# The audits of a scenario without an integrator: the first requested one in
+# a forked worker where a child may be forked and more than one CPU is usable.
+
+# PASS, FAIL (frame-group's tolerance is below its rounding) and ERROR
+# (light-quotient needs a finite c, which the classical profile lacks).
+MIXED_DOC = minimal_doc(
+    name="mixed",
+    laws=[],
+    velocity_addition={"g": "classical", "samples": 40},
+    audits=["frame-group", "event-order", "oplus-group", "proper-time", "light-quotient"],
+    tolerances={"frame-group": 1e-300},
+    audit_params={"frame-group": {"count": 20}},
+)
+MIXED_VERDICTS = ["FAIL", "PASS", "PASS", "PASS", "ERROR"]
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def no_integrator_scenario(name):
+    if name == "mixed":
+        return parse_scenario(MIXED_DOC)
+    return load_scenario(resolve_scenario_path(name))
+
+
+@pytest.mark.parametrize("in_process", ["without os.fork", "on one CPU"])
+@pytest.mark.parametrize("name", ["addition.json", "mixed"])
+def test_the_audit_worker_and_this_process_write_the_same_report(
+    tmp_path, capsys, monkeypatch, name, in_process
+):
+    scenario = no_integrator_scenario(name)
+    pids = count_forks(monkeypatch)
+    expected_exit = 0 if name == "addition.json" else 2
+    assert run_scenario(scenario, tmp_path / "worker", seed=42) == expected_exit
+    assert len(pids) == 1
+    assert_no_child_left()
+    if in_process == "without os.fork":
+        count_forks(monkeypatch, fork=False)
+    else:
+        one_cpu(monkeypatch)
+    assert run_scenario(scenario, tmp_path / "here", seed=42) == expected_exit
+    assert len(pids) == 1
+    worker, here = ((tmp_path / side / "report.json").read_bytes() for side in ("worker", "here"))
+    assert worker == here
+    verdicts = [audit["verdict"] for audit in json.loads(worker)["audits"]]
+    if name == "addition.json":
+        assert hashlib.sha256(worker).hexdigest() == GOLDEN[name][1]["report.json"]
+    else:
+        assert verdicts == MIXED_VERDICTS
+
+
+def failing_fork(monkeypatch, how):
+    """Patch ``os.fork`` so that the worker fails ``how``; returns the list
+    of the children's pids."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        if how == "fork raises":
+            raise OSError("no more processes")
+        pid = real_fork()
+        if pid == 0 and how == "exit 3":
+            os._exit(3)
+        if pid == 0 and how == "short payload":
+            dumps = audits.marshal.dumps
+            audits.marshal.dumps = lambda value: dumps(value)[:-1]
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("how", ["exit 3", "short payload", "fork raises"])
+def test_a_failed_worker_has_its_audit_run_here(monkeypatch, how):
+    scenario = parse_scenario(MIXED_DOC)
+    with monkeypatch.context() as patch:
+        count_forks(patch, fork=False)
+        expected = run_audits(scenario, seed=7).to_json()
+    pids = failing_fork(monkeypatch, how)
+    assert run_audits(scenario, seed=7).to_json() == expected
+    assert len(pids) == (how != "fork raises")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where, audit", [("worker", "frame-group"), ("here", "light-quotient")])
+def test_an_exception_in_either_process_is_raised_here(monkeypatch, where, audit):
+    def broken(ctx):
+        raise RuntimeError(f"{audit} broke")
+
+    from dataclasses import replace
+
+    catalog = tuple(
+        replace(spec, run=broken) if spec.name == audit else spec for spec in audits.CATALOG
+    )
+    monkeypatch.setattr(audits, "CATALOG", catalog)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"{audit} broke"):
+        run_audits(parse_scenario(MIXED_DOC), seed=1)
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        minimal_doc(laws=[], velocity_addition={"samples": 20}, audits=["oplus-group"]),
+        minimal_doc(integrator={"method": "rk4", "step": 0.01, "t_end": 0.1},
+                    audits=["frame-group", "momentum", "energy"]),
+    ],
+    ids=["one audit", "an integrator"],
+)
+def test_no_worker_for_one_audit_or_a_scenario_with_an_integrator(monkeypatch, doc):
+    def fork():
+        raise AssertionError("run_audits forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    report = run_audits(parse_scenario(doc), seed=1)
+    assert [r.verdict for r in report.results] == ["PASS"] * len(doc["audits"])
