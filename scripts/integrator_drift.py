@@ -25,10 +25,9 @@ def orbit(ecc: float):
 
 
 def worst_drift(traj) -> float:
-    e0 = traj.observables(0).internal_energy
-    return max(
-        abs(traj.observables(i).internal_energy - e0) / abs(e0) for i in range(len(traj))
-    )
+    energies = [energy for _, _, energy, _ in traj.observed()]
+    e0 = energies[0]
+    return max(abs(energy - e0) / abs(e0) for energy in energies)
 
 
 def main() -> int:

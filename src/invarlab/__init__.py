@@ -10,10 +10,7 @@ files and emits trajectories plus machine-readable audit reports.
 from .core import Body, PairState, Vec3, ZERO, cross, pair_state
 from .dynamics import (
     DivergenceError,
-    Observables,
     Trajectory,
-    angular_momentum_rate,
-    finite_difference,
     integrate,
     momentum_rate,
     observables,

@@ -32,10 +32,10 @@ from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .core import Body, Vec3, cross, distance, pair_state
+from .core import Body, Vec3, distance, pair_state
 from .dynamics import (
-    DivergenceError, Trajectory, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
-    angular_momentum_rate, integrate, momentum_rate,
+    DivergenceError, RateKernel, Trajectory, _angular_momentum_and_rate, _momentum_and_rate,
+    _rate_mismatch, integrate, momentum_rate,
 )
 from .forces import (
     ForceOverflowError, SingularityError, check_property_additivity, force_on_a,
@@ -354,7 +354,7 @@ _OBSERVED_FIELD = {"total_momentum": 0, "angular_momentum": 1}
 
 
 def _audit_conserved(ctx: AuditContext, observable: str) -> Measurement:
-    """Largest distance of one ``Observables`` vector from its value at
+    """Largest distance of one conserved vector (P or L) from its value at
     sample 0, along the scenario trajectory."""
     traj = ctx.trajectory()
     k = _OBSERVED_FIELD[observable]
@@ -368,28 +368,24 @@ _declare("momentum", "momentum-iff-no-normal-channel",
          1e-9)(partial(_audit_conserved, observable="total_momentum"))
 
 
-def _order_check_audit(ctx: AuditContext, name: str, rows, series, predict) -> Measurement:
+def _order_check_audit(ctx: AuditContext, name: str, kernel: RateKernel) -> Measurement:
     """Held to its own tolerance: ``floor`` when the mismatch at the
     scenario step is already below it, else a 3.5x reduction at half the
     step (second order in the step)."""
     floor = ctx.params(name)["floor"]
-    base = _rate_mismatch(ctx.trajectory(), rows, series, predict)
+    base = _rate_mismatch(ctx.trajectory(), kernel)
     if base <= floor:
         return Measurement(base, "rate below noise floor; order check skipped", tolerance=floor)
-    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), rows, series, predict)
+    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), kernel)
     ratio = base / halved if halved > 0.0 else math.inf
     detail = f"mismatch {base:.3e} at h, {halved:.3e} at h/2 (reduction x{ratio:.2f}, need >=3.5)"
     return Measurement(halved, detail, tolerance=base / 3.5)
 
 
-@_declare("momentum-rate", "generalized-action-reaction",
-          "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
-          Param("floor", float, 1e-10))
-def _audit_momentum_rate(ctx: AuditContext) -> Measurement:
-    def series(a: Body, b: Body) -> Vec3:
-        return a.velocity * a.mass + b.velocity * b.mass
-
-    return _order_check_audit(ctx, "momentum-rate", _momentum_and_rate, series, momentum_rate)
+_declare("momentum-rate", "generalized-action-reaction",
+         "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
+         Param("floor", float, 1e-10))(
+    partial(_order_check_audit, name="momentum-rate", kernel=_momentum_and_rate))
 
 
 _declare("angular-momentum", "torque-iff-central-channels",
@@ -397,18 +393,10 @@ _declare("angular-momentum", "torque-iff-central-channels",
          1e-9)(partial(_audit_conserved, observable="angular_momentum"))
 
 
-@_declare("torque-rate", "internal-torque-rate",
-          "measured dL/dt matches the internal-torque formula at second order in the step", None,
-          Param("floor", float, 1e-10))
-def _audit_torque_rate(ctx: AuditContext) -> Measurement:
-    def series(a: Body, b: Body) -> Vec3:
-        ps = pair_state(a, b)
-        mu = a.mass * b.mass / (a.mass + b.mass)
-        return cross(ps.x_ab, ps.v_ab * mu)
-
-    return _order_check_audit(
-        ctx, "torque-rate", _angular_momentum_and_rate, series, angular_momentum_rate
-    )
+_declare("torque-rate", "internal-torque-rate",
+         "measured dL/dt matches the internal-torque formula at second order in the step", None,
+         Param("floor", float, 1e-10))(
+    partial(_order_check_audit, name="torque-rate", kernel=_angular_momentum_and_rate))
 
 
 @_declare("energy", "internal-energy-conservation",

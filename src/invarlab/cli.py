@@ -1,6 +1,6 @@
 """Command-line front end: run scenario files, list audits, print version.
 
-Exit codes: 0 all audits pass, 1 input error, 2 audit failure or error.
+Exit codes: 0 all audits pass, 1 input or output error, 2 audit failure or error.
 Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = replace(cfg, method=args.method)
             scenario = replace(scenario, integrator=cfg)
         return run_scenario(scenario, Path(args.out), args.seed)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

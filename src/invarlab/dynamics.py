@@ -24,7 +24,10 @@ lean on:
             + (m_b - m_a)/(m_a + m_b) x_ab x (x_ab x v_ab) phi_perp
 
 ``_rate_mismatch`` holds a trajectory's finite-difference rates of P and L
-to them.
+to them, in one pass of float kernels over the rows. Where a value leaves
+the floating-point range, the kernels name the failing sample and vector
+as the ``Vec3`` formulas, evaluated in order, would. A trajectory is read
+back from its rows only; no (Body, Body) snapshot is built.
 """
 
 from __future__ import annotations
@@ -32,23 +35,19 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass
-from typing import Callable, IO, Iterator, Sequence
+from typing import Callable, IO, Iterator, NoReturn, Sequence
 
-from .core import Body, PairState, Vec3, cross, pair_state
+from .core import Body, Vec3, cross, pair_state
 from .forces import ForceLaw, PairLaw, _adaptive_simpson, bind, raw_force_pair
 
 __all__ = [
     "DivergenceError",
     "Trajectory",
-    "Observables",
     "CSV_HEADER",
     "integrate",
     "observables",
     "path_time",
     "momentum_rate",
-    "angular_momentum_rate",
-    "finite_difference",
 ]
 
 CSV_HEADER = (
@@ -69,39 +68,6 @@ _CSV_ROW = {
 Triple = tuple[float, float, float]
 # What ``observables`` returns: (P, L, E or None, mu).
 RawObservables = tuple[Triple, Triple, float | None, float]
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Observables:
-    """Conserved-candidate quantities of a pair state under a law.
-
-    ``internal_energy`` is None (absent, not zero) when the law is not
-    central. Like ``Vec3``, the constructor stores the fields through the
-    slot descriptors; there is nothing to check.
-    """
-
-    total_momentum: Vec3
-    angular_momentum: Vec3
-    internal_energy: float | None
-    reduced_mass: float
-
-    def __init__(
-        self,
-        total_momentum: Vec3,
-        angular_momentum: Vec3,
-        internal_energy: float | None,
-        reduced_mass: float,
-    ) -> None:
-        _set_momentum(self, total_momentum)
-        _set_angular(self, angular_momentum)
-        _set_energy(self, internal_energy)
-        _set_mu(self, reduced_mass)
-
-
-_set_momentum, _set_angular, _set_energy, _set_mu = (
-    Observables.__dict__[name].__set__
-    for name in ("total_momentum", "angular_momentum", "internal_energy", "reduced_mass")
-)
 
 
 # Bound of ``_ReprMemo``: spring-verlet's P and L columns hold a few
@@ -142,12 +108,10 @@ class Trajectory:
     in the order position of a, velocity of a, position of b, velocity of
     b (x, y, z each), and every one is checked finite at construction.
     ``integrate`` stores them, and the times, in ``array('d')``s; any float
-    sequences are accepted. ``bodies`` give the snapshots their id, mass and
-    properties; ``pair`` is ``law`` bound to them, which the read-back
-    kernels evaluate. Read-back works on the rows: ``samples()``,
-    ``observed()``, ``relative(i)``.
-    ``snapshots()`` builds one transient ``(Body, Body)`` per sample (the
-    rate audits' error path); ``states`` keeps them all, built on first read.
+    sequences are accepted. ``bodies`` are the initial states, whose masses
+    and properties hold along the motion; ``pair`` is ``law`` bound to them,
+    which the read-back kernels evaluate. Read-back works on the rows:
+    ``samples()``, ``observed()``.
 
     Raises:
         ValueError: ``rows`` does not hold 12 floats per time, or the
@@ -155,7 +119,7 @@ class Trajectory:
         DivergenceError: a row holds a non-finite value.
     """
 
-    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step", "_states")
+    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step")
 
     def __init__(
         self,
@@ -180,7 +144,6 @@ class Trajectory:
         self.pair: PairLaw = bind(law, *bodies)
         self.method = method
         self.step = step
-        self._states: tuple[tuple[Body, Body], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -189,31 +152,6 @@ class Trajectory:
         """The rows as 12-tuples, in time order."""
         it = iter(self.rows)
         return zip(*[it] * 12)
-
-    def _row(self, i: int) -> tuple[int, Sequence[float]]:
-        """Sample i (negative counts from the end) and its 12 floats."""
-        i = range(len(self.times))[i]
-        return i, self.rows[12 * i : 12 * i + 12]
-
-    def snapshots(self) -> Iterator[tuple[Body, Body]]:
-        """One (a, b) snapshot per sample, built as it is read."""
-        a0, b0 = self.bodies
-        for ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz in self.samples():
-            yield (
-                a0.with_state(Vec3(ax, ay, az), Vec3(avx, avy, avz)),
-                b0.with_state(Vec3(bx, by, bz), Vec3(bvx, bvy, bvz)),
-            )
-
-    @property
-    def states(self) -> tuple[tuple[Body, Body], ...]:
-        """Every snapshot, built on first read and kept."""
-        if self._states is None:
-            self._states = tuple(self.snapshots())
-        return self._states
-
-    def relative(self, i: int) -> PairState:
-        _, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz) = self._row(i)
-        return PairState(Vec3(ax - bx, ay - by, az - bz), Vec3(avx - bvx, avy - bvy, avz - bvz))
 
     def observed(self) -> Iterator[RawObservables]:
         """``observables`` of each sample as plain floats, computed as they
@@ -229,19 +167,6 @@ class Trajectory:
                 yield observables(pair, row)
         except (OverflowError, ValueError) as exc:
             raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
-
-    def observables(self, i: int) -> Observables:
-        """Observables of sample i.
-
-        Raises:
-            DivergenceError: they overflow the floating-point range.
-        """
-        i, row = self._row(i)
-        try:
-            (px, py, pz), (lx, ly, lz), energy, mu = observables(self.pair, row)
-        except (OverflowError, ValueError) as exc:
-            raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
-        return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
 
     def conserved(self) -> array:
         """The numeric phase of ``write_csv``: P, L and E of every sample,
@@ -443,8 +368,7 @@ def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
     lx, ly, lz = ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
     # One test in the common case: a sum that is not finite names P, else L.
     if not math.isfinite(px + py + pz + lx + ly + lz):
-        _check_finite((px, py, pz))
-        _check_finite((lx, ly, lz))
+        _check_finite((px, py, pz), (lx, ly, lz))
     energy: float | None = None
     potential = pair.potential
     if potential is not None:
@@ -453,10 +377,12 @@ def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
     return (px, py, pz), (lx, ly, lz), energy, mu
 
 
-def _check_finite(v: tuple[float, float, float]) -> None:
-    x, y, z = v
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
+def _check_finite(*vectors: Triple) -> None:
+    """Raise the ValueError ``Vec3`` gives for the first of ``vectors``
+    with a component that is not finite."""
+    for x, y, z in vectors:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
 
 
 def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
@@ -471,158 +397,150 @@ def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
     return cross(ps.x_ab, ps.v_ab) * (2.0 * c)
 
 
-def angular_momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
-    """Exact d(angular momentum)/dt (the internal torque)."""
-    ps = pair_state(a, b)
-    pair = bind(law, a, b)
-    r = ps.x_ab.norm()
-    speed = ps.v_ab.norm()
-    radial = ps.x_ab.x * ps.v_ab.x + ps.x_ab.y * ps.v_ab.y + ps.x_ab.z * ps.v_ab.z
-    normal = cross(ps.x_ab, ps.v_ab)
-    rate = Vec3(0.0, 0.0, 0.0)
-    if pair.phi_s is not None:
-        rate = rate + normal * pair.phi_s(r, speed, radial)
-    if pair.phi_perp is not None:
-        weight = (b.mass - a.mass) / (a.mass + b.mass)
-        rate = rate + cross(ps.x_ab, normal) * (weight * pair.phi_perp(r, speed, radial))
-    return rate
+class _FailedRate(tuple):
+    """Nans in place of a predicted rate that raised ``error``: a mismatch
+    with it is not finite, so the finite path needs no test for it."""
+
+    def __new__(cls, error: ArithmeticError | ValueError) -> "_FailedRate":
+        failed = super().__new__(cls, (math.nan, math.nan, math.nan))
+        failed.error = error
+        return failed
 
 
-# Row-level float kernels of the rate audits: P and dP/dt, L and dL/dt of
-# one sample (ordered as ``Trajectory.rows``), in the operation order of
-# the Vec3 formulas (``momentum_rate``, ``angular_momentum_rate``). Where
-# those would raise, a kernel's result is not finite (inf and nan survive
-# each product and sum here), or it raises ValueError before a law call.
+# Row-level float kernels of the rate audits: a series value and its
+# predicted rate, P and dP/dt or L and dL/dt, of one sample (ordered as
+# ``Trajectory.rows``), in the operation order of the Vec3 formulas
+# (``momentum_rate`` and its torque twin). Each vector the formula builds
+# is checked where it would be, through ``_check_finite``: a series vector
+# raises its ValueError, a prediction's error is returned as a
+# ``_FailedRate``. A sum of components may overflow while each is finite,
+# so a sum that is not finite only selects the per-vector checks.
+RateKernel = Callable[[PairLaw, Sequence[float]], tuple[Triple, Triple]]
 
 
 def _momentum_and_rate(pair: PairLaw, row: Sequence[float]) -> tuple[Triple, Triple]:
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
     ma, mb = pair.ma, pair.mb
-    momentum = (avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb)
+    px, py, pz = avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb
+    if not math.isfinite(px + py + pz):
+        _check_finite((avx * ma, avy * ma, avz * ma), (bvx * mb, bvy * mb, bvz * mb), (px, py, pz))
     phi_perp = pair.phi_perp
     if phi_perp is None:
-        return momentum, (0.0, 0.0, 0.0)
+        return (px, py, pz), (0.0, 0.0, 0.0)
     rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
-    if not math.isfinite(rx + ry + rz + ux + uy + uz):
-        raise ValueError("non-finite pair state")
-    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
-    k = 2.0 * phi_perp(r, speed, rx * ux + ry * uy + rz * uz)
-    return momentum, ((ry * uz - rz * uy) * k, (rz * ux - rx * uz) * k, (rx * uy - ry * ux) * k)
+    try:
+        if not math.isfinite(rx + ry + rz + ux + uy + uz):
+            _check_finite((rx, ry, rz), (ux, uy, uz))
+        r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+        k = 2.0 * phi_perp(r, speed, rx * ux + ry * uy + rz * uz)
+        nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
+        qx, qy, qz = nx * k, ny * k, nz * k
+        if not math.isfinite(qx + qy + qz):
+            _check_finite((nx, ny, nz), (qx, qy, qz))
+    except (ArithmeticError, ValueError) as exc:
+        return (px, py, pz), _FailedRate(exc)
+    return (px, py, pz), (qx, qy, qz)
 
 
-def _angular_momentum_and_rate(
-    pair: PairLaw, row: Sequence[float]
-) -> tuple[Triple, Triple]:
+def _angular_momentum_and_rate(pair: PairLaw, row: Sequence[float]) -> tuple[Triple, Triple]:
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
     ma, mb, mu = pair.ma, pair.mb, pair.mu
     rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
     wx, wy, wz = ux * mu, uy * mu, uz * mu
-    angular = (ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx)
-    nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
-    # The Vec3 formula checks x_ab, v_ab and the normal even if no channel reads them.
-    if not math.isfinite(rx + ry + rz + ux + uy + uz + nx + ny + nz):
-        raise ValueError("non-finite pair state or normal")
-    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
-    radial = rx * ux + ry * uy + rz * uz
-    tx = ty = tz = 0.0
-    if pair.phi_s is not None:
-        s = pair.phi_s(r, speed, radial)
-        tx, ty, tz = tx + nx * s, ty + ny * s, tz + nz * s
-    if pair.phi_perp is not None:
-        k = (mb - ma) / (ma + mb) * pair.phi_perp(r, speed, radial)
-        tx += (ry * nz - rz * ny) * k
-        ty += (rz * nx - rx * nz) * k
-        tz += (rx * ny - ry * nx) * k
-    return angular, (tx, ty, tz)
+    lx, ly, lz = ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
+    # A finite L has finite factors: an infinite x_ab or mu v_ab component
+    # meets the other vector's two other components, as inf or as inf * 0.
+    if not math.isfinite(lx + ly + lz):
+        _check_finite((rx, ry, rz), (ux, uy, uz), (wx, wy, wz), (lx, ly, lz))
+    try:
+        # The normal is checked even if no channel reads it.
+        nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
+        if not math.isfinite(nx + ny + nz):
+            _check_finite((nx, ny, nz))
+        r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+        radial = rx * ux + ry * uy + rz * uz
+        tx = ty = tz = 0.0
+        if pair.phi_s is not None:
+            s = pair.phi_s(r, speed, radial)
+            sx, sy, sz = nx * s, ny * s, nz * s
+            if not math.isfinite(sx + sy + sz):
+                _check_finite((sx, sy, sz))
+            tx, ty, tz = tx + sx, ty + sy, tz + sz
+        if pair.phi_perp is not None:
+            cx, cy, cz = ry * nz - rz * ny, rz * nx - rx * nz, rx * ny - ry * nx
+            if not math.isfinite(cx + cy + cz):
+                _check_finite((cx, cy, cz))
+            k = (mb - ma) / (ma + mb) * pair.phi_perp(r, speed, radial)
+            qx, qy, qz = cx * k, cy * k, cz * k
+            tx, ty, tz = tx + qx, ty + qy, tz + qz
+            # The phi_s part is finite, so a finite sum has a finite q.
+            if not math.isfinite(tx + ty + tz):
+                _check_finite((qx, qy, qz), (tx, ty, tz))
+    except (ArithmeticError, ValueError) as exc:
+        return (lx, ly, lz), _FailedRate(exc)
+    return (lx, ly, lz), (tx, ty, tz)
 
 
-def _rate_mismatch(traj: Trajectory, rows, series, predict) -> float:
+def _raise_rate_failure(value: Triple, before: Triple, dt: float, prediction: Triple) -> NoReturn:
+    """Raise what ``(value - before) / dt - prediction`` raises in Vec3s,
+    its norm included, where the mismatch in floats is not finite: the
+    difference, the rate, the prediction's own error, the mismatch vector,
+    else an infinite norm."""
+    (x, y, z), (bx, by, bz), (px, py, pz) = value, before, prediction
+    dx, dy, dz = x - bx, y - by, z - bz
+    rx, ry, rz = dx / dt, dy / dt, dz / dt
+    _check_finite((dx, dy, dz), (rx, ry, rz))
+    if isinstance(prediction, _FailedRate):
+        raise prediction.error
+    _check_finite((rx - px, ry - py, rz - pz))
+    raise OverflowError("|rate - prediction| is infinite")
+
+
+def _rate_mismatch(traj: Trajectory, kernel: RateKernel) -> float:
     """Largest |central-difference rate of the series - prediction| over
-    the interior samples, in one pass over the rows: ``rows`` gives a
-    sample's series value and prediction as floats. At the first value
-    that is not finite, or a kernel error, the pass hands the trajectory
-    to ``_snapshot_rate_mismatch``, the same work in Vec3s (``series``,
-    ``predict``), which names the failing sample. A finite run builds no
-    ``Body``.
+    the interior samples, in one pass over the rows: ``kernel`` gives a
+    sample's series value and prediction as floats.
+
+    A failure is named as the Vec3 formulas would name it, evaluated in
+    order: at sample i, the rate of sample i - 1 from the series at i - 2
+    and i, then its prediction. A sample whose series value overflows is
+    named before any sample whose rate does, wherever it lies: a failed
+    rate stops the rates, and the series runs on to the last sample.
 
     Raises:
         DivergenceError: the rows are finite, but the series, its rate or
             the mismatch leaves the floating-point range at some sample.
     """
     times, pair = traj.times, traj.pair
+    samples = enumerate(traj.samples())
     worst = 0.0
+    failed: tuple[int, Exception] | None = None
     # Series values of samples i - 2 and i - 1, and the prediction of i - 1.
     before = middle = predicted = None
     try:
-        for i, row in enumerate(traj.samples()):
-            value, prediction = rows(pair, row)
-            x, y, z = value
-            if not math.isfinite(x + y + z):
-                break
+        for i, row in samples:
+            value, prediction = kernel(pair, row)
             if i >= 2:
-                (bx, by, bz), (px, py, pz), dt = before, predicted, times[i] - times[i - 2]
+                (x, y, z), (bx, by, bz), (px, py, pz) = value, before, predicted
+                dt = times[i] - times[i - 2]
                 dx, dy, dz = (x - bx) / dt - px, (y - by) / dt - py, (z - bz) / dt - pz
                 mismatch = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if not math.isfinite(mismatch):
+                    try:
+                        _raise_rate_failure(value, before, dt, predicted)
+                    except (OverflowError, ValueError) as exc:
+                        failed = (i - 1, exc)
                     break
                 worst = max(worst, mismatch)
             before, middle, predicted = middle, value, prediction
-        else:
-            return worst
-    except (ArithmeticError, ValueError):
-        pass
-    return _snapshot_rate_mismatch(traj, series, predict)
-
-
-def _snapshot_rate_mismatch(traj: Trajectory, series, predict) -> float:
-    """``_rate_mismatch`` in Vec3s over transient snapshots, its error path.
-
-    A sample whose series value overflows is named before any sample whose
-    rate does, wherever it lies: a failed rate stops the rates, and the
-    series runs on to the last sample.
-    """
-    times, law = traj.times, traj.law
-    worst = 0.0
-    failed: tuple[int, Exception] | None = None
-    # Series values of samples i - 2 and i - 1, and the snapshot of i - 1.
-    before = middle = middle_state = None
-    i = 0
-    try:
-        for i, state in enumerate(traj.snapshots()):
-            value = series(*state)
-            if i >= 2 and failed is None:
-                try:
-                    rate = (value - before) / (times[i] - times[i - 2])
-                    mismatch = (rate - predict(*middle_state, law)).norm()
-                    if mismatch == math.inf:
-                        raise OverflowError("|rate - prediction| is infinite")
-                    worst = max(worst, mismatch)
-                except (OverflowError, ValueError) as exc:
-                    failed = (i - 1, exc)
-            before, middle, middle_state = middle, value, state
+        for i, row in samples:
+            kernel(pair, row)
     except (OverflowError, ValueError) as exc:
         raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
     if failed is not None:
         i, exc = failed
         raise DivergenceError(i, times[i], f"rate overflow: {exc}")
     return worst
-
-
-def finite_difference(values: Sequence[Vec3], times: Sequence[float]) -> list[Vec3]:
-    """Numerical time derivative of a sampled vector series: central
-    differences inside, one-sided at the ends."""
-    n = len(values)
-    if n != len(times) or n < 2:
-        raise ValueError("need two or more samples with matching times")
-    out: list[Vec3] = []
-    for i in range(n):
-        if i == 0:
-            out.append((values[1] - values[0]) / (times[1] - times[0]))
-        elif i == n - 1:
-            out.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
-        else:
-            out.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
-    return out
 
 
 def path_time(points: Sequence[Vec3], speed: Callable[[float], float]) -> float:

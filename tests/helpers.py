@@ -1,12 +1,127 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the Vec3 read-back of a
+trajectory: snapshots, relative states, observables and rates built from
+validated ``Vec3`` arithmetic, the independent oracle that the float
+kernels of ``invarlab.dynamics`` are held to."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
-from invarlab import Body, SingularityError, Vec3
+from invarlab import (
+    Body, DivergenceError, ForceLaw, PairState, SingularityError, Trajectory, Vec3, bind, cross,
+    observables, pair_state,
+)
 from invarlab.forces import _adaptive_simpson
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Observables:
+    """Conserved-candidate quantities of a pair state under a law.
+
+    ``internal_energy`` is None (absent, not zero) when the law is not
+    central. Like ``Vec3``, the constructor stores the fields through the
+    slot descriptors; there is nothing to check.
+    """
+
+    total_momentum: Vec3
+    angular_momentum: Vec3
+    internal_energy: float | None
+    reduced_mass: float
+
+    def __init__(
+        self,
+        total_momentum: Vec3,
+        angular_momentum: Vec3,
+        internal_energy: float | None,
+        reduced_mass: float,
+    ) -> None:
+        _set_momentum(self, total_momentum)
+        _set_angular(self, angular_momentum)
+        _set_energy(self, internal_energy)
+        _set_mu(self, reduced_mass)
+
+
+_set_momentum, _set_angular, _set_energy, _set_mu = (
+    Observables.__dict__[name].__set__
+    for name in ("total_momentum", "angular_momentum", "internal_energy", "reduced_mass")
+)
+
+
+def _row(traj: Trajectory, i: int) -> tuple[int, Sequence[float]]:
+    """Sample i (negative counts from the end) and its 12 floats."""
+    i = range(len(traj.times))[i]
+    return i, traj.rows[12 * i : 12 * i + 12]
+
+
+@lru_cache(maxsize=2)
+def states_of(traj: Trajectory) -> tuple[tuple[Body, Body], ...]:
+    """One (a, b) snapshot per sample, built on first read and kept for
+    the last two trajectories read."""
+    a0, b0 = traj.bodies
+    return tuple(
+        (
+            a0.with_state(Vec3(ax, ay, az), Vec3(avx, avy, avz)),
+            b0.with_state(Vec3(bx, by, bz), Vec3(bvx, bvy, bvz)),
+        )
+        for ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz in traj.samples()
+    )
+
+
+def relative_at(traj: Trajectory, i: int) -> PairState:
+    _, (ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz) = _row(traj, i)
+    return PairState(Vec3(ax - bx, ay - by, az - bz), Vec3(avx - bvx, avy - bvy, avz - bvz))
+
+
+def observables_at(traj: Trajectory, i: int) -> Observables:
+    """Observables of sample i.
+
+    Raises:
+        DivergenceError: they overflow the floating-point range.
+    """
+    i, row = _row(traj, i)
+    try:
+        (px, py, pz), (lx, ly, lz), energy, mu = observables(traj.pair, row)
+    except (OverflowError, ValueError) as exc:
+        raise DivergenceError(i, traj.times[i], f"observables overflow: {exc}") from None
+    return Observables(Vec3(px, py, pz), Vec3(lx, ly, lz), energy, mu)
+
+
+def angular_momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
+    """Exact d(angular momentum)/dt (the internal torque)."""
+    ps = pair_state(a, b)
+    pair = bind(law, a, b)
+    r = ps.x_ab.norm()
+    speed = ps.v_ab.norm()
+    radial = ps.x_ab.x * ps.v_ab.x + ps.x_ab.y * ps.v_ab.y + ps.x_ab.z * ps.v_ab.z
+    normal = cross(ps.x_ab, ps.v_ab)
+    rate = Vec3(0.0, 0.0, 0.0)
+    if pair.phi_s is not None:
+        rate = rate + normal * pair.phi_s(r, speed, radial)
+    if pair.phi_perp is not None:
+        weight = (b.mass - a.mass) / (a.mass + b.mass)
+        rate = rate + cross(ps.x_ab, normal) * (weight * pair.phi_perp(r, speed, radial))
+    return rate
+
+
+def finite_difference(values: Sequence[Vec3], times: Sequence[float]) -> list[Vec3]:
+    """Numerical time derivative of a sampled vector series: central
+    differences inside, one-sided at the ends."""
+    n = len(values)
+    if n != len(times) or n < 2:
+        raise ValueError("need two or more samples with matching times")
+    out: list[Vec3] = []
+    for i in range(n):
+        if i == 0:
+            out.append((values[1] - values[0]) / (times[1] - times[0]))
+        elif i == n - 1:
+            out.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
+        else:
+            out.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
+    return out
 
 
 def sample_row(a: Body, b: Body) -> tuple[float, ...]:

@@ -11,11 +11,12 @@ from invarlab import (
     Body,
     BoundedVelocity,
     GFunction,
-    Observables,
     Vec3,
     cross,
     pair_state,
 )
+
+from helpers import Observables
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.builds(Vec3, finite, finite, finite)

@@ -11,10 +11,8 @@ from invarlab import (
     SingularityError,
     Trajectory,
     Vec3,
-    angular_momentum_rate,
     coulomb,
     cross,
-    finite_difference,
     free,
     gravity,
     integrate,
@@ -30,7 +28,10 @@ from invarlab import (
 from invarlab.dynamics import CSV_HEADER
 from invarlab.forces import PropertyView, bind
 
-from helpers import kepler_pair, sample_row
+from helpers import (
+    angular_momentum_rate, finite_difference, kepler_pair, observables_at, relative_at,
+    sample_row, states_of,
+)
 
 
 def test_isolated_pair_moves_on_a_straight_line():
@@ -38,7 +39,7 @@ def test_isolated_pair_moves_on_a_straight_line():
     b = Body("B", 2.5, Vec3(-1.0, 0.4, 0.0), Vec3(-0.3, 0.5, 0.2))
     base = pair_state(a, b)
     traj = integrate(a, b, free(), 10.0, 0.01, "rk4")
-    for t, (ta, tb) in zip(traj.times, traj.states):
+    for t, (ta, tb) in zip(traj.times, states_of(traj)):
         rel = pair_state(ta, tb)
         expected = base.x_ab + base.v_ab * t
         assert (rel.x_ab - expected).norm() < 1e-13 * max(1.0, expected.norm())
@@ -50,7 +51,7 @@ def test_circular_orbit_radius_is_steady():
     a, b, period = kepler_pair(ma=1.0, mb=2.0, ecc=0.0)
     traj = integrate(a, b, gravity(1.0), period, period / 10_000.0, "rk4")
     r0 = pair_state(a, b).x_ab.norm()
-    worst = max(abs(traj.relative(i).x_ab.norm() - r0) / r0 for i in range(len(traj)))
+    worst = max(abs(relative_at(traj, i).x_ab.norm() - r0) / r0 for i in range(len(traj)))
     assert worst < 1e-6
 
 
@@ -63,7 +64,7 @@ def test_spring_matches_analytic_oscillator():
     base = pair_state(a, b)
     traj = integrate(a, b, spring(kappa), 10.0 * period, period / 2000.0, "rk4")
     worst = 0.0
-    for t, (ta, tb) in zip(traj.times, traj.states):
+    for t, (ta, tb) in zip(traj.times, states_of(traj)):
         rel = pair_state(ta, tb)
         expected_x = base.x_ab * math.cos(omega * t) + base.v_ab * (math.sin(omega * t) / omega)
         expected_v = base.v_ab * math.cos(omega * t) - base.x_ab * (omega * math.sin(omega * t))
@@ -184,7 +185,7 @@ def test_verlet_and_rk4_agree_on_short_kepler_arc():
     r1 = integrate(a, b, law, t_end, step, "rk4")
     r2 = integrate(a, b, law, t_end, step, "verlet")
     last = len(r1) - 1
-    gap = (r1.relative(last).x_ab - r2.relative(last).x_ab).norm()
+    gap = (relative_at(r1, last).x_ab - relative_at(r2, last).x_ab).norm()
     assert gap < 1e-5
 
 
@@ -212,8 +213,8 @@ def test_trajectory_rejects_non_finite_row(bad):
 def test_states_are_built_once_from_the_rows():
     a, b, period = kepler_pair()
     traj = integrate(a, b, gravity(1.0), period / 10.0, period / 100.0, "rk4")
-    assert traj.states is traj.states
-    for row, (ta, tb) in zip(traj.samples(), traj.states):
+    assert states_of(traj) is states_of(traj)
+    for row, (ta, tb) in zip(traj.samples(), states_of(traj)):
         assert row == (
             *ta.position.as_tuple(), *ta.velocity.as_tuple(),
             *tb.position.as_tuple(), *tb.velocity.as_tuple(),
@@ -228,9 +229,9 @@ def test_rows_are_a_float_array_and_any_float_sequence_reads_back_alike():
     listed = Trajectory(traj.times, list(traj.rows), traj.bodies, traj.law, "rk4", traj.step)
     assert list(listed.observed()) == list(traj.observed())
     for i in (0, 5, -1):
-        assert traj.relative(i) == listed.relative(i) == pair_state(*traj.states[i])
-        assert traj.observables(i) == listed.observables(i)
-    assert traj.observables(-1) == traj.observables(len(traj) - 1)
+        assert relative_at(traj, i) == relative_at(listed, i) == pair_state(*states_of(traj)[i])
+        assert observables_at(traj, i) == observables_at(listed, i)
+    assert observables_at(traj, -1) == observables_at(traj, len(traj) - 1)
     csv, listed_csv = io.StringIO(), io.StringIO()
     traj.write_csv(csv)
     listed.write_csv(listed_csv)
@@ -250,11 +251,11 @@ def test_momentum_rate_matches_finite_differences():
     law = perp_demo(1.0)
     traj = integrate(a, b, law, 1.0, 0.001, "rk4")
     momenta = [
-        ta.velocity * ta.mass + tb.velocity * tb.mass for ta, tb in traj.states
+        ta.velocity * ta.mass + tb.velocity * tb.mass for ta, tb in states_of(traj)
     ]
     rates = finite_difference(momenta, traj.times)
     mid = len(traj) // 2
-    ta, tb = traj.states[mid]
+    ta, tb = states_of(traj)[mid]
     assert (rates[mid] - momentum_rate(ta, tb, law)).norm() < 1e-5
 
 
@@ -265,11 +266,11 @@ def test_angular_momentum_rate_matches_finite_differences():
     traj = integrate(a, b, law, 1.0, 0.001, "rk4")
     mu = a.mass * b.mass / (a.mass + b.mass)
     series = [
-        cross(pair_state(ta, tb).x_ab, pair_state(ta, tb).v_ab * mu) for ta, tb in traj.states
+        cross(pair_state(ta, tb).x_ab, pair_state(ta, tb).v_ab * mu) for ta, tb in states_of(traj)
     ]
     rates = finite_difference(series, traj.times)
     mid = len(traj) // 2
-    ta, tb = traj.states[mid]
+    ta, tb = states_of(traj)[mid]
     assert (rates[mid] - angular_momentum_rate(ta, tb, law)).norm() < 1e-5
 
 
@@ -288,7 +289,7 @@ def test_merged_trajectory_equals_hand_summed_law():
     t1 = integrate(a, b, merged, 2.0, 0.002, "rk4")
     t2 = integrate(a, b, hand, 2.0, 0.002, "rk4")
     for i in (0, len(t1) // 2, len(t1) - 1):
-        assert (t1.relative(i).x_ab - t2.relative(i).x_ab).norm() < 1e-12
+        assert (relative_at(t1, i).x_ab - relative_at(t2, i).x_ab).norm() < 1e-12
 
 
 def test_csv_export_format():

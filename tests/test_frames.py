@@ -23,7 +23,7 @@ from invarlab import (
 )
 from invarlab.frames import orthogonality_defect
 
-from helpers import kepler_pair, random_body
+from helpers import kepler_pair, observables_at, random_body
 
 
 def test_identity_leaves_body_unchanged():
@@ -218,8 +218,8 @@ def test_internal_energy_objective_across_boosts():
     def drift(bodies):
         a0, b0 = bodies
         traj = integrate(a0, b0, law, period, period / 500.0, "rk4")
-        e0 = traj.observables(0).internal_energy
-        return traj.observables(len(traj) - 1).internal_energy - e0
+        e0 = observables_at(traj, 0).internal_energy
+        return observables_at(traj, len(traj) - 1).internal_energy - e0
 
     reps = [(a, b)]
     for _ in range(5):

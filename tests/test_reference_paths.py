@@ -33,10 +33,8 @@ from invarlab import (
     Vec3,
     check_invariance_theorem,
     classical_g,
-    angular_momentum_rate,
     compose,
     cross,
-    finite_difference,
     force_on_a,
     force_on_b,
     force_pair,
@@ -73,14 +71,16 @@ from invarlab.audits import (
 )
 from invarlab.core import Check
 from invarlab.dynamics import (
-    CSV_HEADER, Observables, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate,
-    _rate_mismatch,
+    CSV_HEADER, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
 )
 from invarlab.forces import PropertyView, bind, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
 
-from helpers import kepler_pair, sample_row, unbound_potential, unbound_raw_force_pair
+from helpers import (
+    Observables, angular_momentum_rate, finite_difference, kepler_pair, observables_at,
+    relative_at, sample_row, states_of, unbound_potential, unbound_raw_force_pair,
+)
 
 
 def reference_samples(a0, b0, law, t_end, step, method):
@@ -159,7 +159,7 @@ def reference_observables(a, b, law):
 
 def reference_inertia_residuals(traj, base):
     """Earlier inertia formula, one residual per comparison."""
-    for t, (ta, tb) in zip(traj.times, traj.states):
+    for t, (ta, tb) in zip(traj.times, states_of(traj)):
         rel = pair_state(ta, tb)
         expected = base.x_ab + base.v_ab * t
         scale = max(1.0, expected.norm())
@@ -170,9 +170,9 @@ def reference_inertia_residuals(traj, base):
 def reference_boost_residuals(boost, base, boosted):
     """Earlier boost-covariance formula, one residual per comparison."""
     for i, t in enumerate(base.times):
-        a, b = base.states[i]
+        a, b = states_of(base)[i]
         after = pair_state(apply(boost, a, t), apply(boost, b, t))
-        before = boosted.relative(i)
+        before = relative_at(boosted, i)
         yield (after.x_ab - before.x_ab).norm()
         yield (after.v_ab - before.v_ab).norm()
 
@@ -209,9 +209,9 @@ def reference_boost_residual(ctx):
 
 
 def reference_conserved_residual(traj, field):
-    first = getattr(reference_observables(*traj.states[0], traj.law), field)
+    first = getattr(reference_observables(*states_of(traj)[0], traj.law), field)
     worst = 0.0
-    for a, b in traj.states:
+    for a, b in states_of(traj):
         worst = max(worst, (getattr(reference_observables(a, b, traj.law), field) - first).norm())
     return worst
 
@@ -253,11 +253,11 @@ def test_rows_equal_the_tuple_loop(label, bodies, law, method, t_end, step):
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
 def test_observables_equal_the_vec3_formulas(label, bodies, law, method, t_end, step):
     traj = integrate(*bodies, law, t_end, step, method)
-    for i, (a, b) in enumerate(traj.states):
+    for i, (a, b) in enumerate(states_of(traj)):
         expected = reference_observables(a, b, law)
         p, l, energy, mu = observables(bind(law, a, b), sample_row(a, b))
         assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
-        assert traj.observables(i) == expected
+        assert observables_at(traj, i) == expected
     assert (expected.internal_energy is None) == (not law.central)
 
 
@@ -300,20 +300,20 @@ def test_observables_errors_equal_the_body_level_formulas():
     traj = Trajectory((0.0, 1.0, 2.0, 3.0, 4.0), [x for row in rows for x in row], (a0, b0),
                       law, "rk4", 1.0)
     pair = bind(law, a0, b0)
-    for i, ((a, b), row) in enumerate(zip(traj.states, rows)):
+    for i, ((a, b), row) in enumerate(zip(states_of(traj), rows)):
         expected = outcome(body_level_observables, a, b, law)
         if row is finite:
             p, l, energy, mu = observables(pair, row)
             assert expected.internal_energy is not None
             assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
-            assert traj.observables(i) == expected
+            assert observables_at(traj, i) == expected
             continue
         assert expected[0] in (ValueError, OverflowError)
         assert outcome(observables, pair, row) == expected
         message = f"trajectory diverged at sample {i} (t = {float(i)!r}): observables overflow: "
-        assert outcome(traj.observables, i) == (DivergenceError, message + expected[1])
-    assert outcome(list, traj.observed()) == outcome(traj.observables, 0)
-    assert outcome(traj.observables, 2)[1].endswith(
+        assert outcome(observables_at, traj, i) == (DivergenceError, message + expected[1])
+    assert outcome(list, traj.observed()) == outcome(observables_at, traj, 0)
+    assert outcome(observables_at, traj, 2)[1].endswith(
         "non-finite vector component in (inf, 2e+200, 0.0)"
     )
 
@@ -457,11 +457,11 @@ def test_per_sample_residuals_equal_the_vec3_formulas(label, bodies, law, method
 
 def reference_rate_mismatch(traj, series, predict):
     """Earlier rate mismatch: all rates from finite_difference, then max."""
-    values = [series(*traj.states[i]) for i in range(len(traj))]
+    values = [series(*states_of(traj)[i]) for i in range(len(traj))]
     rates = finite_difference(values, traj.times)
     worst = 0.0
     for i in range(1, len(traj) - 1):
-        a, b = traj.states[i]
+        a, b = states_of(traj)[i]
         worst = max(worst, (rates[i] - predict(a, b, traj.law)).norm())
     return worst
 
@@ -490,7 +490,7 @@ def test_rate_mismatch_equals_the_finite_difference_formula(
 ):
     traj = integrate(*bodies, law, t_end, step, method)
     for rows, series, predict in RATE_CHECKS:
-        assert _rate_mismatch(traj, rows, series, predict) == reference_rate_mismatch(
+        assert _rate_mismatch(traj, rows) == reference_rate_mismatch(
             traj, series, predict
         )
 
@@ -498,7 +498,7 @@ def test_rate_mismatch_equals_the_finite_difference_formula(
 def snapshot_rate_mismatch(traj, series, predict):
     """Earlier _rate_mismatch: every series value from the cached
     ``states`` first, then the rates, each error named by its sample."""
-    states, times, law = traj.states, traj.times, traj.law
+    states, times, law = states_of(traj), traj.times, traj.law
     values = []
     worst = 0.0
     i = 0
@@ -516,8 +516,8 @@ def snapshot_rate_mismatch(traj, series, predict):
     return worst
 
 
-def refuse_snapshots(self):
-    raise AssertionError("a finite trajectory went down the snapshot path")
+def refuse_bodies(self, position, velocity):
+    raise AssertionError("the rate pass built a Body")
 
 
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
@@ -526,11 +526,11 @@ def test_rate_mismatch_equals_the_snapshot_pass(
 ):
     for h in (step, 0.5 * step):
         traj = integrate(*bodies, law, t_end, h, method)
-        # The reference reads ``states``, which are kept once built.
+        # The reference builds its snapshots before the patch.
         expected = [snapshot_rate_mismatch(traj, s, p) for _, s, p in RATE_CHECKS]
         with monkeypatch.context() as patched:
-            patched.setattr(Trajectory, "snapshots", refuse_snapshots)
-            assert [_rate_mismatch(traj, *check) for check in RATE_CHECKS] == expected
+            patched.setattr(Body, "with_state", refuse_bodies)
+            assert [_rate_mismatch(traj, rows) for rows, _, _ in RATE_CHECKS] == expected
 
 
 def velocity_trajectory(velocities):
@@ -552,7 +552,7 @@ def constant_trajectory(row, law, masses=(1.0, 1.0)):
     return Trajectory((0.0, 1.0, 2.0), list(row) * 3, (a, b), law, "rk4", 1.0)
 
 
-def test_rate_mismatch_errors_equal_the_snapshot_pass():
+def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
     huge = 1.7e308
     flat = [(huge, huge, 0.0)] * 4
     cases = [
@@ -581,7 +581,9 @@ def test_rate_mismatch_errors_equal_the_snapshot_pass():
         for rows, series, predict in RATE_CHECKS:
             expected = outcome(snapshot_rate_mismatch, traj, series, predict)
             assert expected[0] is DivergenceError
-            assert outcome(_rate_mismatch, traj, rows, series, predict) == expected
+            with monkeypatch.context() as patched:
+                patched.setattr(Body, "with_state", refuse_bodies)
+                assert outcome(_rate_mismatch, traj, rows) == expected
             messages.append(expected[1])
     assert "at sample 3 (t = 3.0): rate overflow: non-finite vector component" in messages[0]
     assert "at sample 3 (t = 3.0): rate overflow: |rate - prediction| is infinite" in messages[1]
@@ -603,7 +605,7 @@ def strict_coefficient(qa, qb, r, speed, radial):
     return 1.0
 
 
-def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow():
+def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow(monkeypatch):
     # The float pass must hand over wherever the Vec3 formulas raise, also
     # where the overflowing value never reaches a rate.
     huge = 1.7e308
@@ -625,7 +627,61 @@ def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow():
     for (rows, series, predict), traj, where in cases:
         expected = outcome(snapshot_rate_mismatch, traj, series, predict)
         assert expected[0] is DivergenceError and where in expected[1]
-        assert outcome(_rate_mismatch, traj, rows, series, predict) == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(Body, "with_state", refuse_bodies)
+            assert outcome(_rate_mismatch, traj, rows) == expected
+
+
+# Values that overflow in a difference, a product or a sum of squares.
+EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e154, -1e154, 1e200, -1e200, 1e308, -1.7e308, 5e-324]
+
+
+def random_coefficient(rng):
+    """A PhiFn that returns a constant (inf and nan included), or raises
+    OverflowError or ValueError on large or negative invariants."""
+    c = rng.choice([0.0, 1.0, -2.0, 1e300, 1e308, math.inf, math.nan])
+    return rng.choice([
+        lambda qa, qb, r, speed, radial: c,
+        lambda qa, qb, r, speed, radial: c * speed,
+        lambda qa, qb, r, speed, radial: r**3.0 if r > 1e100 else c,
+        lambda qa, qb, r, speed, radial: math.sqrt(radial) if radial < 0.0 else c,
+    ])
+
+
+def random_extreme_trajectory(rng):
+    """Two to six samples of rows near the float range's edge, at unit or
+    the least time steps, under a random law with phi_s and phi_perp channels."""
+    n = rng.randrange(2, 7)
+    base = [rng.choice(EXTREMES) for _ in range(12)]
+    rows = [x if rng.random() < 0.6 else rng.choice(EXTREMES) for _ in range(n) for x in base]
+    times = [0.0]
+    while len(times) < n:
+        t = times[-1]
+        times.append(t + 1.0 if rng.random() < 0.7 else math.nextafter(t, math.inf))
+    law = rng.choice([
+        merge_laws(()),
+        perp_demo(rng.choice([1.0, 1e308])),
+        merge_laws((linear_drag(0.3), perp_demo(0.5))),
+        ForceLaw("random", phi_s=random_coefficient(rng), phi_perp=random_coefficient(rng)),
+    ])
+    masses = [rng.choice([1.0, 3.0, 1e-200, 1e200, 1e308]) for _ in range(2)]
+    rest = Vec3(0.0, 0.0, 0.0)
+    bodies = tuple(Body(name, m, rest, rest) for name, m in zip("AB", masses))
+    return Trajectory(times, rows, bodies, law, "rk4", 1.0)
+
+
+def test_rate_mismatch_equals_the_snapshot_pass_on_extreme_rows(monkeypatch):
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(300):
+        traj = random_extreme_trajectory(rng)
+        for rows, series, predict in RATE_CHECKS:
+            expected = outcome(snapshot_rate_mismatch, traj, series, predict)
+            with monkeypatch.context() as patched:
+                patched.setattr(Body, "with_state", refuse_bodies)
+                assert outcome(_rate_mismatch, traj, rows) == expected
+            outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+    assert outcomes == {float, DivergenceError}
 
 
 def reference_mat_vec(m, v):

@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
-from invarlab import ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario
+from invarlab import (
+    Body, ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario,
+)
 import invarlab.audits as audits
 import invarlab.cli as cli
 import invarlab.forking as forking
@@ -391,28 +393,25 @@ def sha256(path):
 
 
 def test_runs_read_back_without_the_snapshot_list(tmp_path, capsys, monkeypatch):
-    def refuse(self):
-        raise AssertionError("Trajectory snapshots built at run time")
+    def refuse(self, position, velocity):
+        raise AssertionError("a Body built while naming a rate overflow")
 
-    # A finite run builds no Body per sample, nor the list (``states`` is
-    # built from ``snapshots``). perp-demo runs both rate audits, each
-    # also at h/2.
-    with monkeypatch.context() as patched:
-        patched.setattr(Trajectory, "snapshots", refuse)
-        for name, (code, digests) in sorted(GOLDEN.items()):
-            out = tmp_path / name
-            assert run_scenario(load_scenario(resolve_scenario_path(name)), out, seed=42) == code
-            assert {path.name: sha256(path) for path in out.iterdir()} == digests
+    # perp-demo runs both rate audits, each also at h/2.
+    for name, (code, digests) in sorted(GOLDEN.items()):
+        out = tmp_path / name
+        assert run_scenario(load_scenario(resolve_scenario_path(name)), out, seed=42) == code
+        assert {path.name: sha256(path) for path in out.iterdir()} == digests
     report = json.loads((tmp_path / "perp-demo.json" / "report.json").read_text())
     details = {entry["audit"]: entry["detail"] for entry in report["audits"]}
     assert "at h/2" in details["momentum-rate"] and "at h/2" in details["torque-rate"]
 
-    # A rate overflow is named by the snapshot pass, still without the list.
-    monkeypatch.setattr(Trajectory, "states", property(refuse))
+    # A rate overflow is named by the float pass, which builds no Body.
     doc = stiff_spring_doc(1.0)
     doc["audits"] = ["torque-rate", "momentum-rate"]
     out = tmp_path / "stiff"
-    assert run_scenario(parse_scenario(doc), out, seed=42) == 2
+    with monkeypatch.context() as patched:
+        patched.setattr(Body, "with_state", refuse)
+        assert run_scenario(parse_scenario(doc), out, seed=42) == 2
     report = json.loads((out / "report.json").read_text())
     verdicts = {entry["audit"]: entry["verdict"] for entry in report["audits"]}
     assert verdicts == {"trajectory": "ERROR", "torque-rate": "ERROR", "momentum-rate": "ERROR"}
@@ -674,6 +673,27 @@ def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork,
         run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42)
     assert str(raised.value) == message
     assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["file", "under a file", "text phase"])
+def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, where):
+    # An --out that cannot be a directory, or a text phase that fails in the
+    # child: exit 1 and one error line, no traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"file": taken, "under a file": taken / "out", "text phase": tmp_path / "out"}[where]
+    if where == "text phase":
+        def disk_full(self, stream, cells):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+    assert main(["run", "spring.json", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if where == "text phase":
+        assert err == "error: writing trajectory.csv failed: OSError: disk full\n"
+        assert not (out / "report.json").exists()
     assert_no_child_left()
 
 
