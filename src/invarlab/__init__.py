@@ -26,7 +26,6 @@ from .forces import (
     check_property_additivity,
     coulomb,
     force_on_a,
-    force_on_b,
     force_pair,
     free,
     gravity,

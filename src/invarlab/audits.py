@@ -11,15 +11,16 @@ lemma, description, default tolerance and typed ``audit_params`` schema.
 Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 
-A scenario without an integrator has no trajectory for its audits to
-share, so when it requests more than one audit, ``os.fork`` exists, this
+When a scenario requests more than one audit, ``os.fork`` exists, this
 process runs one thread and more than one CPU is usable, ``run_audits``
-forks one worker for the first requested audit in catalog order and runs
-the others here. The worker sends its result back as ``marshal`` data
-(exact for every float); a worker that cannot be forked, fails or sends
-too little has its audit rerun here. The split is fixed, and each audit
-draws from its own seeded generator, so the report does not depend on
-where an audit ran.
+forks one worker for one audit and runs the others here: without an
+integrator the first requested audit in catalog order; with one, the
+first with the most ``own_steps``, if it has at least
+``_WORKER_MIN_STEPS`` (fewer cost less than the fork). The worker sends
+its result back as ``marshal`` data (exact for every float); a worker that
+cannot be forked, fails or sends too little has its audit rerun here. The
+split is fixed, and each audit draws from its own seeded generator, so the
+report does not depend on where an audit ran.
 """
 
 from __future__ import annotations
@@ -91,25 +92,29 @@ class Measurement(NamedTuple):
 class AuditSpec:
     """One audit, declared once. ``tolerance`` is the default the scenario's
     ``tolerances`` may override, or ``None`` for an audit that sets its own
-    (``run`` then returns it in its ``Measurement``)."""
+    (``run`` then returns it in its ``Measurement``). ``own_steps`` counts
+    the integration steps the audit always runs beyond the scenario
+    trajectory it shares (a rerun it makes only sometimes is not counted)."""
 
     name: str
     lemma: str
     description: str
     run: Callable[[AuditContext], Measurement]
     tolerance: float | None
-    params: tuple[Param, ...] = ()
+    params: tuple[Param, ...]
+    own_steps: Callable[[Scenario], int]
 
 
 _DECLARED: list[AuditSpec] = []
 
 
-def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Param):
+def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Param,
+             own_steps: Callable[[Scenario], int] = lambda scenario: 0):
     """Decorator: declare ``run`` as the catalog audit ``name``. The
     catalog lists and runs the audits in declaration order."""
 
     def declare(run: Callable[[AuditContext], Measurement]):
-        _DECLARED.append(AuditSpec(name, lemma, description, run, tolerance, params))
+        _DECLARED.append(AuditSpec(name, lemma, description, run, tolerance, params, own_steps))
         return run
 
     return declare
@@ -317,7 +322,8 @@ def _inertia_residuals(traj: Trajectory, x0: Vec3, v0: Vec3) -> Iterator[float]:
 @_declare("inertia", "law-of-inertia", "isolated pair keeps constant relative velocity", 1e-12,
           Param("steps", int, 10_000),
           Param("step", float, lambda sc: sc.integrator.step if sc.integrator else 1e-3,
-                "integrator.step, else 0.001"))
+                "integrator.step, else 0.001"),
+          own_steps=lambda sc: _resolve_params(sc, "inertia")["steps"])
 def _audit_inertia(ctx: AuditContext) -> Measurement:
     p = ctx.params("inertia")
     a, b = ctx.scenario.bodies
@@ -436,12 +442,24 @@ def _boost_residuals(
         yield math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def _boost_own_steps(scenario: Scenario) -> int:
+    """Steps of the boosted runs, and of the base run unless it is the
+    scenario trajectory; none without an integrator (the audit is an ERROR)."""
+    cfg = scenario.integrator
+    if cfg is None:
+        return 0
+    p = _resolve_params(scenario, "boost-covariance")
+    same_run = p["t_end"] == cfg.t_end and p["step"] == cfg.step
+    return (p["count"] if same_run else p["count"] + 1) * max(1, round(p["t_end"] / p["step"]))
+
+
 @_declare("boost-covariance", "galilean-covariance",
           "integrate-then-boost equals boost-then-integrate in relative state", 1e-9,
           Param("count", int, 10), Param("boost", float, 1.0),
           Param("t_end", float, lambda sc: sc.integrator and sc.integrator.t_end,
                 "integrator.t_end"),
-          Param("step", float, lambda sc: sc.integrator and sc.integrator.step, "integrator.step"))
+          Param("step", float, lambda sc: sc.integrator and sc.integrator.step, "integrator.step"),
+          own_steps=_boost_own_steps)
 def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("boost-covariance")
     cfg = ctx.scenario.integrator
@@ -663,6 +681,10 @@ def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
     return AuditResult(spec.name, spec.lemma, verdict, m.residual, tol, m.detail)
 
 
+# A worker's fork and reap take about 1.5 ms; 1000 rk4 gravity steps, 6 ms.
+_WORKER_MIN_STEPS = 1000
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; on one, a worker would only add a fork."""
     if hasattr(os, "sched_getaffinity"):
@@ -680,6 +702,17 @@ def _received(payload: bytes, error: str | None) -> AuditResult | None:
         return None
 
 
+def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec | None:
+    """The requested audit to run in a forked worker, if any (see the
+    module notes)."""
+    if len(requested) < 2 or not can_fork() or _usable_cpus() < 2:
+        return None
+    if scenario.integrator is None:
+        return requested[0]
+    chosen = max(requested, key=lambda spec: spec.own_steps(scenario))
+    return chosen if chosen.own_steps(scenario) >= _WORKER_MIN_STEPS else None
+
+
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
     """Run the scenario's requested audits in catalog order.
 
@@ -689,27 +722,29 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     into an ERROR verdict for that audit alone. Passing an existing
     ``context`` reuses its cached trajectories and failures. A nan
     residual compares false against every tolerance, so it is a FAIL.
-    The first audit may run in a forked worker (see the module notes);
-    no worker outlives this call.
+    One audit may run in a forked worker (see the module notes); no
+    worker outlives this call.
     """
     check_audit_inputs(scenario)
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
+    chosen = _worker_audit(scenario, requested)
     worker = None
-    if scenario.integrator is None and len(requested) > 1 and can_fork() and _usable_cpus() > 1:
+    if chosen is not None:
         try:
-            worker = start_child(lambda: marshal.dumps(astuple(_verdict(requested[0], ctx))))
+            worker = start_child(lambda: marshal.dumps(astuple(_verdict(chosen, ctx))))
         except OSError:
             pass
     if worker is None:
         results = [_verdict(spec, ctx) for spec in requested]
     else:
         try:
-            rest = [_verdict(spec, ctx) for spec in requested[1:]]
+            here = {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
         finally:
             sent = reap_child(worker)
         # A failed worker's audit gives the same verdict here, and an
         # exception it hit surfaces with its traceback.
-        results = [_received(*sent) or _verdict(requested[0], ctx), *rest]
+        here[chosen.name] = _received(*sent) or _verdict(chosen, ctx)
+        results = [here[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, seed, tuple(results), integrator)

@@ -6,13 +6,15 @@ the scenario integrates without error, report.json always. Identical scenario an
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
 Two kinds of work may leave this process, each for one forked child
-(``forking``), and never both in one run:
+(``forking``), and both may run at once:
 
 - trajectory.csv is written in two phases: the numeric one (P, L and E of
   every sample) in this process, the text one in a child while this process
   writes drift.csv and runs the audits. A failed child is an OSError.
-- A scenario without an integrator has its audits split by ``run_audits``
-  between this process and one worker (see ``audits``).
+- ``run_audits`` may run one audit in a worker while this process runs the
+  others (see ``audits``): without an integrator the first requested one,
+  with one the audit that integrates the most steps of its own, if they
+  are enough to pay for the fork, such as kepler's boost-covariance.
 
 Without ``os.fork``, or with other threads running, all of it runs in this
 process, and so do the audits on one usable CPU. Where a piece of work ran

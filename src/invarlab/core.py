@@ -55,9 +55,6 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 _isfinite = math.isfinite
 _set_x, _set_y, _set_z = (Vec3.__dict__[name].__set__ for name in ("x", "y", "z"))

@@ -51,7 +51,6 @@ __all__ = [
     "bind",
     "raw_force_pair",
     "force_on_a",
-    "force_on_b",
     "force_pair",
     "superpose",
     "merge_laws",
@@ -84,8 +83,8 @@ class SingularityError(ValueError):
 
 class ForceOverflowError(ArithmeticError):
     """A force, or a sum of forces, left the floating-point range. Raised by
-    ``force_pair`` (so by ``force_on_a``, ``force_on_b`` and the additivity
-    check) and by ``superpose``."""
+    ``force_pair`` (so by ``force_on_a`` and the additivity check) and by
+    ``superpose``."""
 
 
 def _force(name: str, x: float, y: float, z: float) -> Vec3:
@@ -340,10 +339,6 @@ def force_pair(law: ForceLaw, a: Body, b: Body) -> tuple[Vec3, Vec3]:
 
 def force_on_a(law: ForceLaw, a: Body, b: Body) -> Vec3:
     return force_pair(law, a, b)[0]
-
-
-def force_on_b(law: ForceLaw, a: Body, b: Body) -> Vec3:
-    return force_pair(law, a, b)[1]
 
 
 def superpose(laws: Sequence[ForceLaw], a: Body, b: Body) -> Vec3:

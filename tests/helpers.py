@@ -1,7 +1,8 @@
-"""Shared builders for the test suite, and the Vec3 read-back of a
-trajectory: snapshots, relative states, observables and rates built from
-validated ``Vec3`` arithmetic, the independent oracle that the float
-kernels of ``invarlab.dynamics`` are held to."""
+"""Shared builders for the test suite, the API only the tests call
+(``as_tuple``, ``force_on_b``), and the Vec3 read-back of a trajectory:
+snapshots, relative states, observables and rates built from validated
+``Vec3`` arithmetic, the independent oracle that the float kernels of
+``invarlab.dynamics`` are held to."""
 
 from __future__ import annotations
 
@@ -13,9 +14,17 @@ from typing import Sequence
 
 from invarlab import (
     Body, DivergenceError, ForceLaw, PairState, SingularityError, Trajectory, Vec3, bind, cross,
-    observables, pair_state,
+    force_pair, observables, pair_state,
 )
 from invarlab.forces import _adaptive_simpson
+
+
+def as_tuple(v: Vec3) -> tuple[float, float, float]:
+    return (v.x, v.y, v.z)
+
+
+def force_on_b(law: ForceLaw, a: Body, b: Body) -> Vec3:
+    return force_pair(law, a, b)[1]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -126,8 +135,8 @@ def finite_difference(values: Sequence[Vec3], times: Sequence[float]) -> list[Ve
 
 def sample_row(a: Body, b: Body) -> tuple[float, ...]:
     """The 12 floats of one (a, b) sample, in the order of ``Trajectory.rows``."""
-    return (*a.position.as_tuple(), *a.velocity.as_tuple(),
-            *b.position.as_tuple(), *b.velocity.as_tuple())
+    return (*as_tuple(a.position), *as_tuple(a.velocity),
+            *as_tuple(b.position), *as_tuple(b.velocity))
 
 
 def kepler_pair(ma=1.0, mb=2.0, g=1.0, semi_major=1.0, ecc=0.0):

@@ -29,7 +29,7 @@ from invarlab.dynamics import CSV_HEADER
 from invarlab.forces import PropertyView, bind
 
 from helpers import (
-    angular_momentum_rate, finite_difference, kepler_pair, observables_at, relative_at,
+    angular_momentum_rate, as_tuple, finite_difference, kepler_pair, observables_at, relative_at,
     sample_row, states_of,
 )
 
@@ -216,8 +216,8 @@ def test_states_are_built_once_from_the_rows():
     assert states_of(traj) is states_of(traj)
     for row, (ta, tb) in zip(traj.samples(), states_of(traj)):
         assert row == (
-            *ta.position.as_tuple(), *ta.velocity.as_tuple(),
-            *tb.position.as_tuple(), *tb.velocity.as_tuple(),
+            *as_tuple(ta.position), *as_tuple(ta.velocity),
+            *as_tuple(tb.position), *as_tuple(tb.velocity),
         )
         assert (ta.id, ta.mass, tb.id, tb.mass) == ("A", a.mass, "B", b.mass)
 

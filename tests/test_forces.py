@@ -15,7 +15,6 @@ from invarlab import (
     coulomb,
     cross,
     force_on_a,
-    force_on_b,
     force_pair,
     free,
     gravity,
@@ -31,7 +30,7 @@ from invarlab import (
 )
 from invarlab.frames import random_rotation
 
-from helpers import random_body
+from helpers import force_on_b, random_body
 
 
 def body_at(pos, vel, mass=1.0, charge=0.0, name="A"):

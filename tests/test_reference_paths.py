@@ -36,7 +36,6 @@ from invarlab import (
     compose,
     cross,
     force_on_a,
-    force_on_b,
     force_pair,
     identity,
     gravity,
@@ -78,8 +77,8 @@ from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
 
 from helpers import (
-    Observables, angular_momentum_rate, finite_difference, kepler_pair, observables_at,
-    relative_at, sample_row, states_of, unbound_potential, unbound_raw_force_pair,
+    Observables, angular_momentum_rate, as_tuple, finite_difference, force_on_b, kepler_pair,
+    observables_at, relative_at, sample_row, states_of, unbound_potential, unbound_raw_force_pair,
 )
 
 
@@ -95,8 +94,8 @@ def reference_samples(a0, b0, law, t_end, step, method):
         return (fx * inv_ma, fy * inv_ma, fz * inv_ma, kx * inv_mb, ky * inv_mb, kz * inv_mb)
 
     n_steps = max(1, round(t_end / step))
-    y = (*a0.position.as_tuple(), *a0.velocity.as_tuple(),
-         *b0.position.as_tuple(), *b0.velocity.as_tuple())
+    y = (*as_tuple(a0.position), *as_tuple(a0.velocity),
+         *as_tuple(b0.position), *as_tuple(b0.velocity))
     samples = [y]
     h = step
     if method == "rk4":

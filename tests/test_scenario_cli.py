@@ -643,12 +643,14 @@ def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["spring.json", "kepler.json"])
 def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monkeypatch, name):
     scenario = load_scenario(resolve_scenario_path(name))
+    two_cpus(monkeypatch)
     outputs = {}
     for fork in (True, False):
         pids = count_forks(monkeypatch, fork)
         out = tmp_path / f"fork-{fork}"
         assert run_scenario(scenario, out, seed=42) == 0
-        assert len(pids) == fork
+        # kepler's boost-covariance also runs in a worker.
+        assert len(pids) == fork * {"spring.json": 1, "kepler.json": 2}[name]
         outputs[fork] = {path.name: path.read_bytes() for path in out.iterdir()}
     assert outputs[True] == outputs[False]
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs[True].items()} == (
@@ -715,8 +717,11 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
     assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
 
 
-# The audits of a scenario without an integrator: the first requested one in
-# a forked worker where a child may be forked and more than one CPU is usable.
+# The audit worker: where a child may be forked, more than one audit is
+# requested and more than one CPU is usable, one audit runs in a forked
+# worker. Without an integrator it is the first requested audit; with one,
+# the audit with the most own integration steps, if it has at least
+# audits._WORKER_MIN_STEPS of them.
 
 # PASS, FAIL (frame-group's tolerance is below its rounding) and ERROR
 # (light-quotient needs a finite c, which the classical profile lacks).
@@ -735,6 +740,10 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def no_integrator_scenario(name):
     if name == "mixed":
         return parse_scenario(MIXED_DOC)
@@ -747,6 +756,7 @@ def test_the_audit_worker_and_this_process_write_the_same_report(
     tmp_path, capsys, monkeypatch, name, in_process
 ):
     scenario = no_integrator_scenario(name)
+    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     expected_exit = 0 if name == "addition.json" else 2
     assert run_scenario(scenario, tmp_path / "worker", seed=42) == expected_exit
@@ -796,6 +806,7 @@ def test_a_failed_worker_has_its_audit_run_here(monkeypatch, how):
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
         expected = run_audits(scenario, seed=7).to_json()
+    two_cpus(monkeypatch)
     pids = failing_fork(monkeypatch, how)
     assert run_audits(scenario, seed=7).to_json() == expected
     assert len(pids) == (how != "fork raises")
@@ -813,6 +824,7 @@ def test_an_exception_in_either_process_is_raised_here(monkeypatch, where, audit
         replace(spec, run=broken) if spec.name == audit else spec for spec in audits.CATALOG
     )
     monkeypatch.setattr(audits, "CATALOG", catalog)
+    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match=f"{audit} broke"):
         run_audits(parse_scenario(MIXED_DOC), seed=1)
@@ -836,3 +848,110 @@ def test_no_worker_for_one_audit_or_a_scenario_with_an_integrator(monkeypatch, d
     monkeypatch.setattr(os, "fork", fork)
     report = run_audits(parse_scenario(doc), seed=1)
     assert [r.verdict for r in report.results] == ["PASS"] * len(doc["audits"])
+
+
+# A small rk4 document whose boost-covariance integrates 10 runs of 100
+# steps of its own (it reuses the scenario trajectory as its base run).
+RK4_DOC = minimal_doc(
+    name="rk4",
+    integrator={"method": "rk4", "step": 0.01, "t_end": 1.0},
+    audits=["momentum", "boost-covariance"],
+    audit_params={"boost-covariance": {"count": 10}},
+)
+
+
+def own_steps(doc):
+    scenario = parse_scenario(doc)
+    return {spec.name: spec.own_steps(scenario) for spec in audits.CATALOG}
+
+
+def test_own_steps_count_the_steps_an_audit_integrates_beyond_the_trajectory():
+    kepler = load_scenario(resolve_scenario_path("kepler.json"))
+    steps = {spec.name: spec.own_steps(kepler) for spec in audits.CATALOG}
+    # boost-covariance: 10 boosted runs and its own base run of 2000 steps.
+    assert {name: n for name, n in steps.items() if n} == {
+        "inertia": 10_000, "boost-covariance": 22_000,
+    }
+    assert own_steps(RK4_DOC)["boost-covariance"] == 1_000
+    assert own_steps(minimal_doc(laws=[], velocity_addition={}))["boost-covariance"] == 0
+
+
+@pytest.mark.parametrize("in_process", ["without os.fork", "on one CPU"])
+def test_kepler_writes_the_same_bytes_with_its_audit_in_a_worker(
+    tmp_path, capsys, monkeypatch, in_process
+):
+    scenario = load_scenario(resolve_scenario_path("kepler.json"))
+    two_cpus(monkeypatch)
+    pids = count_forks(monkeypatch)
+    assert run_scenario(scenario, tmp_path / "worker", seed=42) == 0
+    assert len(pids) == 2  # the text child and the boost-covariance worker
+    if in_process == "without os.fork":
+        count_forks(monkeypatch, fork=False)
+    else:
+        one_cpu(monkeypatch)
+    assert run_scenario(scenario, tmp_path / "here", seed=42) == 0
+    assert len(pids) == 2 + (in_process == "on one CPU")  # the text child alone
+    assert_no_child_left()
+    outputs = [{path.name: sha256(path) for path in (tmp_path / side).iterdir()}
+               for side in ("worker", "here")]
+    assert outputs[0] == outputs[1] == GOLDEN["kepler.json"][1]
+
+
+@pytest.mark.parametrize("how", ["exit 3", "short payload", "fork raises"])
+def test_a_failed_worker_on_an_integrator_scenario_has_its_audit_run_here(monkeypatch, how):
+    scenario = parse_scenario(RK4_DOC)
+    with monkeypatch.context() as patch:
+        count_forks(patch, fork=False)
+        expected = run_audits(scenario, seed=7).to_json()
+    two_cpus(monkeypatch)
+    pids = failing_fork(monkeypatch, how)
+    assert run_audits(scenario, seed=7).to_json() == expected
+    assert len(pids) == (how != "fork raises")
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_worker_on_an_integrator_scenario_is_raised_here(monkeypatch):
+    def broken(ctx):
+        raise RuntimeError("boost-covariance broke")
+
+    from dataclasses import replace
+
+    catalog = tuple(
+        replace(spec, run=broken) if spec.name == "boost-covariance" else spec
+        for spec in audits.CATALOG
+    )
+    monkeypatch.setattr(audits, "CATALOG", catalog)
+    two_cpus(monkeypatch)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="boost-covariance broke"):
+        run_audits(parse_scenario(RK4_DOC), seed=1)
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("steps, forks", [(999, 0), (1000, 1)])
+def test_a_worker_needs_the_floor_of_own_steps(monkeypatch, steps, forks):
+    doc = minimal_doc(
+        integrator={"method": "rk4", "step": 0.01, "t_end": 0.1},
+        audits=["momentum", "inertia"],
+        audit_params={"inertia": {"steps": steps}},
+    )
+    assert audits._WORKER_MIN_STEPS == 1000
+    two_cpus(monkeypatch)
+    pids = count_forks(monkeypatch)
+    report = run_audits(parse_scenario(doc), seed=1)
+    assert [r.verdict for r in report.results] == ["PASS", "PASS"]
+    assert len(pids) == forks
+    assert_no_child_left()
+
+
+def test_the_worker_takes_the_first_audit_with_the_most_own_steps(monkeypatch):
+    doc = dict(RK4_DOC, audits=["momentum", "inertia", "boost-covariance"])
+    two_cpus(monkeypatch)
+    for inertia_steps, chosen in [(999, "boost-covariance"), (1000, "inertia"),
+                                  (1001, "inertia")]:
+        scenario = parse_scenario(dict(doc, audit_params={
+            **doc["audit_params"], "inertia": {"steps": inertia_steps},
+        }))
+        requested = [spec for spec in audits.CATALOG if spec.name in scenario.audits]
+        assert audits._worker_audit(scenario, requested).name == chosen

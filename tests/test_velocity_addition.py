@@ -25,7 +25,7 @@ from invarlab import (
     zero_velocity,
 )
 
-from helpers import random_unit
+from helpers import as_tuple, random_unit
 
 
 def bisect_weighted_speed(gfun, target, iterations=200):
@@ -427,9 +427,9 @@ def exact_echo_quotient(boost, baseline, signal_speed, axis):
     """The closed form evaluated in 50-digit decimal arithmetic."""
     with localcontext() as ctx:
         ctx.prec = 50
-        n = sum(Decimal(x) ** 2 for x in axis.as_tuple()).sqrt()
-        unit = [Decimal(x) / n for x in axis.as_tuple()]
-        v = [Decimal(x) for x in boost.as_tuple()]
+        n = sum(Decimal(x) ** 2 for x in as_tuple(axis)).sqrt()
+        unit = [Decimal(x) / n for x in as_tuple(axis)]
+        v = [Decimal(x) for x in as_tuple(boost)]
         a = Decimal(signal_speed) ** 2 - sum(x * x for x in v)
         total = Decimal(0)
         for sign in (1, -1):
@@ -461,11 +461,11 @@ def test_catch_up_time_is_accurate_on_both_legs():
         a = (s - v.norm()) * (s + v.norm())
         for sign in (1.0, -1.0):
             target = unit * (sign * baseline)
-            t = _catch_up_time(*target.as_tuple(), *v.as_tuple(), a)
+            t = _catch_up_time(*as_tuple(target), *as_tuple(v), a)
             with localcontext() as ctx:
                 ctx.prec = 50
-                dv = [Decimal(x) for x in v.as_tuple()]
-                dt = [Decimal(x) for x in target.as_tuple()]
+                dv = [Decimal(x) for x in as_tuple(v)]
+                dt = [Decimal(x) for x in as_tuple(target)]
                 da, b = Decimal(a), sum(p * q for p, q in zip(dt, dv))
                 c = sum(p * p for p in dt)
                 exact = (b + (b * b + da * c).sqrt()) / da
