@@ -39,8 +39,8 @@ from .dynamics import (
     _rate_mismatch, integrate, momentum_rate,
 )
 from .forces import (
-    ForceOverflowError, SingularityError, check_property_additivity, force_on_a,
-    force_pair, merge_laws, superpose,
+    ForceLaw, ForceOverflowError, PropertyView, SingularityError, bind,
+    check_property_additivity, force_on_a, force_pair, merge_laws, superpose,
 )
 from .forking import can_fork, reap_child, start_child
 from .frames import (
@@ -408,7 +408,7 @@ _declare("torque-rate", "internal-torque-rate",
 @_declare("energy", "internal-energy-conservation",
           "internal energy of a central law constant along the trajectory", 1e-9)
 def _audit_energy(ctx: AuditContext) -> Measurement:
-    if not ctx.law.central:
+    if not bind(ctx.law, *ctx.scenario.bodies).central:
         law = ctx.law.name
         raise AuditConfigError(f"internal energy is undefined for the non-central law {law!r}")
     traj = ctx.trajectory()
@@ -497,14 +497,40 @@ def _audit_superposition(ctx: AuditContext) -> Measurement:
     return Measurement(worst, f"{len(laws)} laws, {count} random pair states")
 
 
+class _NotingView(PropertyView):
+    """A ``PropertyView`` that notes the names it is asked for."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, body: Body) -> None:
+        super().__init__(body)
+        self.read: set[str] = set()
+
+    def __getitem__(self, name: str) -> float:
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def _couples(law: ForceLaw, prop: str, a: Body, b: Body) -> bool:
+    """Does ``law``'s pair form read A's ``prop``? A law that does not
+    gives the same force for any split of it, so the sum of the split
+    forces is twice the merged one."""
+    view = _NotingView(a)
+    law.pair_form(view, PropertyView(b))
+    return prop in view.read
+
+
 def _default_property(scenario: Scenario) -> str:
-    law_names = {law.name for law in scenario.laws}
-    return "mass" if "gravity" in law_names or not law_names else "charge"
+    laws = scenario.laws
+    if not laws or any(_couples(law, "mass", *scenario.bodies) for law in laws):
+        return "mass"
+    return "charge"
 
 
 @_declare("additivity", "property-additivity",
           "merging a coupling property adds the forces (linear laws pass, quadratic fail)", 1e-9,
-          Param("property", str, _default_property, "mass with gravity or no laws, else charge"))
+          Param("property", str, _default_property,
+                "mass if a law reads it or there is none, else charge"))
 def _audit_additivity(ctx: AuditContext) -> Measurement:
     tol = ctx.tolerance("additivity")
     prop = ctx.params("additivity")["property"]
@@ -517,15 +543,21 @@ def _audit_additivity(ctx: AuditContext) -> Measurement:
             return replace(a0, mass=q)
         return replace(a0, properties={**a0.properties, prop: q})
 
+    coupled, uncoupled = [], []
+    for law in ctx.scenario.laws or (ctx.law,):
+        (coupled if _couples(law, prop, a0, b0) else uncoupled).append(law)
+    if not coupled:
+        raise AuditConfigError(f"no law couples through {prop!r}")
     worst = 0.0
     failed = []
-    for law in ctx.scenario.laws or (ctx.law,):
+    for law in coupled:
         result = check_property_additivity(law, prop, split(q1), split(q2), b0, tolerance=tol)
         worst = _worst((result.residual,), worst)
         if not result.passed:
             failed.append(law.name)
     detail = f"property {prop!r}, split {q1:g}/{q2:g}"
     detail += f"; failing laws: {', '.join(failed)}" if failed else ""
+    detail += f"; not coupled: {', '.join(law.name for law in uncoupled)}" if uncoupled else ""
     return Measurement(worst, detail, ok=not failed)
 
 
@@ -628,8 +660,9 @@ def check_audit_inputs(scenario: Scenario) -> None:
     """Validate the audit fields against the catalog before anything runs:
     names and keys are catalog audits, no ``tolerances`` key names an audit
     that sets its own, ``audit_params`` match their schema (numbers finite
-    and positive), and the audits' own integrations (``inertia.steps``,
-    ``boost-covariance`` ``t_end / step``) are at most ``MAX_STEPS`` steps.
+    and positive), the audits' own integrations (``inertia.steps``,
+    ``boost-covariance`` ``t_end / step``) are at most ``MAX_STEPS`` steps,
+    and each law, and their merge, binds to the bodies (``forces.bind``).
 
     Raises:
         ScenarioError: naming the offending field.
@@ -667,6 +700,11 @@ def check_audit_inputs(scenario: Scenario) -> None:
     t_end, step = boost["t_end"], boost["step"]
     if t_end is not None and step is not None:
         check_steps("audit_params.boost-covariance.step", t_end / step, ratio=True)
+    for law in (*scenario.laws, merge_laws(scenario.laws)):
+        try:
+            bind(law, *scenario.bodies)
+        except ValueError as exc:
+            raise ScenarioError(f"laws: {exc}") from None
 
 
 def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:

@@ -13,11 +13,10 @@ conservation audits sharper). Observables along a trajectory:
     angular momentum  L = x_ab x (mu v_ab),  mu = m_a m_b / (m_a + m_b)
     internal energy   E = mu |v_ab|^2 / 2 + V(|x_ab|)   (central laws)
 
-with the potential V taken from the law's registered closed form or
-recovered by quadrature of the radial coefficient, V'(r) = -phi_e(r) r.
-Every kernel here evaluates the law through its pair-bound form
-(``forces.bind``), made once per trajectory. Exact statements the audits
-lean on:
+with the potential V that the law registers in closed form,
+V'(r) = -phi_e(r) r. Every kernel here evaluates the law through its
+pair-bound form (``forces.bind``), made once per trajectory; whether the
+law is central is read from it. Exact statements the audits lean on:
 
     dP/dt = f + k = 2 (x_ab x v_ab) phi_perp
     dL/dt = (x_ab x v_ab) phi_s
@@ -114,8 +113,8 @@ class Trajectory:
     ``samples()``, ``observed()``.
 
     Raises:
-        ValueError: ``rows`` does not hold 12 floats per time, or the
-            times are not strictly increasing.
+        ValueError: ``rows`` does not hold 12 floats per time, the times
+            are not strictly increasing, or ``bind`` refuses the law.
         DivergenceError: a row holds a non-finite value.
     """
 
@@ -177,7 +176,7 @@ class Trajectory:
         Raises:
             DivergenceError: at the first sample whose observables overflow.
         """
-        central = self.law.central
+        central = self.pair.central
         cells = array("d")
         append, pack = cells.frombytes, _PACK_CONSERVED[central]
         for (px, py, pz), (lx, ly, lz), energy, _ in self.observed():
@@ -192,7 +191,7 @@ class Trajectory:
         and L, so their six columns repeat a few values: those cells go
         through a bounded ``_ReprMemo``.
         """
-        central = self.law.central
+        central = self.pair.central
         write, template = stream.write, _CSV_ROW[central]
         write(CSV_HEADER + "\n")
         memo = _ReprMemo().__getitem__
@@ -225,8 +224,9 @@ def integrate(
     n * step, so pick t_end as a multiple of step for exact coverage.
 
     Raises:
-        ValueError: nonpositive step or t_end, unknown method, or verlet
-            requested for a law that is not central.
+        ValueError: nonpositive step or t_end, unknown method, a law that
+            ``bind`` refuses, or verlet requested for a law that is not
+            central.
         SingularityError: the pair entered a singular law's exclusion
             radius (including at t = 0).
         DivergenceError: the state stopped being finite.
@@ -235,13 +235,13 @@ def integrate(
         raise ValueError("step and t_end must be positive")
     if method not in ("rk4", "verlet"):
         raise ValueError(f"unknown integration method {method!r}")
-    if method == "verlet" and not law.central:
+    # Properties are fixed along a trajectory, so the law is bound once.
+    pair = bind(law, a0, b0)
+    if method == "verlet" and not pair.central:
         raise ValueError(
             f"velocity Verlet needs a velocity-independent (central) law; {law.name!r} is not"
         )
     n_steps = max(1, round(t_end / step))
-    # Properties are fixed along a trajectory, so the law is bound once.
-    pair = bind(law, a0, b0)
     inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
     force = raw_force_pair
     h = step
@@ -387,13 +387,14 @@ def _check_finite(*vectors: Triple) -> None:
 
 def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
     """Exact d(total momentum)/dt: only the normal channel contributes."""
-    if law.phi_perp is None:
+    phi_perp = bind(law, a, b).phi_perp
+    if phi_perp is None:
         return Vec3(0.0, 0.0, 0.0)
     ps = pair_state(a, b)
     r = ps.x_ab.norm()
     speed = ps.v_ab.norm()
     radial = ps.x_ab.x * ps.v_ab.x + ps.x_ab.y * ps.v_ab.y + ps.x_ab.z * ps.v_ab.z
-    c = bind(law, a, b).phi_perp(r, speed, radial)
+    c = phi_perp(r, speed, radial)
     return cross(ps.x_ab, ps.v_ab) * (2.0 * c)
 
 

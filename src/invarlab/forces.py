@@ -1,7 +1,7 @@
 """Pairwise force laws in the canonical three-channel decomposition.
 
-A law is a triple of scalar coefficient functions (phi_e, phi_s, phi_perp)
-of rotation-invariant pair data only: the two bodies' property maps, the
+A law's coefficients (phi_e, phi_s, phi_perp) are scalar functions of
+rotation-invariant pair data only: the two bodies' properties, the
 separation |x_ab|, the relative speed |v_ab|, and the alignment
 x_ab . v_ab. The force on body A and the reaction on body B are
 
@@ -13,35 +13,31 @@ normal channel adds: f + k = 2 (x_ab x v_ab) phi_perp. Restricting the
 coefficients to invariant arguments is what makes every law built here
 rotationally covariant by construction.
 
-A ``ForceLaw`` declares its coefficients as ``PhiFn``s of the property
-maps and the three invariants. It is evaluated through its pair-bound
-form: ``bind(law, a, b)`` closes the law over one pair's properties, which
-never change along a motion, and ``raw_force_pair`` evaluates the result.
-Each preset folds its property products once per pair, in the order its
-``PhiFn`` multiplies them, so the bound form gives the same floats; its
-bound coefficients read the separation alone, and a central preset needs
-neither the speed nor the alignment. ``merge_laws`` and ``soften`` compose
-the bound forms; a law built from ``PhiFn``s alone binds through a thin
-adapter that calls them with the property views and all three invariants.
+A ``ForceLaw`` is its name, its flags and its pair form. The form takes
+the two bodies' property views, which never change along a motion, and
+returns the law's ``PairTerms`` for that pair, with the property products
+folded in once. A radial coefficient that reads the separation alone is
+given as ``phi_r``. A law whose only term is ``phi_r``, or that has none,
+is central: velocity independent, with a scalar potential V,
+V'(r) = -phi_r(r) r, which its form registers in closed form.
+``bind(law, a, b)`` calls the form once and ``raw_force_pair`` evaluates
+the result; ``merge_laws`` and ``soften`` compose the terms.
 
-Coefficient functions of the built-in presets are symmetric under
-exchange of the two property maps; the deliberately nonlinear
-``charge_squared`` demo is not, and exists to fail the additivity audit.
+Coefficients of the built-in presets are symmetric under exchange of the
+two bodies' properties; the deliberately nonlinear ``charge_squared``
+demo is not, and exists to fail the additivity audit.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import Body, Check, Vec3, pair_state
 
 __all__ = [
-    "PhiFn",
-    "PotentialFn",
     "SingularityError",
     "ForceOverflowError",
     "PropertyView",
@@ -67,11 +63,7 @@ __all__ = [
     "make_preset",
 ]
 
-# (props_a, props_b, separation, relative speed, x_ab . v_ab) -> coefficient
-PhiFn = Callable[[Mapping[str, float], Mapping[str, float], float, float, float], float]
-# (props_a, props_b, separation) -> potential energy
-PotentialFn = Callable[[Mapping[str, float], Mapping[str, float], float], float]
-# A coefficient or potential bound to one pair: separation -> value
+# A term bound to one pair, of the separation alone: separation -> value
 RadialFn = Callable[[float], float]
 # A coefficient bound to one pair: (separation, relative speed, x_ab . v_ab) -> value
 BoundFn = Callable[[float, float, float], float]
@@ -119,67 +111,69 @@ class PropertyView(Mapping):
 
 
 class PairTerms(NamedTuple):
-    """A preset's coefficients and potential closed over one pair's
-    properties, each a function of the separation alone; None where the
-    law has no such term."""
+    """A law's terms closed over one pair's properties; None where the law
+    has no such term.
 
-    phi_e: RadialFn | None = None
-    phi_s: RadialFn | None = None
-    phi_perp: RadialFn | None = None
+    ``phi_e``, ``phi_s`` and ``phi_perp`` take (separation, relative speed,
+    x_ab . v_ab). ``phi_r`` is the radial coefficient as a function of the
+    separation alone, given instead of ``phi_e``. The terms are central
+    when ``phi_r`` is the only coefficient, or there is none; then
+    ``potential`` gives V(separation), and otherwise it is not read.
+    """
+
+    phi_r: RadialFn | None = None
     potential: RadialFn | None = None
+    phi_e: BoundFn | None = None
+    phi_s: BoundFn | None = None
+    phi_perp: BoundFn | None = None
+
+    @property
+    def central(self) -> bool:
+        return self.phi_e is None and self.phi_s is None and self.phi_perp is None
+
+    @property
+    def radial_channel(self) -> BoundFn | None:
+        """The radial coefficient as a function of the state.
+
+        Raises:
+            ValueError: both ``phi_r`` and ``phi_e`` are given.
+        """
+        if self.phi_r is None:
+            return self.phi_e
+        if self.phi_e is not None:
+            raise ValueError("phi_r and phi_e are one channel; give one of them")
+        return _of_state(self.phi_r)
 
 
-# (props_a, props_b) -> the law's terms for that pair
+# (property view of a, property view of b) -> the law's terms for that pair
 PairForm = Callable[[Mapping[str, float], Mapping[str, float]], PairTerms]
 
 
 @dataclass(frozen=True)
 class ForceLaw:
-    """Named triple of coefficient functions; ``None`` means identically zero.
-
-    ``radial_only`` asserts that phi_e, if present, reads only the property
-    maps and the separation. Together with absent phi_s and phi_perp this
-    makes the law central: velocity independent, with a scalar potential
-    (registered in ``potential``, or recovered by quadrature).
+    """A named pair form and its flags; whether the law is central is read
+    from the terms the form returns.
 
     ``singular`` laws refuse evaluation below ``min_separation``.
-
-    ``pair_form``, given by the presets, ``merge_laws`` and ``soften``,
-    builds the law's ``PairTerms`` for a pair; it must give the same floats
-    as the coefficient functions. ``dataclasses.replace`` drops it, so a
-    law with replaced coefficients binds through them.
     """
 
     name: str
-    phi_e: PhiFn | None = None
-    phi_s: PhiFn | None = None
-    phi_perp: PhiFn | None = None
-    potential: PotentialFn | None = None
+    pair_form: PairForm
     singular: bool = False
     min_separation: float = 1e-9
-    radial_only: bool = True
-    pair_form: InitVar[PairForm | None] = None
-
-    def __post_init__(self, pair_form: PairForm | None) -> None:
-        object.__setattr__(self, "_pair_form", pair_form)
-
-    # Read once per trajectory sample; ``dataclasses.replace`` builds a new
-    # instance, so the cached value never outlives the fields it reads.
-    @cached_property
-    def central(self) -> bool:
-        return self.phi_s is None and self.phi_perp is None and self.radial_only
 
 
 class PairLaw:
     """A law bound to one pair by ``bind``: the masses, the reduced mass
-    ``mu = ma * mb / (ma + mb)``, the law's flags, and its coefficients and
-    potential closed over the pair's properties.
+    ``mu = ma * mb / (ma + mb)``, the law's flags, and its terms closed
+    over the pair's properties.
 
     ``phi_e``, ``phi_s`` and ``phi_perp`` take (separation, relative speed,
-    x_ab . v_ab), or are None where the law has no such channel.
-    ``phi_r`` is phi_e as a function of the separation alone, set only for
-    a central law whose bound form reads nothing else. ``potential`` is
-    V(separation), set exactly when the law is central.
+    x_ab . v_ab), or are None where the law has no such channel; a
+    ``phi_r`` term is ``phi_e`` of the separation alone. When the law is
+    ``central``, ``phi_r`` is kept, so that its force is evaluated from
+    the separation alone, and ``potential`` is V(separation); both are
+    None otherwise.
     """
 
     __slots__ = (
@@ -187,26 +181,18 @@ class PairLaw:
         "forceless", "phi_e", "phi_s", "phi_perp", "phi_r", "potential",
     )
 
-    def __init__(
-        self,
-        law: ForceLaw,
-        ma: float,
-        mb: float,
-        channels: tuple[BoundFn | None, BoundFn | None, BoundFn | None],
-        phi_r: RadialFn | None,
-        potential: RadialFn | None,
-    ) -> None:
+    def __init__(self, law: ForceLaw, ma: float, mb: float, terms: PairTerms) -> None:
         self.name = law.name
         self.ma, self.mb = ma, mb
         self.mu = ma * mb / (ma + mb)
         self.singular, self.min_separation = law.singular, law.min_separation
-        self.central = law.central
         # A separation is refused below ``floor``; none is below 0.0.
         self.floor = law.min_separation if law.singular else 0.0
-        self.phi_e, self.phi_s, self.phi_perp = channels
-        self.forceless = channels == (None, None, None)
-        self.phi_r = phi_r
-        self.potential = potential
+        self.central = terms.central
+        self.phi_e, self.phi_s, self.phi_perp = terms.radial_channel, terms.phi_s, terms.phi_perp
+        self.forceless = self.central and terms.phi_r is None
+        self.phi_r = terms.phi_r if self.central else None
+        self.potential = terms.potential if self.central else None
 
 
 def _of_state(fn: RadialFn) -> BoundFn:
@@ -214,50 +200,19 @@ def _of_state(fn: RadialFn) -> BoundFn:
     return lambda r, speed, radial: fn(r)
 
 
-def _zero_potential(r: float) -> float:
-    return 0.0
-
-
-def _quadrature_potential(phi_e: BoundFn) -> RadialFn:
-    """V(r) from V'(rho) = -phi_e(rho) rho, gauged to zero at rho = 1. The
-    gauge constant cancels in every drift check."""
-
-    def integrand(rho: float) -> float:
-        return -phi_e(rho, 0.0, 0.0) * rho
-
-    return lambda r: _adaptive_simpson(integrand, 1.0, r, 1e-12)
-
-
 def bind(law: ForceLaw, a: Body, b: Body) -> PairLaw:
-    """``law`` bound to the pair (a, b): their properties never change along
-    a motion, so only the states remain to be given.
+    """``law`` bound to the pair (a, b): its pair form called once with the
+    bodies' property views. Their properties never change along a motion,
+    so only the states remain to be given.
 
-    A law with a pair form binds to its terms. Any other law binds through
-    its ``PhiFn``s and ``PotentialFn``, called with the bodies' property
-    views. A central law without a registered potential gets one by
-    quadrature of its radial coefficient.
+    Raises:
+        ValueError: the form gives both ``phi_r`` and ``phi_e``, or its
+            terms are central and give no potential.
     """
-    qa, qb = PropertyView(a), PropertyView(b)
-    form: PairForm | None = law._pair_form
-    phi_r: RadialFn | None = None
-    if form is not None:
-        terms = form(qa, qb)
-        channels = tuple(None if fn is None else _of_state(fn) for fn in terms[:3])
-        if law.central:
-            phi_r = terms.phi_e
-        potential = terms.potential
-    else:
-        channels = tuple(
-            None if fn is None else partial(fn, qa, qb)
-            for fn in (law.phi_e, law.phi_s, law.phi_perp)
-        )
-        potential = None if law.potential is None else partial(law.potential, qa, qb)
-    phi_e = channels[0]
-    if not law.central:
-        potential = None
-    elif potential is None:
-        potential = _zero_potential if phi_e is None else _quadrature_potential(phi_e)
-    return PairLaw(law, a.mass, b.mass, channels, phi_r, potential)
+    terms = law.pair_form(PropertyView(a), PropertyView(b))
+    if terms.central and terms.potential is None:
+        raise ValueError(f"central law {law.name!r} registers no potential")
+    return PairLaw(law, a.mass, b.mass, terms)
 
 
 # The force pair of a law with no channel, whatever the state.
@@ -363,103 +318,69 @@ def _summed(fns: Sequence[Callable]) -> Callable:
     return summed
 
 
+def _channel(fns: Sequence[Callable | None]) -> Callable | None:
+    """The sum of the terms that are given; a lone term unsummed."""
+    fns = [fn for fn in fns if fn is not None]
+    if not fns:
+        return None
+    return fns[0] if len(fns) == 1 else _summed(fns)
+
+
 def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
-    """Single law whose coefficients are the channel-wise sums.
+    """Single law whose terms are the channel-wise sums of the laws' terms.
 
     The sums add left to right from 0.0, not with ``sum()``: from Python
     3.12 on ``sum()`` adds floats with compensation, which would make the
     outputs of a multi-law run depend on the Python version. A channel
-    that one law alone has is that law's coefficient, unsummed. The pair
-    form sums the laws' terms in the same way, if every law has one.
+    that one law alone has is that law's term, unsummed. If every law's
+    terms are central, ``phi_r`` and the potential are summed; otherwise
+    each ``phi_r`` joins the ``phi_e`` sum as a function of the state.
     """
     laws = tuple(laws)
     if not laws:
         return free()
     if len(laws) == 1:
         return laws[0]
+    forms = [law.pair_form for law in laws]
 
-    def channel(fns: Sequence[Callable | None]) -> Callable | None:
-        fns = [fn for fn in fns if fn is not None]
-        if not fns:
-            return None
-        return fns[0] if len(fns) == 1 else _summed(fns)
+    def pair_form(qa, qb):
+        terms = [form(qa, qb) for form in forms]
+        if all(t.central for t in terms):
+            potentials = [t.potential for t in terms]
+            return PairTerms(phi_r=_channel([t.phi_r for t in terms]),
+                             potential=None if None in potentials else _summed(potentials))
+        return PairTerms(phi_e=_channel([t.radial_channel for t in terms]),
+                         phi_s=_channel([t.phi_s for t in terms]),
+                         phi_perp=_channel([t.phi_perp for t in terms]))
 
-    # Each law's potential joins the sum if the law has a radial channel.
-    radial = [law.phi_e is not None for law in laws]
-
-    def merged(terms: Sequence[tuple]) -> tuple:
-        """Channels and potential of the merged law from each law's four
-        terms, declared or bound."""
-        pots = [t[3] for t, has_radial in zip(terms, radial) if has_radial]
-        potential = _summed(pots) if pots and None not in pots else None
-        return (*(channel(t[i] for t in terms) for i in range(3)), potential)
-
-    forms = [law._pair_form for law in laws]
-    pair_form = None
-    if None not in forms:
-
-        def pair_form(qa, qb):
-            return PairTerms(*merged([form(qa, qb) for form in forms]))
-
-    phi_e, phi_s, phi_perp, potential = merged(
-        [(law.phi_e, law.phi_s, law.phi_perp, law.potential) for law in laws]
-    )
     singular_laws = [law for law in laws if law.singular]
     return ForceLaw(
-        name=name or "+".join(law.name for law in laws),
-        phi_e=phi_e,
-        phi_s=phi_s,
-        phi_perp=phi_perp,
-        potential=potential,
+        name or "+".join(law.name for law in laws),
+        pair_form,
         singular=bool(singular_laws),
         min_separation=max((law.min_separation for law in singular_laws), default=1e-9),
-        radial_only=all(law.radial_only for law in laws),
-        pair_form=pair_form,
     )
 
 
 def soften(law: ForceLaw, epsilon: float) -> ForceLaw:
-    """Plummer-style regularization: every coefficient and the potential see
-    sqrt(r^2 + epsilon^2) instead of r. The result is no longer singular."""
+    """Plummer-style regularization: every term sees sqrt(r^2 + epsilon^2)
+    instead of r. The result is no longer singular."""
     if epsilon <= 0.0:
         raise ValueError("softening length must be positive")
     eps2 = epsilon * epsilon
+    form = law.pair_form
 
-    def wrap(fn: PhiFn | None) -> PhiFn | None:
-        if fn is None:
-            return None
-
-        def softened(qa, qb, r, speed, radial, _fn=fn):
-            return _fn(qa, qb, math.sqrt(r * r + eps2), speed, radial)
-
-        return softened
-
-    potential = None
-    if law.potential is not None:
-
-        def potential(qa, qb, r, _pot=law.potential):  # noqa: F811
-            return _pot(qa, qb, math.sqrt(r * r + eps2))
-
-    def wrap_bound(fn: RadialFn | None) -> RadialFn | None:
+    def of_r(fn: RadialFn | None) -> RadialFn | None:
         return None if fn is None else (lambda r: fn(math.sqrt(r * r + eps2)))
 
-    form = law._pair_form
-    pair_form = None
-    if form is not None:
+    def of_state(fn: BoundFn | None) -> BoundFn | None:
+        return None if fn is None else (lambda r, v, x: fn(math.sqrt(r * r + eps2), v, x))
 
-        def pair_form(qa, qb):
-            return PairTerms(*map(wrap_bound, form(qa, qb)))
+    def pair_form(qa, qb):
+        t = form(qa, qb)
+        return PairTerms(of_r(t.phi_r), of_r(t.potential), *map(of_state, t[2:]))
 
-    return ForceLaw(
-        name=f"{law.name}(eps={epsilon:g})",
-        phi_e=wrap(law.phi_e),
-        phi_s=wrap(law.phi_s),
-        phi_perp=wrap(law.phi_perp),
-        potential=potential,
-        singular=False,
-        radial_only=law.radial_only,
-        pair_form=pair_form,
-    )
+    return ForceLaw(f"{law.name}(eps={epsilon:g})", pair_form)
 
 
 def check_property_additivity(
@@ -502,108 +423,66 @@ def check_property_additivity(
 
 # --- Built-in law presets ---
 #
-# Each preset declares its coefficients as PhiFns and gives a pair form
-# that folds the property products once, in the order the PhiFns multiply
-# them: gravity's -g * m_a * m_b / (r * r * r) is k / (r * r * r) with
-# k = -g * m_a * m_b.
+# Each pair form folds its property products once per pair: gravity's
+# -g * m_a * m_b / (r * r * r) is k / (r * r * r) with k = -g * m_a * m_b.
 
 
 def free() -> ForceLaw:
     """No interaction at all: the isolated pair."""
-    return ForceLaw("free", pair_form=lambda qa, qb: PairTerms())
+    return ForceLaw("free", lambda qa, qb: PairTerms(potential=lambda r: 0.0))
 
 
 def gravity(g: float = 1.0) -> ForceLaw:
     """Attractive inverse-square law with mass as the coupling property."""
 
-    def phi_e(qa, qb, r, speed, radial):
-        return -g * qa["mass"] * qb["mass"] / (r * r * r)
-
-    def potential(qa, qb, r):
-        return -g * qa["mass"] * qb["mass"] / r
-
     def pair_form(qa, qb):
         k = -g * qa["mass"] * qb["mass"]
-        return PairTerms(phi_e=lambda r: k / (r * r * r), potential=lambda r: k / r)
+        return PairTerms(phi_r=lambda r: k / (r * r * r), potential=lambda r: k / r)
 
-    return ForceLaw("gravity", phi_e=phi_e, potential=potential, singular=True,
-                    pair_form=pair_form)
+    return ForceLaw("gravity", pair_form, singular=True)
 
 
 def coulomb(k: float = 1.0) -> ForceLaw:
     """Inverse-square law with charge as the coupling property; repulsive
     for like charges."""
 
-    def phi_e(qa, qb, r, speed, radial):
-        return k * qa["charge"] * qb["charge"] / (r * r * r)
-
-    def potential(qa, qb, r):
-        return k * qa["charge"] * qb["charge"] / r
-
     def pair_form(qa, qb):
         kq = k * qa["charge"] * qb["charge"]
-        return PairTerms(phi_e=lambda r: kq / (r * r * r), potential=lambda r: kq / r)
+        return PairTerms(phi_r=lambda r: kq / (r * r * r), potential=lambda r: kq / r)
 
-    return ForceLaw("coulomb", phi_e=phi_e, potential=potential, singular=True,
-                    pair_form=pair_form)
+    return ForceLaw("coulomb", pair_form, singular=True)
 
 
 def spring(kappa: float = 1.0) -> ForceLaw:
     """Linear restoring force toward zero separation."""
-
-    def phi_e(qa, qb, r, speed, radial):
-        return -kappa
-
-    def potential(qa, qb, r):
-        return 0.5 * kappa * r * r
-
-    def pair_form(qa, qb):
-        c, half = -kappa, 0.5 * kappa
-        return PairTerms(phi_e=lambda r: c, potential=lambda r: half * r * r)
-
-    return ForceLaw("spring", phi_e=phi_e, potential=potential, pair_form=pair_form)
+    c, half = -kappa, 0.5 * kappa
+    terms = PairTerms(phi_r=lambda r: c, potential=lambda r: half * r * r)
+    return ForceLaw("spring", lambda qa, qb: terms)
 
 
 def linear_drag(gamma: float = 1.0) -> ForceLaw:
     """Force against the relative velocity; damps relative motion."""
-
-    def phi_s(qa, qb, r, speed, radial):
-        return -gamma
-
-    def pair_form(qa, qb):
-        c = -gamma
-        return PairTerms(phi_s=lambda r: c)
-
-    return ForceLaw("linear-drag", phi_s=phi_s, pair_form=pair_form)
+    c = -gamma
+    return ForceLaw("linear-drag", lambda qa, qb: PairTerms(phi_s=lambda r, v, x: c))
 
 
 def perp_demo(strength: float = 1.0) -> ForceLaw:
     """Constant normal-channel coefficient. The one channel that breaks
     total-momentum conservation; exists to exercise exactly that."""
-
-    def phi_perp(qa, qb, r, speed, radial):
-        return strength
-
-    def pair_form(qa, qb):
-        return PairTerms(phi_perp=lambda r: strength)
-
-    return ForceLaw("perp-demo", phi_perp=phi_perp, pair_form=pair_form)
+    return ForceLaw("perp-demo", lambda qa, qb: PairTerms(phi_perp=lambda r, v, x: strength))
 
 
 def charge_squared(k: float = 1.0) -> ForceLaw:
     """Coupling quadratic in A's charge: deliberately violates additivity
-    (and exchange symmetry). Demo law for the failing audit path."""
-
-    def phi_e(qa, qb, r, speed, radial):
-        q = qa["charge"]
-        return k * q * q * qb["charge"] / (r * r * r)
+    (and exchange symmetry). Demo law for the failing audit path. Its
+    potential is k q_a^2 q_b / r."""
 
     def pair_form(qa, qb):
         q = qa["charge"]
         kq = k * q * q * qb["charge"]
-        return PairTerms(phi_e=lambda r: kq / (r * r * r))
+        return PairTerms(phi_r=lambda r: kq / (r * r * r), potential=lambda r: kq / r)
 
-    return ForceLaw("charge-squared", phi_e=phi_e, singular=True, pair_form=pair_form)
+    return ForceLaw("charge-squared", pair_form, singular=True)
 
 
 PRESETS: dict[str, Callable[..., ForceLaw]] = {

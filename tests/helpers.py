@@ -1,16 +1,20 @@
 """Shared builders for the test suite, the API only the tests call
-(``as_tuple``, ``force_on_b``), and the Vec3 read-back of a trajectory:
-snapshots, relative states, observables and rates built from validated
-``Vec3`` arithmetic, the independent oracle that the float kernels of
-``invarlab.dynamics`` are held to."""
+(``as_tuple``, ``force_on_b``), and two independent oracles: the Vec3
+read-back of a trajectory (snapshots, relative states, observables and
+rates built from validated ``Vec3`` arithmetic), which the float kernels
+of ``invarlab.dynamics`` are held to; and the unbound force laws
+(``UnboundLaw``, the presets' coefficient functions, ``unbound_merge``,
+``unbound_soften``, ``unbound_raw_force_pair``, ``unbound_potential``),
+which the pair forms of ``invarlab.forces`` are held to."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from invarlab import (
     Body, DivergenceError, ForceLaw, PairState, SingularityError, Trajectory, Vec3, bind, cross,
@@ -181,6 +185,165 @@ def random_body(rng: random.Random, name: str, charge: float = 0.0) -> Body:
         Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
         Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)),
         {"charge": charge},
+    )
+
+
+# (props_a, props_b, separation, relative speed, x_ab . v_ab) -> coefficient
+PhiFn = Callable[[Mapping[str, float], Mapping[str, float], float, float, float], float]
+# (props_a, props_b, separation) -> potential energy
+PotentialFn = Callable[[Mapping[str, float], Mapping[str, float], float], float]
+
+
+@dataclass(frozen=True)
+class UnboundLaw:
+    """A force law declared as coefficient functions of the two property
+    views and all three invariants, called at every evaluation; ``None``
+    means identically zero. The earlier form of ``ForceLaw``.
+
+    ``radial_only`` asserts that phi_e reads only the property views and
+    the separation; with no phi_s and no phi_perp that makes the law
+    central, with a potential (declared, or by quadrature).
+    """
+
+    name: str
+    phi_e: PhiFn | None = None
+    phi_s: PhiFn | None = None
+    phi_perp: PhiFn | None = None
+    potential: PotentialFn | None = None
+    singular: bool = False
+    min_separation: float = 1e-9
+    radial_only: bool = True
+
+    @property
+    def central(self) -> bool:
+        return self.phi_s is None and self.phi_perp is None and self.radial_only
+
+
+# The presets' coefficient functions, as ``invarlab.forces`` declared them
+# beside the pair forms; keyed and parametrized as ``PRESETS``.
+
+
+def unbound_free() -> UnboundLaw:
+    return UnboundLaw("free")
+
+
+def unbound_gravity(g: float = 1.0) -> UnboundLaw:
+    return UnboundLaw(
+        "gravity",
+        phi_e=lambda qa, qb, r, speed, radial: -g * qa["mass"] * qb["mass"] / (r * r * r),
+        potential=lambda qa, qb, r: -g * qa["mass"] * qb["mass"] / r,
+        singular=True,
+    )
+
+
+def unbound_coulomb(k: float = 1.0) -> UnboundLaw:
+    return UnboundLaw(
+        "coulomb",
+        phi_e=lambda qa, qb, r, speed, radial: k * qa["charge"] * qb["charge"] / (r * r * r),
+        potential=lambda qa, qb, r: k * qa["charge"] * qb["charge"] / r,
+        singular=True,
+    )
+
+
+def unbound_spring(kappa: float = 1.0) -> UnboundLaw:
+    return UnboundLaw(
+        "spring",
+        phi_e=lambda qa, qb, r, speed, radial: -kappa,
+        potential=lambda qa, qb, r: 0.5 * kappa * r * r,
+    )
+
+
+def unbound_linear_drag(gamma: float = 1.0) -> UnboundLaw:
+    return UnboundLaw("linear-drag", phi_s=lambda qa, qb, r, speed, radial: -gamma)
+
+
+def unbound_perp_demo(strength: float = 1.0) -> UnboundLaw:
+    return UnboundLaw("perp-demo", phi_perp=lambda qa, qb, r, speed, radial: strength)
+
+
+def unbound_charge_squared(k: float = 1.0, potential: bool = True) -> UnboundLaw:
+    """With ``potential=False``, the law as declared before it registered
+    k q_a^2 q_b / r: its potential comes by quadrature."""
+
+    def phi_e(qa, qb, r, speed, radial):
+        q = qa["charge"]
+        return k * q * q * qb["charge"] / (r * r * r)
+
+    def closed_form(qa, qb, r):
+        q = qa["charge"]
+        return k * q * q * qb["charge"] / r
+
+    return UnboundLaw("charge-squared", phi_e=phi_e, potential=closed_form if potential else None,
+                      singular=True)
+
+
+UNBOUND_PRESETS = {
+    "free": unbound_free,
+    "gravity": unbound_gravity,
+    "coulomb": unbound_coulomb,
+    "spring": unbound_spring,
+    "linear-drag": unbound_linear_drag,
+    "perp-demo": unbound_perp_demo,
+    "charge-squared": unbound_charge_squared,
+}
+
+
+def _unbound_sum(fns):
+    """The sum of ``fns`` at the same arguments, left to right from 0.0."""
+
+    def summed(*args):
+        total = 0.0
+        for fn in fns:
+            total += fn(*args)
+        return total
+
+    return summed
+
+
+def unbound_merge(laws: Sequence[UnboundLaw]) -> UnboundLaw:
+    """The earlier ``merge_laws`` on coefficient functions: channel-wise
+    sums from 0.0, a lone channel unsummed, and the potentials of the laws
+    with a radial channel summed if each has one."""
+    if len(laws) == 1:
+        return laws[0]
+
+    def channel(fns):
+        fns = [fn for fn in fns if fn is not None]
+        if not fns:
+            return None
+        return fns[0] if len(fns) == 1 else _unbound_sum(fns)
+
+    pots = [law.potential for law in laws if law.phi_e is not None]
+    singular = [law for law in laws if law.singular]
+    return UnboundLaw(
+        "+".join(law.name for law in laws),
+        phi_e=channel([law.phi_e for law in laws]),
+        phi_s=channel([law.phi_s for law in laws]),
+        phi_perp=channel([law.phi_perp for law in laws]),
+        potential=_unbound_sum(pots) if pots and None not in pots else None,
+        singular=bool(singular),
+        min_separation=max((law.min_separation for law in singular), default=1e-9),
+        radial_only=all(law.radial_only for law in laws),
+    )
+
+
+def unbound_soften(law: UnboundLaw, epsilon: float) -> UnboundLaw:
+    """The earlier ``soften``: every coefficient function and the potential
+    see sqrt(r^2 + epsilon^2) instead of r."""
+    eps2 = epsilon * epsilon
+
+    def wrap(fn):
+        if fn is None:
+            return None
+        return lambda qa, qb, r, *rest: fn(qa, qb, math.sqrt(r * r + eps2), *rest)
+
+    return UnboundLaw(
+        f"{law.name}(eps={epsilon:g})",
+        phi_e=wrap(law.phi_e),
+        phi_s=wrap(law.phi_s),
+        phi_perp=wrap(law.phi_perp),
+        potential=wrap(law.potential),
+        radial_only=law.radial_only,
     )
 
 

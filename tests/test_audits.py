@@ -3,8 +3,12 @@ import math
 import pytest
 
 import invarlab.audits as audits
-from invarlab import Body, BoundedVelocity, ScenarioError, Vec3
+from invarlab import (
+    Body, BoundedVelocity, ForceLaw, ScenarioError, Vec3, charge_squared, coulomb, gravity,
+    linear_drag, perp_demo, soften, spring,
+)
 from invarlab.audits import audit_names, format_catalog, run_audits
+from invarlab.forces import PairTerms
 from invarlab.scenario import AdditionConfig, IntegratorConfig, Scenario
 
 
@@ -57,19 +61,17 @@ def test_energy_audit_errors_for_non_central_law():
 
 
 def test_energy_audit_keeps_a_nan_drift_after_finite_ones():
-    from invarlab import ForceLaw
-
     def nan_spring(every):
         """A library-built unit spring whose potential is nan at every
         ``every``-th call, so first at a sample mid-trajectory."""
         calls = []
 
-        def potential(qa, qb, r):
+        def potential(r):
             calls.append(r)
             return math.nan if len(calls) % every == 0 else 0.5 * r * r
 
-        return ForceLaw("nan-spring", phi_e=lambda qa, qb, r, speed, radial: -1.0,
-                        potential=potential)
+        terms = PairTerms(phi_r=lambda r: -1.0, potential=potential)
+        return ForceLaw("nan-spring", lambda qa, qb: terms)
 
     def energy(law):
         sc = scenario_with(laws=(law,), audits=("energy",), tolerances={"energy": 1e-3},
@@ -125,6 +127,50 @@ def test_additivity_audit_defaults_to_mass_for_gravity():
     report = run_audits(sc, seed=1)
     assert report.results[0].passed
     assert "'mass'" in report.results[0].detail
+
+
+CHARGED = (
+    Body("A", 1.0, Vec3(0.66, 0, 0), Vec3(0, 1.1, 0), {"charge": 0.5}),
+    Body("B", 2.0, Vec3(-0.33, 0, 0), Vec3(0, -0.5, 0), {"charge": -1.5}),
+)
+
+
+@pytest.mark.parametrize(
+    "laws, prop, verdict, detail",
+    [
+        ([spring()], "charge", "ERROR", "no law couples through 'charge'"),
+        ([linear_drag(), perp_demo()], None, "ERROR", "no law couples through 'charge'"),
+        ([], None, "ERROR", "no law couples through 'mass'"),
+        ([gravity(), spring()], "mass", "PASS",
+         "property 'mass', split 0.4/0.6; not coupled: spring"),
+        ([spring(), coulomb()], None, "PASS",
+         "property 'charge', split 0.2/0.3; not coupled: spring"),
+        ([charge_squared(), linear_drag(), coulomb()], None, "FAIL",
+         "property 'charge', split 0.2/0.3; failing laws: charge-squared; "
+         "not coupled: linear-drag"),
+        ([gravity()], None, "PASS", "property 'mass', split 0.4/0.6"),
+        # The default is read from the pair form, not from the law's name.
+        ([soften(gravity(), 0.01)], None, "PASS", "property 'mass', split 0.4/0.6"),
+    ],
+    ids=["spring", "drag+perp", "no-law", "gravity+spring", "spring+coulomb",
+         "charge-squared+drag+coulomb", "gravity", "softened-gravity"],
+)
+def test_additivity_tests_only_the_laws_that_read_the_property(laws, prop, verdict, detail):
+    # A law that never reads the property gives F(q1) + F(q2) = 2 F(q).
+    params = {} if prop is None else {"additivity": {"property": prop}}
+    sc = scenario_with(bodies=CHARGED, laws=tuple(laws), audits=("additivity",),
+                       audit_params=params)
+    result = run_audits(sc, seed=1).results[0]
+    assert (result.verdict, result.detail) == (verdict, detail)
+
+
+def test_a_law_that_does_not_bind_is_an_input_error():
+    bare = ForceLaw("bare", lambda qa, qb: PairTerms(phi_r=lambda r: -1.0))
+    for laws in ((bare,), (bare, linear_drag()), (gravity(), bare)):
+        sc = scenario_with(laws=laws, audits=("energy", "exchange"),
+                           integrator=IntegratorConfig("rk4", 0.01, 0.1))
+        with pytest.raises(ScenarioError, match="^laws: central law 'bare' registers no potential"):
+            run_audits(sc, seed=1)
 
 
 def test_results_do_not_depend_on_which_other_audits_run():

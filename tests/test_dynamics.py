@@ -11,6 +11,7 @@ from invarlab import (
     SingularityError,
     Trajectory,
     Vec3,
+    charge_squared,
     coulomb,
     cross,
     free,
@@ -26,11 +27,11 @@ from invarlab import (
     spring,
 )
 from invarlab.dynamics import CSV_HEADER
-from invarlab.forces import PropertyView, bind
+from invarlab.forces import PairTerms, PropertyView, bind
 
 from helpers import (
     angular_momentum_rate, as_tuple, finite_difference, kepler_pair, observables_at, relative_at,
-    sample_row, states_of,
+    sample_row, states_of, unbound_charge_squared, unbound_potential,
 )
 
 
@@ -106,29 +107,27 @@ def test_registered_potentials_match_force_by_finite_differences():
     a = Body("A", 1.2, Vec3(1.7, 0, 0), Vec3(0, 0, 0), {"charge": 2.0})
     b = Body("B", 0.8, Vec3(0, 0, 0), Vec3(0, 0, 0), {"charge": -0.5})
     h = 1e-6
-    for law in (gravity(0.7), coulomb(1.3), spring(2.1)):
-        qa, qb = PropertyView(a), PropertyView(b)
-        potential = bind(law, a, b).potential
+    for law in (gravity(0.7), coulomb(1.3), spring(2.1), charge_squared(0.9)):
+        pair = bind(law, a, b)
         for r in (0.8, 1.7, 3.0):
-            dv = (potential(r + h) - potential(r - h)) / (2 * h)
+            dv = (pair.potential(r + h) - pair.potential(r - h)) / (2 * h)
             # -dV/dr must equal phi_e(r) * r
-            phi = law.phi_e(qa, qb, r, 0.0, 0.0)
+            phi = pair.phi_r(r)
             assert abs(-dv - phi * r) < 1e-6 * max(1.0, abs(phi * r))
 
 
 def test_potential_quadrature_fallback_matches_closed_form():
-    bare = ForceLaw(
-        "bare-gravity",
-        phi_e=lambda qa, qb, r, v, c: -qa["mass"] * qb["mass"] / r**3,
-        singular=True,
-    )
-    a = Body("A", 2.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
-    b = Body("B", 3.0, Vec3(0, 0, 0), Vec3(0, 0, 0))
-    potential = bind(bare, a, b).potential
-    for r1, r2 in ((0.5, 2.0), (1.0, 4.0)):
-        numeric = potential(r2) - potential(r1)
-        closed = (-6.0 / r2) - (-6.0 / r1)
-        assert abs(numeric - closed) < 1e-10
+    # charge-squared once registered no potential and got one by quadrature
+    # of V'(rho) = -phi_e(rho) rho from rho = 1. Its closed form
+    # k q_a^2 q_b / r differs from that only by the gauge constant V(1).
+    a = Body("A", 2.0, Vec3(1, 0, 0), Vec3(0, 0, 0), {"charge": 1.5})
+    b = Body("B", 3.0, Vec3(0, 0, 0), Vec3(0, 0, 0), {"charge": -0.5})
+    potential = bind(charge_squared(1.3), a, b).potential
+    bare = unbound_charge_squared(1.3, potential=False)
+    for r in (0.5, 1.0, 2.0, 4.0):
+        numeric = unbound_potential(bare, PropertyView(a), PropertyView(b), r)
+        assert abs(numeric - (potential(r) - potential(1.0))) < 1e-10
+    assert potential(2.0) == 1.3 * 1.5 * 1.5 * -0.5 / 2.0
 
 
 def test_path_time_straight_segment():
@@ -281,7 +280,9 @@ def test_merged_trajectory_equals_hand_summed_law():
     merged = merge_laws((gravity(g), spring(kappa)))
     hand = ForceLaw(
         "hand-sum",
-        phi_e=lambda qa, qb, r, v, c: -g * qa["mass"] * qb["mass"] / r**3 - kappa,
+        lambda qa, qb: PairTerms(
+            phi_e=lambda r, v, c: -g * qa["mass"] * qb["mass"] / r**3 - kappa
+        ),
         singular=True,
     )
     a = Body("A", 1.0, Vec3(1.0, 0, 0), Vec3(0, 0.9, 0))

@@ -28,6 +28,7 @@ from invarlab import (
     spring,
     superpose,
 )
+from invarlab.forces import PairTerms, bind
 from invarlab.frames import random_rotation
 
 from helpers import force_on_b, random_body
@@ -53,7 +54,7 @@ def test_perp_channel_vanishes_for_collinear_motion():
 
 
 def test_pure_drag_like_channel():
-    law = ForceLaw("unit-drag", phi_s=lambda qa, qb, r, v, c: 1.0)
+    law = ForceLaw("unit-drag", lambda qa, qb: PairTerms(phi_s=lambda r, v, c: 1.0))
     a = body_at(Vec3(1, 0, 0), Vec3(0, 2, 0))
     b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
     assert force_on_a(law, a, b) == Vec3(0.0, 2.0, 0.0)
@@ -160,27 +161,34 @@ def test_superpose_is_componentwise_sum():
 def test_merged_channels_add_left_to_right():
     # sum() on Python >= 3.12 compensates and would give 1.0 here.
     a_val, b_val, c_val = 1e16, 1.0, -1e16
-    laws = [
-        ForceLaw(
-            f"const{i}", phi_e=lambda qa, qb, r, s, x, v=v: v, potential=lambda qa, qb, r, v=v: v
-        )
-        for i, v in enumerate((a_val, b_val, c_val))
-    ]
-    merged = merge_laws(laws)
+
+    def const(i, v):
+        terms = PairTerms(phi_r=lambda r: v, potential=lambda r: v)
+        return ForceLaw(f"const{i}", lambda qa, qb: terms)
+
+    laws = [const(i, v) for i, v in enumerate((a_val, b_val, c_val))]
     a = body_at(Vec3(1, 0, 0), Vec3(0, 0, 0))
     b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
     expected = (a_val + b_val) + c_val
     assert expected == 0.0
-    assert merged.phi_e(a.properties, b.properties, 1.0, 0.0, 0.0) == expected
-    assert merged.potential(a.properties, b.properties, 1.0) == expected
+    pair = bind(merge_laws(laws), a, b)
+    assert pair.phi_r(1.0) == expected
+    assert pair.potential(1.0) == expected
+    # Beside a non-central law, the radial sum is a channel of the state.
+    dragged = bind(merge_laws(laws + [linear_drag(0.1)]), a, b)
+    assert dragged.phi_r is None
+    assert dragged.phi_e(1.0, 0.0, 0.0) == expected
 
 
 def test_merged_law_keeps_potential_and_centrality():
-    merged = merge_laws((gravity(1.0), spring(2.0)))
+    a = body_at(Vec3(1, 0, 0), Vec3(0, 1, 0))
+    b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
+    merged = bind(merge_laws((gravity(1.0), spring(2.0))), a, b)
     assert merged.central
     assert merged.potential is not None
-    with_drag = merge_laws((gravity(1.0), linear_drag(0.1)))
+    with_drag = bind(merge_laws((gravity(1.0), linear_drag(0.1))), a, b)
     assert not with_drag.central
+    assert with_drag.potential is None
 
 
 def test_singularity_error_below_minimum_separation():
@@ -258,7 +266,10 @@ def test_free_law_produces_no_force():
 
 
 def test_law_centrality_flags():
-    assert gravity().central and spring().central and coulomb().central
-    assert not linear_drag().central
-    assert not perp_demo().central
+    a = body_at(Vec3(1, 0, 0), Vec3(0, 1, 0))
+    b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
+    for law in (gravity(), spring(), coulomb(), charge_squared(), free()):
+        assert bind(law, a, b).central
+    assert not bind(linear_drag(), a, b).central
+    assert not bind(perp_demo(), a, b).central
     assert math.isfinite(gravity().min_separation)

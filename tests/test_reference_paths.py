@@ -15,7 +15,6 @@ same operation for operation, which is what keeps the CSVs and reports
 byte-identical.
 """
 
-import dataclasses
 import io
 import math
 import random
@@ -72,18 +71,20 @@ from invarlab.core import Check
 from invarlab.dynamics import (
     CSV_HEADER, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
 )
-from invarlab.forces import PropertyView, bind, raw_force_pair
+from invarlab.forces import PairTerms, PropertyView, bind, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
 from invarlab.scenario import IntegratorConfig, Scenario
 
 from helpers import (
     Observables, angular_momentum_rate, as_tuple, finite_difference, force_on_b, kepler_pair,
-    observables_at, relative_at, sample_row, states_of, unbound_potential, unbound_raw_force_pair,
+    observables_at, relative_at, sample_row, states_of, unbound_gravity, unbound_linear_drag,
+    unbound_merge, unbound_perp_demo, unbound_potential, unbound_raw_force_pair, unbound_spring,
 )
 
 
 def reference_samples(a0, b0, law, t_end, step, method):
-    """Earlier integrator loop: one 12-tuple per sample."""
+    """Earlier integrator loop: one 12-tuple per sample, under the
+    ``UnboundLaw`` ``law``."""
     qa, qb = PropertyView(a0), PropertyView(b0)
     inv_ma, inv_mb = 1.0 / a0.mass, 1.0 / b0.mass
 
@@ -144,6 +145,7 @@ def reference_samples(a0, b0, law, t_end, step, method):
 
 
 def reference_observables(a, b, law):
+    """Observables under the ``UnboundLaw`` ``law``, from Vec3 formulas."""
     mu = a.mass * b.mass / (a.mass + b.mass)
     momentum = a.velocity * a.mass + b.velocity * b.mass
     ps = pair_state(a, b)
@@ -207,11 +209,11 @@ def reference_boost_residual(ctx):
     return worst
 
 
-def reference_conserved_residual(traj, field):
-    first = getattr(reference_observables(*states_of(traj)[0], traj.law), field)
+def reference_conserved_residual(traj, unbound, field):
+    first = getattr(reference_observables(*states_of(traj)[0], unbound), field)
     worst = 0.0
     for a, b in states_of(traj):
-        worst = max(worst, (getattr(reference_observables(a, b, traj.law), field) - first).norm())
+        worst = max(worst, (getattr(reference_observables(a, b, unbound), field) - first).norm())
     return worst
 
 
@@ -239,12 +241,20 @@ CASES = [
      0.004),
 ]
 IDS = [case[0] for case in CASES]
+# The unbound law of each case, for the reference paths.
+UNBOUND = {
+    "gravity-rk4": unbound_gravity(1.0),
+    "gravity-verlet": unbound_gravity(1.0),
+    "spring-rk4": unbound_spring(1.3),
+    "spring-verlet": unbound_spring(1.3),
+    "drag-perp-rk4": unbound_merge((unbound_linear_drag(0.3), unbound_perp_demo(0.5))),
+}
 
 
 @pytest.mark.parametrize("label, bodies, law, method, t_end, step", CASES, ids=IDS)
 def test_rows_equal_the_tuple_loop(label, bodies, law, method, t_end, step):
     traj = integrate(*bodies, law, t_end, step, method)
-    expected = reference_samples(*bodies, law, t_end, step, method)
+    expected = reference_samples(*bodies, UNBOUND[label], t_end, step, method)
     assert list(traj.samples()) == expected
     assert list(traj.rows) == [x for row in expected for x in row]
 
@@ -253,15 +263,16 @@ def test_rows_equal_the_tuple_loop(label, bodies, law, method, t_end, step):
 def test_observables_equal_the_vec3_formulas(label, bodies, law, method, t_end, step):
     traj = integrate(*bodies, law, t_end, step, method)
     for i, (a, b) in enumerate(states_of(traj)):
-        expected = reference_observables(a, b, law)
+        expected = reference_observables(a, b, UNBOUND[label])
         p, l, energy, mu = observables(bind(law, a, b), sample_row(a, b))
         assert Observables(Vec3(*p), Vec3(*l), energy, mu) == expected
         assert observables_at(traj, i) == expected
-    assert (expected.internal_energy is None) == (not law.central)
+    assert (expected.internal_energy is None) == (not UNBOUND[label].central)
 
 
 def body_level_observables(a, b, law):
-    """Earlier observables(a, b, law): Vec3 fields, checked as built."""
+    """Earlier observables(a, b, law) under the ``UnboundLaw`` ``law``: Vec3
+    fields, checked as built."""
     ma, mb = a.mass, b.mass
     pa, pb, va, vb = a.position, b.position, a.velocity, b.velocity
     mu = ma * mb / (ma + mb)
@@ -300,7 +311,7 @@ def test_observables_errors_equal_the_body_level_formulas():
                       law, "rk4", 1.0)
     pair = bind(law, a0, b0)
     for i, ((a, b), row) in enumerate(zip(states_of(traj), rows)):
-        expected = outcome(body_level_observables, a, b, law)
+        expected = outcome(body_level_observables, a, b, unbound_spring(1.0))
         if row is finite:
             p, l, energy, mu = observables(pair, row)
             assert expected.internal_energy is not None
@@ -363,15 +374,6 @@ def test_csv_writer_equals_one_repr_per_cell():
     assert all(line.endswith(",") for line in csv_text(Trajectory.write_csv, churn).splitlines()[1:])
 
 
-def test_replaced_force_law_recomputes_central():
-    law = spring(1.3)
-    assert law.central
-    dragged = dataclasses.replace(law, phi_s=linear_drag(0.3).phi_s)
-    assert not dragged.central
-    assert dataclasses.replace(dragged, phi_s=None).central
-    assert not dataclasses.replace(law, radial_only=False).central
-
-
 def _context(bodies, law, method, t_end, step, **audit_params):
     scenario = Scenario(
         name="reference",
@@ -397,9 +399,11 @@ def test_residuals_equal_the_vec3_formulas(label, bodies, law, method, t_end, st
     assert inertia.residual == reference_inertia_residual(ref)
     traj = ref.trajectory()
     momentum = _audit_conserved(ctx, "total_momentum")
-    assert momentum.residual == reference_conserved_residual(traj, "total_momentum")
+    assert momentum.residual == reference_conserved_residual(traj, UNBOUND[label], "total_momentum")
     angular = _audit_conserved(ctx, "angular_momentum")
-    assert angular.residual == reference_conserved_residual(traj, "angular_momentum")
+    assert angular.residual == reference_conserved_residual(
+        traj, UNBOUND[label], "angular_momentum"
+    )
 
 
 def reference_exchange_residual(ctx):
@@ -599,7 +603,7 @@ def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
     )
 
 
-def strict_coefficient(qa, qb, r, speed, radial):
+def strict_coefficient(r, speed, radial):
     assert math.isfinite(r), "law called at a non-finite separation"
     return 1.0
 
@@ -610,7 +614,8 @@ def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow(monkeypatch):
     huge = 1.7e308
     momentum, torque = RATE_CHECKS
     # x_ab overflows: the Vec3 formulas raise before calling the law.
-    strict = ForceLaw("strict", phi_s=strict_coefficient, phi_perp=strict_coefficient)
+    terms = PairTerms(phi_s=strict_coefficient, phi_perp=strict_coefficient)
+    strict = ForceLaw("strict", lambda qa, qb: terms)
     apart = constant_trajectory([1e308, 0, 0, 0, 1.0, 0, -1e308, 0, 0, 0, 0, 0], strict)
     cases = [
         # P overflows only at the middle of three samples.
@@ -636,15 +641,20 @@ EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e154, -1e154, 1e200, -1e200, 1e308, -1.7
 
 
 def random_coefficient(rng):
-    """A PhiFn that returns a constant (inf and nan included), or raises
-    OverflowError or ValueError on large or negative invariants."""
+    """A bound coefficient that returns a constant (inf and nan included),
+    or raises OverflowError or ValueError on large or negative invariants."""
     c = rng.choice([0.0, 1.0, -2.0, 1e300, 1e308, math.inf, math.nan])
     return rng.choice([
-        lambda qa, qb, r, speed, radial: c,
-        lambda qa, qb, r, speed, radial: c * speed,
-        lambda qa, qb, r, speed, radial: r**3.0 if r > 1e100 else c,
-        lambda qa, qb, r, speed, radial: math.sqrt(radial) if radial < 0.0 else c,
+        lambda r, speed, radial: c,
+        lambda r, speed, radial: c * speed,
+        lambda r, speed, radial: r**3.0 if r > 1e100 else c,
+        lambda r, speed, radial: math.sqrt(radial) if radial < 0.0 else c,
     ])
+
+
+def random_law(rng):
+    terms = PairTerms(phi_s=random_coefficient(rng), phi_perp=random_coefficient(rng))
+    return ForceLaw("random", lambda qa, qb: terms)
 
 
 def random_extreme_trajectory(rng):
@@ -661,7 +671,7 @@ def random_extreme_trajectory(rng):
         merge_laws(()),
         perp_demo(rng.choice([1.0, 1e308])),
         merge_laws((linear_drag(0.3), perp_demo(0.5))),
-        ForceLaw("random", phi_s=random_coefficient(rng), phi_perp=random_coefficient(rng)),
+        random_law(rng),
     ])
     masses = [rng.choice([1.0, 3.0, 1e-200, 1e200, 1e308]) for _ in range(2)]
     rest = Vec3(0.0, 0.0, 0.0)
