@@ -11,23 +11,19 @@ lemma, description, default tolerance and typed ``audit_params`` schema.
 Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 
-When a scenario requests more than one audit, ``os.fork`` exists, this
-process runs one thread and more than one CPU is usable, ``run_audits``
-forks one worker for one audit and runs the others here: without an
-integrator the first requested audit in catalog order; with one, the
-first with the most ``own_steps``, if it has at least
-``_WORKER_MIN_STEPS`` (fewer cost less than the fork). The worker sends
-its result back as ``marshal`` data (exact for every float); a worker that
-cannot be forked, fails or sends too little has its audit rerun here. The
-split is fixed, and each audit draws from its own seeded generator, so the
-report does not depend on where an audit ran.
+When a scenario requests more than one audit, ``run_audits`` hands one
+to a worker (``forking``, whose rule decides whether it forks) and runs the
+others here: without an integrator the first requested audit in catalog
+order; with one, the first with the most ``own_steps``, if it has at least
+``_WORKER_MIN_STEPS`` (fewer cost less than the fork). The worker sends its
+result back as ``marshal`` data (exact for every float); one that did not
+start, failed or sent too little has its audit rerun here.
 """
 
 from __future__ import annotations
 
 import marshal
 import math
-import os
 import random
 from dataclasses import astuple, dataclass, replace
 from functools import partial
@@ -42,7 +38,7 @@ from .forces import (
     ForceLaw, ForceOverflowError, PropertyView, SingularityError, bind,
     check_property_additivity, force_on_a, force_pair, merge_laws, superpose,
 )
-from .forking import can_fork, reap_child, start_child
+from .forking import reap_child, start_child
 from .frames import (
     FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
     pure_boost, pure_translation, random_transform, raw_apply, transform_residual,
@@ -662,7 +658,8 @@ def check_audit_inputs(scenario: Scenario) -> None:
     that sets its own, ``audit_params`` match their schema (numbers finite
     and positive), the audits' own integrations (``inertia.steps``,
     ``boost-covariance`` ``t_end / step``) are at most ``MAX_STEPS`` steps,
-    and each law, and their merge, binds to the bodies (``forces.bind``).
+    each law, and their merge, binds to the bodies (``forces.bind``), and
+    a verlet integrator has a central merged law.
 
     Raises:
         ScenarioError: naming the offending field.
@@ -702,9 +699,13 @@ def check_audit_inputs(scenario: Scenario) -> None:
         check_steps("audit_params.boost-covariance.step", t_end / step, ratio=True)
     for law in (*scenario.laws, merge_laws(scenario.laws)):
         try:
-            bind(law, *scenario.bodies)
+            pair = bind(law, *scenario.bodies)
         except ValueError as exc:
             raise ScenarioError(f"laws: {exc}") from None
+    if scenario.integrator and scenario.integrator.method == "verlet" and not pair.central:
+        raise ScenarioError(
+            f"integrator.method: velocity Verlet needs a central law; {law.name!r} is not"
+        )
 
 
 def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
@@ -723,16 +724,9 @@ def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
 _WORKER_MIN_STEPS = 1000
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; on one, a worker would only add a fork."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _received(payload: bytes, error: str | None) -> AuditResult | None:
+def _received(payload: bytes | None) -> AuditResult | None:
     """The worker's result, or None if it failed or sent too little."""
-    if error is not None:
+    if payload is None:
         return None
     try:
         return AuditResult(*marshal.loads(payload))
@@ -743,7 +737,7 @@ def _received(payload: bytes, error: str | None) -> AuditResult | None:
 def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec | None:
     """The requested audit to run in a forked worker, if any (see the
     module notes)."""
-    if len(requested) < 2 or not can_fork() or _usable_cpus() < 2:
+    if len(requested) < 2:
         return None
     if scenario.integrator is None:
         return requested[0]
@@ -767,12 +761,8 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
     chosen = _worker_audit(scenario, requested)
-    worker = None
-    if chosen is not None:
-        try:
-            worker = start_child(lambda: marshal.dumps(astuple(_verdict(chosen, ctx))))
-        except OSError:
-            pass
+    worker = None if chosen is None else start_child(
+        lambda: marshal.dumps(astuple(_verdict(chosen, ctx))))
     if worker is None:
         results = [_verdict(spec, ctx) for spec in requested]
     else:
@@ -782,7 +772,7 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
             sent = reap_child(worker)
         # A failed worker's audit gives the same verdict here, and an
         # exception it hit surfaces with its traceback.
-        here[chosen.name] = _received(*sent) or _verdict(chosen, ctx)
+        here[chosen.name] = _received(sent) or _verdict(chosen, ctx)
         results = [here[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, seed, tuple(results), integrator)

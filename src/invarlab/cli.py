@@ -5,20 +5,11 @@ Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
-Two kinds of work may leave this process, each for one forked child
-(``forking``), and both may run at once:
-
-- trajectory.csv is written in two phases: the numeric one (P, L and E of
-  every sample) in this process, the text one in a child while this process
-  writes drift.csv and runs the audits. A failed child is an OSError.
-- ``run_audits`` may run one audit in a worker while this process runs the
-  others (see ``audits``): without an integrator the first requested one,
-  with one the audit that integrates the most steps of its own, if they
-  are enough to pay for the fork, such as kepler's boost-covariance.
-
-Without ``os.fork``, or with other threads running, all of it runs in this
-process, and so do the audits on one usable CPU. Where a piece of work ran
-never changes an output byte.
+trajectory.csv is written in two phases: the numeric one (P, L and E of
+every sample) here, the text one handed to a child while this process
+writes drift.csv and runs the audits, which may hand one audit to a worker
+(see ``audits``). ``forking`` states the rule for where such work runs; a
+text child that did not start or failed has trajectory.csv written here.
 """
 
 from __future__ import annotations
@@ -37,7 +28,7 @@ from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
 from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
-from .forking import Child, can_fork, reap_child, start_child
+from .forking import Child, reap_child, start_child
 from .report import AuditReport, AuditResult, ERROR
 from .scenario import Scenario, ScenarioError, _number, load_scenario
 
@@ -81,8 +72,8 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
     Raises:
         ScenarioError: an invalid audit name, tolerance or audit parameter,
             before anything is written.
-        OSError: an output could not be written; a failed child's error is
-            named, and report.json is not written.
+        OSError: an output could not be written; report.json is not
+            written.
     """
     check_audit_inputs(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,9 +88,8 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
                 trajectory = ctx.trajectory()
                 cells = trajectory.conserved()
                 with (out_dir / "trajectory.csv").open("w") as stream:
-                    if can_fork():
-                        child = start_child(partial(_text_phase, stream, trajectory, cells))
-                    else:
+                    child = start_child(partial(_text_phase, stream, trajectory, cells))
+                    if child is None:
                         trajectory.write_csv_text(stream, cells)
                 del cells
                 _write_drift_csv(ctx, out_dir)
@@ -114,9 +104,10 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
                 )
         report = run_audits(scenario, seed, context=ctx)
     finally:
-        child_error = None if child is None else reap_child(child)[1]
-    if child_error is not None:
-        raise OSError(f"writing trajectory.csv failed: {child_error}")
+        failed = child is not None and reap_child(child) is None
+    if failed and trajectory_failure is None:
+        with (out_dir / "trajectory.csv").open("w") as stream:
+            trajectory.write_csv(stream)
     if trajectory_failure is not None:
         report = AuditReport(
             scenario=report.scenario,

@@ -1,10 +1,19 @@
-"""Work done in a forked child while this process goes on.
+"""Work that may leave this process, and the one rule for where it runs.
 
 ``start_child(work)`` forks a child that runs ``work()`` and sends the bytes
-it returns back through a pipe; ``reap_child`` reads them and waits for the
-child. The child always ends in ``os._exit``, never in the caller's frames:
-status 0 after sending its payload, or 1 after sending ``TypeName: message``.
-What a failed child means is the caller's to decide.
+it returns back through a pipe, but only if ``can_fork()``: ``os.fork``
+exists, this process runs one thread (a fork copies no other thread, nor
+what it holds) and more than one CPU is usable (on one, a child would only
+add a fork). Otherwise, or if the pipe or the fork fails, it starts nothing
+and returns None. ``reap_child`` reads the payload and waits for the child;
+it returns None if the child failed. The child always ends in ``os._exit``,
+never in the caller's frames: status 0 after sending its payload, 1 if
+``work`` raised; it sends no error text.
+
+A piece of work whose child did not start or failed is done again in this
+process by the caller, so an error reads the same as on the in-process path
+and an unexpected exception surfaces with its traceback. Where a piece of
+work ran never changes an output byte, the exit code or an error's text.
 """
 
 from __future__ import annotations
@@ -17,9 +26,12 @@ __all__ = ["Child", "can_fork", "reap_child", "start_child"]
 
 
 def can_fork() -> bool:
-    """Whether a child may be forked: ``os.fork`` exists and this process
-    runs one thread, since a fork copies no other thread, nor what it holds."""
-    return hasattr(os, "fork") and threading.active_count() == 1
+    """Whether ``start_child`` forks (see the module notes)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and threading.active_count() == 1 and cpus > 1
 
 
 class Child(NamedTuple):
@@ -29,40 +41,39 @@ class Child(NamedTuple):
     reader: int
 
 
-def start_child(work: Callable[[], bytes]) -> Child:
-    """Fork a child that runs ``work`` and sends what it returns.
-
-    Raises:
-        OSError: the pipe or the fork failed; no child was started.
-    """
-    reader, writer = os.pipe()
+def start_child(work: Callable[[], bytes]) -> Child | None:
+    """Fork a child that runs ``work`` and sends what it returns; None,
+    with no child started, if ``can_fork()`` is false or the pipe or the
+    fork failed."""
+    if not can_fork():
+        return None
+    try:
+        reader, writer = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(reader)
         os.close(writer)
-        raise
+        return None
     if pid == 0:
         status = 1
-        try:
+        try:  # interrupts too: the child must not unwind into the caller
             os.close(reader)
-            try:
-                payload, sent_status = work(), 0
-            except BaseException as exc:  # interrupts too: the child must not unwind
-                payload, sent_status = f"{type(exc).__name__}: {exc}".encode(errors="replace"), 1
+            payload = work()
             with open(writer, "wb") as pipe:
                 pipe.write(payload)
-            status = sent_status
+            status = 0
         finally:
             os._exit(status)
     os.close(writer)
     return Child(pid, reader)
 
 
-def reap_child(child: Child) -> tuple[bytes, str | None]:
-    """Read what ``child`` sent, then wait for it: its payload and None if
-    it succeeded, else ``b""`` and its error text (its exit status if it
-    sent none). Reading first means a child with more to send than a pipe
+def reap_child(child: Child) -> bytes | None:
+    """Read what ``child`` sent, then wait for it: its payload, or None if
+    it failed. Reading first means a child with more to send than a pipe
     holds never blocks on this process waiting for it.
     """
     try:
@@ -70,7 +81,4 @@ def reap_child(child: Child) -> tuple[bytes, str | None]:
             sent = pipe.read()
     finally:
         _, status = os.waitpid(child.pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        return b"", sent.decode(errors="replace") or f"exit status {code}"
-    return sent, None
+    return None if status else sent

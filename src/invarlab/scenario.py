@@ -22,9 +22,9 @@ Schema (version "v1"):
       "audit_params": {"boost-covariance": {"count": 10}}
     }
 
-Everything after "bodies" is optional. "frames" may instead be a list of
-explicit transforms ({"rotation": 3x3, "translation": [..], "boost": [..],
-"time_offset": s}). Validation reports the offending field by path before
+Everything after "bodies" is optional. "frames" may instead be a non-empty
+list of explicit transforms ({"rotation": 3x3, "translation": [..], "boost":
+[..], "time_offset": s}). Validation reports the offending field by path before
 any computation runs. The audit fields ("audits", "tolerances",
 "audit_params") are checked against the catalog that ``invarlab audits``
 lists, with each audit's params, types and defaults: numeric params must
@@ -214,6 +214,8 @@ def _law(doc: Any, path: str, softening: float) -> ForceLaw:
 
 def _frames(doc: Any, path: str) -> FrameSweepConfig:
     if isinstance(doc, list):
+        if not doc:
+            raise _fail(path, "expected at least one transform")
         explicit = []
         for i, item in enumerate(doc):
             item = _mapping(item, f"{path}[{i}]")

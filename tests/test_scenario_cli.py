@@ -103,6 +103,11 @@ def test_explicit_frames_accepted():
     assert len(sc.frames.explicit) == 2
 
 
+def test_an_empty_frames_list_is_rejected():
+    with pytest.raises(ScenarioError, match=r"^frames: expected at least one transform$"):
+        parse_scenario(minimal_doc(frames=[]))
+
+
 @pytest.mark.parametrize(
     "rotation, field",
     [
@@ -235,6 +240,23 @@ def test_cli_step_and_method_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["integrator"]["method"] == "verlet"
     assert report["integrator"]["step"] == 0.05
+
+
+@pytest.mark.parametrize("how", ["--method verlet", "a linear-drag document"])
+def test_verlet_with_a_non_central_law_is_an_input_error(tmp_path, capsys, how):
+    if how == "--method verlet":
+        args, name = ["perp-demo.json", "--method", "verlet"], "perp-demo"
+    else:
+        doc = minimal_doc(laws=[{"preset": "linear-drag", "params": {"gamma": 0.5}}],
+                          integrator={"method": "verlet", "step": 0.01, "t_end": 0.1},
+                          audits=["momentum"])
+        args, name = [str(write(tmp_path, doc))], "linear-drag"
+    out = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: integrator.method: velocity Verlet needs a central law; {name!r} is not\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_singular_encounter_reports_error_and_exits_2(tmp_path, capsys):
@@ -587,8 +609,9 @@ def test_tolerances_for_audits_that_set_their_own_are_input_errors(
     assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
 
 
-# The text phase of trajectory.csv: a forked child where os.fork exists,
-# this process otherwise.
+# The text phase of trajectory.csv: a forked child where forking.can_fork()
+# holds, this process otherwise; a child that does not start or fails has
+# trajectory.csv written here.
 
 
 def count_forks(monkeypatch, fork=True):
@@ -617,6 +640,7 @@ def assert_no_child_left():
 
 
 def test_a_child_needs_fork_and_one_thread(monkeypatch):
+    two_cpus(monkeypatch)
     assert forking.can_fork()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -627,11 +651,15 @@ def test_a_child_needs_fork_and_one_thread(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive() and forking.can_fork()
+    one_cpu(monkeypatch)
+    assert not forking.can_fork()
+    two_cpus(monkeypatch)
     count_forks(monkeypatch, fork=False)
     assert not forking.can_fork()
 
 
 def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
+    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     out = tmp_path / "out"
     assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 0
@@ -659,21 +687,20 @@ def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monke
     assert_no_child_left()
 
 
-@pytest.mark.parametrize(
-    "fork, message",
-    [(True, "writing trajectory.csv failed: OSError: disk full"), (False, "disk full")],
-)
-def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork, message):
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork):
+    # A failed child has trajectory.csv written here, which fails the same way.
     def disk_full(self, stream, cells):
         stream.write("t,ax")
         raise OSError("disk full")
 
     monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+    two_cpus(monkeypatch)
     count_forks(monkeypatch, fork)
     out = tmp_path / "out"
     with pytest.raises(OSError) as raised:
         run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42)
-    assert str(raised.value) == message
+    assert str(raised.value) == "disk full"
     assert not (out / "report.json").exists()
     assert_no_child_left()
 
@@ -681,7 +708,7 @@ def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork,
 @pytest.mark.parametrize("where", ["file", "under a file", "text phase"])
 def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, where):
     # An --out that cannot be a directory, or a text phase that fails in the
-    # child: exit 1 and one error line, no traceback.
+    # child and again here: exit 1 and one error line, no traceback.
     taken = tmp_path / "taken"
     taken.write_text("")
     out = {"file": taken, "under a file": taken / "out", "text phase": tmp_path / "out"}[where]
@@ -690,11 +717,12 @@ def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, w
             raise OSError("disk full")
 
         monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+        two_cpus(monkeypatch)
     assert main(["run", "spring.json", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if where == "text phase":
-        assert err == "error: writing trajectory.csv failed: OSError: disk full\n"
+        assert err == "error: disk full\n"
         assert not (out / "report.json").exists()
     assert_no_child_left()
 
@@ -706,6 +734,7 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
         raise DivergenceError(7, 0.07, "injected")
 
     monkeypatch.setattr(cli, "_write_drift_csv", diverge)
+    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch, fork)
     out = tmp_path / "out"
     assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 2
@@ -717,9 +746,9 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
     assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
 
 
-# The audit worker: where a child may be forked, more than one audit is
-# requested and more than one CPU is usable, one audit runs in a forked
-# worker. Without an integrator it is the first requested audit; with one,
+# The audit worker: where forking.can_fork() holds and more than one audit
+# is requested, one audit runs in a forked worker. Without an integrator it
+# is the first requested audit; with one,
 # the audit with the most own integration steps, if it has at least
 # audits._WORKER_MIN_STEPS of them.
 
@@ -798,6 +827,25 @@ def failing_fork(monkeypatch, how):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.mark.parametrize("how", ["fork raises", "pipe raises", "exit 3"])
+def test_a_text_child_that_does_not_start_or_fails_has_its_work_done_here(
+    tmp_path, capsys, monkeypatch, how
+):
+    two_cpus(monkeypatch)
+    if how == "pipe raises":
+        def no_pipe():
+            raise OSError("too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    pids = failing_fork(monkeypatch, how)
+    out = tmp_path / "out"
+    assert main(["run", "spring.json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(pids) == (how == "exit 3")
+    assert_no_child_left()
+    assert {path.name: sha256(path) for path in out.iterdir()} == GOLDEN["spring.json"][1]
 
 
 @pytest.mark.parametrize("how", ["exit 3", "short payload", "fork raises"])
@@ -890,7 +938,7 @@ def test_kepler_writes_the_same_bytes_with_its_audit_in_a_worker(
     else:
         one_cpu(monkeypatch)
     assert run_scenario(scenario, tmp_path / "here", seed=42) == 0
-    assert len(pids) == 2 + (in_process == "on one CPU")  # the text child alone
+    assert len(pids) == 2  # on one CPU nothing forks
     assert_no_child_left()
     outputs = [{path.name: sha256(path) for path in (tmp_path / side).iterdir()}
                for side in ("worker", "here")]
