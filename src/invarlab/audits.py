@@ -697,15 +697,17 @@ def check_audit_inputs(scenario: Scenario) -> None:
     t_end, step = boost["t_end"], boost["step"]
     if t_end is not None and step is not None:
         check_steps("audit_params.boost-covariance.step", t_end / step, ratio=True)
-    for law in (*scenario.laws, merge_laws(scenario.laws)):
+    verlet = scenario.integrator and scenario.integrator.method == "verlet"
+    merged = merge_laws(scenario.laws)
+    for law in (*scenario.laws, merged):
         try:
-            pair = bind(law, *scenario.bodies)
+            central = bind(law, *scenario.bodies).central
         except ValueError as exc:
             raise ScenarioError(f"laws: {exc}") from None
-    if scenario.integrator and scenario.integrator.method == "verlet" and not pair.central:
-        raise ScenarioError(
-            f"integrator.method: velocity Verlet needs a central law; {law.name!r} is not"
-        )
+        if verlet and law is merged and not central:
+            raise ScenarioError(
+                f"integrator.method: velocity Verlet needs a central law; {law.name!r} is not"
+            )
 
 
 def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:

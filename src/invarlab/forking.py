@@ -1,14 +1,15 @@
 """Work that may leave this process, and the one rule for where it runs.
 
 ``start_child(work)`` forks a child that runs ``work()`` and sends the bytes
-it returns back through a pipe, but only if ``can_fork()``: ``os.fork``
-exists, this process runs one thread (a fork copies no other thread, nor
-what it holds) and more than one CPU is usable (on one, a child would only
-add a fork). Otherwise, or if the pipe or the fork fails, it starts nothing
-and returns None. ``reap_child`` reads the payload and waits for the child;
-it returns None if the child failed. The child always ends in ``os._exit``,
-never in the caller's frames: status 0 after sending its payload, 1 if
-``work`` raised; it sends no error text.
+it returns back through a pipe, but only if ``os.fork`` exists and this
+process runs one thread (a fork copies no other thread, nor what it holds).
+Otherwise, or if the pipe or the fork fails, it starts nothing and returns
+None. The number of usable CPUs is no part of the rule: on one CPU a forked
+child measured as fast as the same work done here, and the text child keeps
+this process's peak RSS lower. ``reap_child`` reads the payload and waits
+for the child; it returns None if the child failed. The child always ends
+in ``os._exit``, never in the caller's frames: status 0 after sending its
+payload, 1 if ``work`` raised; it sends no error text.
 
 A piece of work whose child did not start or failed is done again in this
 process by the caller, so an error reads the same as on the in-process path
@@ -22,16 +23,12 @@ import os
 import threading
 from typing import Callable, NamedTuple
 
-__all__ = ["Child", "can_fork", "reap_child", "start_child"]
+__all__ = ["Child", "reap_child", "start_child"]
 
 
-def can_fork() -> bool:
+def _can_fork() -> bool:
     """Whether ``start_child`` forks (see the module notes)."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return hasattr(os, "fork") and threading.active_count() == 1 and cpus > 1
+    return hasattr(os, "fork") and threading.active_count() == 1
 
 
 class Child(NamedTuple):
@@ -43,9 +40,9 @@ class Child(NamedTuple):
 
 def start_child(work: Callable[[], bytes]) -> Child | None:
     """Fork a child that runs ``work`` and sends what it returns; None,
-    with no child started, if ``can_fork()`` is false or the pipe or the
-    fork failed."""
-    if not can_fork():
+    with no child started, if ``os.fork`` is missing, another thread runs
+    or the pipe or the fork failed."""
+    if not _can_fork():
         return None
     try:
         reader, writer = os.pipe()

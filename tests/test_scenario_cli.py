@@ -609,9 +609,9 @@ def test_tolerances_for_audits_that_set_their_own_are_input_errors(
     assert_input_error_before_any_output(tmp_path, capsys, monkeypatch, doc, field)
 
 
-# The text phase of trajectory.csv: a forked child where forking.can_fork()
-# holds, this process otherwise; a child that does not start or fails has
-# trajectory.csv written here.
+# The text phase of trajectory.csv: a forked child where os.fork exists and
+# one thread runs, this process otherwise; a child that does not start or
+# fails has trajectory.csv written here.
 
 
 def count_forks(monkeypatch, fork=True):
@@ -640,26 +640,23 @@ def assert_no_child_left():
 
 
 def test_a_child_needs_fork_and_one_thread(monkeypatch):
-    two_cpus(monkeypatch)
-    assert forking.can_fork()
+    assert forking._can_fork()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert not forking.can_fork()
+        assert not forking._can_fork()
     finally:
         release.set()
         waiter.join(timeout=10)
-    assert not waiter.is_alive() and forking.can_fork()
+    assert not waiter.is_alive() and forking._can_fork()
     one_cpu(monkeypatch)
-    assert not forking.can_fork()
-    two_cpus(monkeypatch)
+    assert forking._can_fork()  # the number of CPUs is no part of the rule
     count_forks(monkeypatch, fork=False)
-    assert not forking.can_fork()
+    assert not forking._can_fork()
 
 
 def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     out = tmp_path / "out"
     assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 0
@@ -671,7 +668,6 @@ def test_no_child_is_left_after_a_run(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["spring.json", "kepler.json"])
 def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monkeypatch, name):
     scenario = load_scenario(resolve_scenario_path(name))
-    two_cpus(monkeypatch)
     outputs = {}
     for fork in (True, False):
         pids = count_forks(monkeypatch, fork)
@@ -695,7 +691,6 @@ def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork)
         raise OSError("disk full")
 
     monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
-    two_cpus(monkeypatch)
     count_forks(monkeypatch, fork)
     out = tmp_path / "out"
     with pytest.raises(OSError) as raised:
@@ -717,7 +712,6 @@ def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, w
             raise OSError("disk full")
 
         monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
-        two_cpus(monkeypatch)
     assert main(["run", "spring.json", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -734,7 +728,6 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
         raise DivergenceError(7, 0.07, "injected")
 
     monkeypatch.setattr(cli, "_write_drift_csv", diverge)
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch, fork)
     out = tmp_path / "out"
     assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 2
@@ -746,10 +739,10 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
     assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
 
 
-# The audit worker: where forking.can_fork() holds and more than one audit
-# is requested, one audit runs in a forked worker. Without an integrator it
-# is the first requested audit; with one,
-# the audit with the most own integration steps, if it has at least
+# The audit worker: where a child may be forked and more than one audit is
+# requested, one audit runs in a forked worker, on one CPU as on two.
+# Without an integrator it is the first requested audit; with one, the
+# audit with the most own integration steps, if it has at least
 # audits._WORKER_MIN_STEPS of them.
 
 # PASS, FAIL (frame-group's tolerance is below its rounding) and ERROR
@@ -767,10 +760,7 @@ MIXED_VERDICTS = ["FAIL", "PASS", "PASS", "PASS", "ERROR"]
 
 def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
 
 def no_integrator_scenario(name):
@@ -779,24 +769,24 @@ def no_integrator_scenario(name):
     return load_scenario(resolve_scenario_path(name))
 
 
-@pytest.mark.parametrize("in_process", ["without os.fork", "on one CPU"])
+@pytest.mark.parametrize("second_run", ["without os.fork", "on one CPU"])
 @pytest.mark.parametrize("name", ["addition.json", "mixed"])
 def test_the_audit_worker_and_this_process_write_the_same_report(
-    tmp_path, capsys, monkeypatch, name, in_process
+    tmp_path, capsys, monkeypatch, name, second_run
 ):
     scenario = no_integrator_scenario(name)
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     expected_exit = 0 if name == "addition.json" else 2
     assert run_scenario(scenario, tmp_path / "worker", seed=42) == expected_exit
     assert len(pids) == 1
     assert_no_child_left()
-    if in_process == "without os.fork":
+    if second_run == "without os.fork":
         count_forks(monkeypatch, fork=False)
     else:
         one_cpu(monkeypatch)
     assert run_scenario(scenario, tmp_path / "here", seed=42) == expected_exit
-    assert len(pids) == 1
+    assert len(pids) == 1 + (second_run == "on one CPU")  # one CPU forks too
+    assert_no_child_left()
     worker, here = ((tmp_path / side / "report.json").read_bytes() for side in ("worker", "here"))
     assert worker == here
     verdicts = [audit["verdict"] for audit in json.loads(worker)["audits"]]
@@ -833,7 +823,6 @@ def failing_fork(monkeypatch, how):
 def test_a_text_child_that_does_not_start_or_fails_has_its_work_done_here(
     tmp_path, capsys, monkeypatch, how
 ):
-    two_cpus(monkeypatch)
     if how == "pipe raises":
         def no_pipe():
             raise OSError("too many open files")
@@ -854,7 +843,6 @@ def test_a_failed_worker_has_its_audit_run_here(monkeypatch, how):
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
         expected = run_audits(scenario, seed=7).to_json()
-    two_cpus(monkeypatch)
     pids = failing_fork(monkeypatch, how)
     assert run_audits(scenario, seed=7).to_json() == expected
     assert len(pids) == (how != "fork raises")
@@ -872,7 +860,6 @@ def test_an_exception_in_either_process_is_raised_here(monkeypatch, where, audit
         replace(spec, run=broken) if spec.name == audit else spec for spec in audits.CATALOG
     )
     monkeypatch.setattr(audits, "CATALOG", catalog)
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match=f"{audit} broke"):
         run_audits(parse_scenario(MIXED_DOC), seed=1)
@@ -924,21 +911,20 @@ def test_own_steps_count_the_steps_an_audit_integrates_beyond_the_trajectory():
     assert own_steps(minimal_doc(laws=[], velocity_addition={}))["boost-covariance"] == 0
 
 
-@pytest.mark.parametrize("in_process", ["without os.fork", "on one CPU"])
+@pytest.mark.parametrize("second_run", ["without os.fork", "on one CPU"])
 def test_kepler_writes_the_same_bytes_with_its_audit_in_a_worker(
-    tmp_path, capsys, monkeypatch, in_process
+    tmp_path, capsys, monkeypatch, second_run
 ):
     scenario = load_scenario(resolve_scenario_path("kepler.json"))
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     assert run_scenario(scenario, tmp_path / "worker", seed=42) == 0
     assert len(pids) == 2  # the text child and the boost-covariance worker
-    if in_process == "without os.fork":
+    if second_run == "without os.fork":
         count_forks(monkeypatch, fork=False)
     else:
         one_cpu(monkeypatch)
     assert run_scenario(scenario, tmp_path / "here", seed=42) == 0
-    assert len(pids) == 2  # on one CPU nothing forks
+    assert len(pids) == 2 + 2 * (second_run == "on one CPU")  # one CPU forks both
     assert_no_child_left()
     outputs = [{path.name: sha256(path) for path in (tmp_path / side).iterdir()}
                for side in ("worker", "here")]
@@ -951,7 +937,6 @@ def test_a_failed_worker_on_an_integrator_scenario_has_its_audit_run_here(monkey
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
         expected = run_audits(scenario, seed=7).to_json()
-    two_cpus(monkeypatch)
     pids = failing_fork(monkeypatch, how)
     assert run_audits(scenario, seed=7).to_json() == expected
     assert len(pids) == (how != "fork raises")
@@ -969,7 +954,6 @@ def test_an_exception_in_the_worker_on_an_integrator_scenario_is_raised_here(mon
         for spec in audits.CATALOG
     )
     monkeypatch.setattr(audits, "CATALOG", catalog)
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="boost-covariance broke"):
         run_audits(parse_scenario(RK4_DOC), seed=1)
@@ -985,7 +969,6 @@ def test_a_worker_needs_the_floor_of_own_steps(monkeypatch, steps, forks):
         audit_params={"inertia": {"steps": steps}},
     )
     assert audits._WORKER_MIN_STEPS == 1000
-    two_cpus(monkeypatch)
     pids = count_forks(monkeypatch)
     report = run_audits(parse_scenario(doc), seed=1)
     assert [r.verdict for r in report.results] == ["PASS", "PASS"]
@@ -995,7 +978,6 @@ def test_a_worker_needs_the_floor_of_own_steps(monkeypatch, steps, forks):
 
 def test_the_worker_takes_the_first_audit_with_the_most_own_steps(monkeypatch):
     doc = dict(RK4_DOC, audits=["momentum", "inertia", "boost-covariance"])
-    two_cpus(monkeypatch)
     for inertia_steps, chosen in [(999, "boost-covariance"), (1000, "inertia"),
                                   (1001, "inertia")]:
         scenario = parse_scenario(dict(doc, audit_params={
