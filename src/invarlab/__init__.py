@@ -7,7 +7,7 @@ bounded velocity-addition group with proper time. The CLI runs scenario
 files and emits trajectories plus machine-readable audit reports.
 """
 
-from .core import Body, PairState, Vec3, ZERO, cross, pair_state
+from .core import Body, NonFiniteError, PairState, Vec3, ZERO, cross, pair_state
 from .dynamics import (
     DivergenceError,
     Trajectory,

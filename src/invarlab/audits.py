@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .core import Body, Vec3, distance, pair_state
+from .core import Body, NonFiniteError, Vec3, distance, pair_state
 from .dynamics import (
     DivergenceError, RateKernel, Trajectory, _angular_momentum_and_rate, _momentum_and_rate,
     _rate_mismatch, integrate, momentum_rate,
@@ -715,7 +715,7 @@ def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
     try:
         m = spec.run(ctx)
     except (AuditConfigError, SingularityError, DivergenceError, ConvergenceError,
-            ForceOverflowError) as exc:
+            ForceOverflowError, NonFiniteError) as exc:
         return AuditResult(spec.name, spec.lemma, ERROR, None, None, str(exc))
     tol = ctx.tolerance(spec.name) if m.tolerance is None else m.tolerance
     verdict = PASS if m.ok and m.residual <= tol else FAIL

@@ -29,7 +29,7 @@ from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
 from .forking import Child, reap_child, start_child
-from .report import AuditReport, AuditResult, ERROR
+from .report import AuditResult, ERROR
 from .scenario import Scenario, ScenarioError, _number, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
@@ -109,12 +109,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
         with (out_dir / "trajectory.csv").open("w") as stream:
             trajectory.write_csv(stream)
     if trajectory_failure is not None:
-        report = AuditReport(
-            scenario=report.scenario,
-            seed=report.seed,
-            results=(trajectory_failure,) + report.results,
-            integrator=report.integrator,
-        )
+        report = replace(report, results=(trajectory_failure,) + report.results)
     (out_dir / "report.json").write_text(report.to_json())
 
     for line in report.summary_lines():

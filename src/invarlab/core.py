@@ -10,7 +10,14 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-__all__ = ["Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state"]
+__all__ = [
+    "NonFiniteError", "Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state",
+]
+
+
+class NonFiniteError(ValueError):
+    """A vector component is not finite: an input or a result left the
+    float range. The audits turn it into an ERROR verdict."""
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -30,7 +37,7 @@ class Vec3:
 
     def __init__(self, x: float, y: float, z: float) -> None:
         if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
-            raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
+            raise NonFiniteError(f"non-finite vector component in ({x}, {y}, {z})")
         _set_x(self, x)
         _set_y(self, y)
         _set_z(self, z)

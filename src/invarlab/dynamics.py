@@ -36,7 +36,7 @@ import struct
 from array import array
 from typing import Callable, IO, Iterator, NoReturn, Sequence
 
-from .core import Body, Vec3, cross, pair_state
+from .core import Body, NonFiniteError, Vec3, cross, pair_state
 from .forces import ForceLaw, PairLaw, _adaptive_simpson, bind, raw_force_pair
 
 __all__ = [
@@ -355,8 +355,8 @@ def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
     the law bound in ``pair`` is not central.
 
     Raises:
-        ValueError: a component of P, else of L, is not finite (the
-            message ``Vec3`` gives).
+        NonFiniteError: a component of P, else of L, is not finite (the
+            error ``Vec3`` gives).
         OverflowError: the kinetic energy overflows.
     """
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
@@ -378,11 +378,11 @@ def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
 
 
 def _check_finite(*vectors: Triple) -> None:
-    """Raise the ValueError ``Vec3`` gives for the first of ``vectors``
-    with a component that is not finite."""
+    """Raise the ``NonFiniteError`` ``Vec3`` gives for the first of
+    ``vectors`` with a component that is not finite."""
     for x, y, z in vectors:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError(f"non-finite vector component in ({x}, {y}, {z})")
+            raise NonFiniteError(f"non-finite vector component in ({x}, {y}, {z})")
 
 
 def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
@@ -413,7 +413,7 @@ class _FailedRate(tuple):
 # ``Trajectory.rows``), in the operation order of the Vec3 formulas
 # (``momentum_rate`` and its torque twin). Each vector the formula builds
 # is checked where it would be, through ``_check_finite``: a series vector
-# raises its ValueError, a prediction's error is returned as a
+# raises its NonFiniteError, a prediction's error is returned as a
 # ``_FailedRate``. A sum of components may overflow while each is finite,
 # so a sum that is not finite only selects the per-vector checks.
 RateKernel = Callable[[PairLaw, Sequence[float]], tuple[Triple, Triple]]

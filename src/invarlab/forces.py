@@ -326,7 +326,7 @@ def _channel(fns: Sequence[Callable | None]) -> Callable | None:
     return fns[0] if len(fns) == 1 else _summed(fns)
 
 
-def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
+def merge_laws(laws: Sequence[ForceLaw]) -> ForceLaw:
     """Single law whose terms are the channel-wise sums of the laws' terms.
 
     The sums add left to right from 0.0, not with ``sum()``: from Python
@@ -355,7 +355,7 @@ def merge_laws(laws: Sequence[ForceLaw], name: str | None = None) -> ForceLaw:
 
     singular_laws = [law for law in laws if law.singular]
     return ForceLaw(
-        name or "+".join(law.name for law in laws),
+        "+".join(law.name for law in laws),
         pair_form,
         singular=bool(singular_laws),
         min_separation=max((law.min_separation for law in singular_laws), default=1e-9),

@@ -8,7 +8,7 @@ integration). FAIL is a result, not an exception.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["PASS", "FAIL", "ERROR", "AuditResult", "AuditReport"]
 
@@ -65,17 +65,7 @@ class AuditReport:
             "seed": self.seed,
             "integrator": self.integrator,
             "overall": self.overall,
-            "audits": [
-                {
-                    "audit": r.audit,
-                    "lemma": r.lemma,
-                    "verdict": r.verdict,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
+            "audits": [asdict(r) for r in self.results],
         }
         return json.dumps(doc, indent=2) + "\n"
 

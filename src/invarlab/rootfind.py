@@ -2,9 +2,8 @@
 
 Written for the bounded velocity-addition solver, where the target
 function is strictly increasing and diverges at the upper end of the
-bracket, but generic: bisection guarantees progress, a Newton step
-(secant when no derivative is supplied) accelerates whenever it lands
-inside the current bracket.
+bracket, but generic: plain bisection, which needs nothing of f beyond
+its sign and always makes progress.
 """
 
 from __future__ import annotations
@@ -15,29 +14,28 @@ __all__ = ["ConvergenceError", "solve_increasing"]
 
 _EPS = 2.220446049250313e-16
 
+# The widest finite bracket is 2**1025 wide; halving it down to the
+# collapse test's 4 ulps of 1.0 (2**-50) takes 1075 halvings.
+_MAX_HALVINGS = 1080
+
 
 class ConvergenceError(RuntimeError):
     """Root solve failed to bracket or reach the requested tolerance."""
 
 
 def solve_increasing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    fprime: Callable[[float], float] | None = None,
-    ftol: float = 1e-14,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, *, ftol: float = 1e-14
 ) -> float:
     """Solve f(x) = 0 on [lo, hi] for increasing f with f(lo) <= 0 <= f(hi).
 
-    Converges when |f(x)| <= ftol, or when the bracket has collapsed to a
+    Bisects until |f(x)| <= ftol, or until the bracket has collapsed to a
     few ulps (the root is then determined to full working precision even
     if f is too steep for the residual test, as happens next to an
     asymptote).
 
     Raises:
-        ConvergenceError: invalid bracket, or no convergence in max_iter.
+        ConvergenceError: invalid bracket, or no convergence in
+            ``_MAX_HALVINGS`` halvings.
     """
     if not lo <= hi:
         raise ConvergenceError(f"empty bracket [{lo}, {hi}]")
@@ -52,23 +50,10 @@ def solve_increasing(
     if abs(fhi) <= ftol:
         return hi
 
-    # Previous iterate, kept for secant steps.
-    x_prev, f_prev = lo, flo
-    x, fx = hi, fhi
-
-    for _ in range(max_iter):
-        trial = None
-        if fprime is not None:
-            d = fprime(x)
-            if d > 0.0:
-                trial = x - fx / d
-        elif fx != f_prev:
-            trial = x - fx * (x - x_prev) / (fx - f_prev)
-        if trial is None or not lo < trial < hi:
-            trial = 0.5 * (lo + hi)
-
-        x_prev, f_prev = x, fx
-        x = trial
+    for _ in range(_MAX_HALVINGS):
+        # Halved before adding, so that the midpoint of a wide bracket
+        # cannot overflow.
+        x = 0.5 * lo + 0.5 * hi
         fx = f(x)
         if abs(fx) <= ftol:
             return x
@@ -77,6 +62,8 @@ def solve_increasing(
         else:
             hi = x
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
+            return 0.5 * lo + 0.5 * hi
 
-    raise ConvergenceError(f"no convergence after {max_iter} iterations, bracket [{lo}, {hi}]")
+    raise ConvergenceError(
+        f"no convergence after {_MAX_HALVINGS} halvings, bracket [{lo}, {hi}]"
+    )

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -101,7 +102,7 @@ class IntegratorConfig:
         check_steps("integrator.step", self.t_end / self.step, ratio=True)
 
     def meta(self) -> dict:
-        return {"method": self.method, "step": self.step, "t_end": self.t_end}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,13 @@ class Scenario:
     addition: AdditionConfig | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     audit_params: dict[str, dict] = field(default_factory=dict)
+
+
+# The largest random frame scale s whose span 2 s is a finite float, and
+# the bounds on c that keep c * c a finite normal float.
+_MAX_SCALE = sys.float_info.max / 2.0
+_MIN_C = math.sqrt(sys.float_info.min)
+_MAX_C = math.sqrt(sys.float_info.max)
 
 
 def _fail(path: str, message: str) -> ScenarioError:
@@ -255,13 +263,14 @@ def _frames(doc: Any, path: str) -> FrameSweepConfig:
     reflections = doc.get("reflections", True)
     if not isinstance(reflections, bool):
         raise _fail(f"{path}.reflections", f"expected true or false, got {reflections!r}")
-    return FrameSweepConfig(
-        count=count,
-        translation=_number(doc.get("translation", 1.0), f"{path}.translation", nonnegative=True),
-        boost=_number(doc.get("boost", 1.0), f"{path}.boost", nonnegative=True),
-        time_offset=_number(doc.get("time_offset", 1.0), f"{path}.time_offset", nonnegative=True),
-        reflections=reflections,
-    )
+    scales = {}
+    for key in ("translation", "boost", "time_offset"):
+        scale = _number(doc.get(key, 1.0), f"{path}.{key}", nonnegative=True)
+        # A random component is drawn from [-scale, scale], which spans 2 scale.
+        if not math.isfinite(2.0 * scale):
+            raise _fail(f"{path}.{key}", f"must be at most {_MAX_SCALE:.5g}, got {scale}")
+        scales[key] = scale
+    return FrameSweepConfig(count=count, reflections=reflections, **scales)
 
 
 def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
@@ -315,9 +324,13 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
         max_speed = _number(adoc.get("max_speed", 0.9), "velocity_addition.max_speed", positive=True)
         if max_speed >= 1.0:
             raise _fail("velocity_addition.max_speed", "must be a fraction of c below 1")
+        c = _number(adoc.get("c", 1.0), "velocity_addition.c", positive=True)
+        # The echo audit works with c^2, which must be a finite normal float.
+        if not _MIN_C <= c <= _MAX_C:
+            raise _fail("velocity_addition.c", f"must be in [{_MIN_C:.5g}, {_MAX_C:.5g}], got {c}")
         addition = AdditionConfig(
             g_name=g_name,
-            c=_number(adoc.get("c", 1.0), "velocity_addition.c", positive=True),
+            c=c,
             samples=samples,
             max_speed=max_speed,
             baseline=_number(adoc.get("baseline", 1.0), "velocity_addition.baseline", positive=True),

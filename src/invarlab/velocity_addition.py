@@ -12,8 +12,8 @@ group: 0 is neutral, -u is the inverse of u, and associativity holds.
 Since a |a| G(|a|) maps [0, c) bijectively onto [0, inf), the result
 always exists and |w| < c: the bound cannot be crossed. Recovering |w|
 from the weighted norm inverts a -> a G(a): the shipped profiles do it in
-closed form, a user-supplied profile without an inverse by a scalar root
-solve (bracketed bisection with a safeguarded Newton refinement).
+closed form, a user-supplied profile without an inverse by bisection
+(``rootfind``).
 
 Proper time divides a subjective interval by the weight of the moving
 object, T = t / g(v). For any split v1 = v2 (+) v3 the weighted-vector
@@ -29,7 +29,7 @@ degenerates to ordinary vector addition with a single universal time;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Check, Vec3
@@ -60,16 +60,15 @@ class GFunction:
 
     Construction spot-checks G(0) and monotonicity on a grid. ``c`` may be
     infinite only for the degenerate classical profile, where strict
-    growth is not required. ``inverse``, when given, is the closed-form
+    growth is not required. ``inverse``, keyword-only, is the closed-form
     solution a of a G(a) = w for w >= 0; without it ``solve_speed`` finds
-    the root numerically.
+    the root by bisection.
     """
 
     name: str
     c: float
     g: Callable[[float], float]
-    g_prime: Callable[[float], float] | None = None
-    inverse: Callable[[float], float] | None = None
+    inverse: Callable[[float], float] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -107,10 +106,7 @@ class GFunction:
             )
         if self.inverse is not None:
             return min(self.inverse(weighted), hi)
-        fprime = None
-        if self.g_prime is not None:
-            fprime = lambda a: self.g(a) + a * self.g_prime(a)  # noqa: E731
-        return solve_increasing(f, 0.0, hi, fprime=fprime, ftol=1e-14 * (1.0 + weighted))
+        return solve_increasing(f, 0.0, hi, ftol=1e-14 * (1.0 + weighted))
 
     def compatible(self, other: "GFunction") -> bool:
         return self.name == other.name and self.c == other.c
@@ -124,14 +120,11 @@ def lorentz_g(c: float = 1.0) -> GFunction:
         u = a / c
         return 1.0 / math.sqrt(1.0 - u * u)
 
-    def g_prime(a: float) -> float:
-        return a * g(a) ** 3 / (c * c)
-
     def inverse(w: float) -> float:
         u = w / c
         return c * u / math.hypot(1.0, u)
 
-    return GFunction("lorentz", c, g, g_prime, inverse)
+    return GFunction("lorentz", c, g, inverse=inverse)
 
 
 def rational_g(c: float = 1.0) -> GFunction:
@@ -143,18 +136,15 @@ def rational_g(c: float = 1.0) -> GFunction:
         u = a / c
         return 1.0 / (1.0 - u * u)
 
-    def g_prime(a: float) -> float:
-        return 2.0 * a * g(a) ** 2 / (c * c)
-
     def inverse(w: float) -> float:
         return 2.0 * w / (1.0 + math.hypot(1.0, 2.0 * w / c))
 
-    return GFunction("rational", c, g, g_prime, inverse)
+    return GFunction("rational", c, g, inverse=inverse)
 
 
 def classical_g() -> GFunction:
     """Degenerate unbounded profile G = 1: plain vector addition, inverted by a = w."""
-    return GFunction("classical", math.inf, lambda a: 1.0, lambda a: 0.0, lambda w: w)
+    return GFunction("classical", math.inf, lambda a: 1.0, inverse=lambda w: w)
 
 
 GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
@@ -222,7 +212,7 @@ def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
     r = math.sqrt(x * x + y * y + z * z)
     if not r < math.inf:
         # A weighted vector or their sum is not finite, or only the norm
-        # overflows: the Vec3 expression raises the ValueError naming the
+        # overflows: the Vec3 expression raises the NonFiniteError naming the
         # first non-finite vector, and lets the last case go on.
         u.weighted() + v.weighted()
     if r == 0.0:
@@ -277,7 +267,7 @@ def check_invariance_theorem(
     dz = (lz - b.z * k) - cz
     perturbed = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not residual + perturbed < math.inf:
-        # As in ``oplus``: the Vec3 expressions raise the ValueError naming
+        # As in ``oplus``: the Vec3 expressions raise the NonFiniteError naming
         # the first non-finite vector, when there is one.
         (a * dt1 - (b * dt2 + c * dt3)).norm()
         (a * dt1 - b * k - c * dt3).norm()

@@ -10,14 +10,12 @@ def test_linear_root():
     assert abs(root - 2.0) < 1e-12
 
 
-def test_cubic_with_derivative():
-    root = solve_increasing(
-        lambda x: x**3 - 7.0, 0.0, 5.0, fprime=lambda x: 3.0 * x**2, ftol=1e-14
-    )
+def test_cubic_root():
+    root = solve_increasing(lambda x: x**3 - 7.0, 0.0, 5.0, ftol=1e-14)
     assert abs(root - 7.0 ** (1.0 / 3.0)) < 1e-13
 
 
-def test_secant_path_without_derivative():
+def test_exponential_root():
     root = solve_increasing(lambda x: math.expm1(x) - 1.0, 0.0, 3.0, ftol=1e-14)
     assert abs(root - math.log(2.0)) < 1e-12
 
@@ -46,3 +44,22 @@ def test_invalid_bracket_raises():
         solve_increasing(lambda x: x - 10.0, 0.0, 1.0, ftol=1e-14)
     with pytest.raises(ConvergenceError):
         solve_increasing(lambda x: x, 2.0, 1.0, ftol=1e-14)
+
+
+def test_root_near_zero_on_the_widest_positive_bracket():
+    # Bisection from 1e308 down to 1e-300 takes far more than 1000 halvings.
+    halvings = []
+
+    def f(x):
+        halvings.append(x)
+        return x - 1e-300
+
+    root = solve_increasing(f, 0.0, 1e308, ftol=0.0)
+    assert abs(root - 1e-300) <= 1e-15
+    assert len(halvings) > 1000
+
+
+def test_midpoint_of_a_wide_bracket_does_not_overflow():
+    # 0.5 * (lo + hi) would be inf here, as lo + hi is above the float range.
+    root = solve_increasing(lambda x: x / 1.5e308 - 1.0, 0.0, 1.7e308, ftol=1e-14)
+    assert abs(root - 1.5e308) <= 1e-14 * 1.5e308

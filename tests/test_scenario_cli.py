@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 
 import pytest
@@ -985,3 +986,85 @@ def test_the_worker_takes_the_first_audit_with_the_most_own_steps(monkeypatch):
         }))
         requested = [spec for spec in audits.CATALOG if spec.name in scenario.audits]
         assert audits._worker_audit(scenario, requested).name == chosen
+
+
+def bundled_doc(name, change):
+    doc = json.loads(resolve_scenario_path(name).read_text())
+    change(doc)
+    return doc
+
+
+def set_bodies(key, value):
+    def change(doc):
+        doc["bodies"][0][key] = [value, 0.0, 0.0]
+        doc["bodies"][1][key] = [-value, 0.0, 0.0]
+    return change
+
+
+def set_field(block, key, value):
+    return lambda doc: doc[block].__setitem__(key, value)
+
+
+EXTREME_FRAME = {"translation": [1e308, 1e308, 1e308], "boost": [1e308, 0, 0], "time_offset": 1e308}
+
+
+@pytest.mark.parametrize(
+    "name, change, code, where",
+    [
+        # Each vector that leaves the float range is an ERROR verdict.
+        ("kepler.json", set_bodies("position", 1e308), 2, "objectivity-sweep"),
+        ("kepler.json", set_bodies("velocity", 1e308), 2, "objectivity-sweep"),
+        ("kepler.json", lambda doc: doc.__setitem__("frames", [EXTREME_FRAME]), 2,
+         "objectivity-sweep"),
+        # A number the sweeps cannot carry is an input error naming its field.
+        ("kepler.json", set_field("frames", "translation", 1e308), 1, "frames.translation"),
+        ("kepler.json", set_field("frames", "boost", 1e308), 1, "frames.boost"),
+        ("kepler.json", set_field("frames", "time_offset", 1e308), 1, "frames.time_offset"),
+        ("addition.json", set_field("velocity_addition", "c", 1e308), 1, "velocity_addition.c"),
+        ("addition.json", set_field("velocity_addition", "c", 1e-170), 1, "velocity_addition.c"),
+        ("addition.json", set_field("velocity_addition", "c", 1e-300), 1, "velocity_addition.c"),
+    ],
+    ids=["positions", "velocities", "explicit-frame", "translation", "boost", "time-offset",
+         "c-1e308", "c-1e-170", "c-1e-300"],
+)
+def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
+    tmp_path, capsys, name, change, code, where
+):
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, bundled_doc(name, change))), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+        assert not out.exists()
+        return
+    assert err == ""
+    verdicts = {entry["audit"]: entry for entry in json.loads((out / "report.json").read_text())["audits"]}
+    assert verdicts[where]["verdict"] == "ERROR"
+    assert verdicts[where]["detail"].startswith("non-finite vector component in (")
+
+
+@pytest.mark.parametrize("profile", ["lorentz", "rational"])
+@pytest.mark.parametrize("end", ["lowest", "highest"])
+def test_c_is_accepted_up_to_where_its_square_leaves_the_normal_floats(
+    tmp_path, capsys, profile, end
+):
+    c = math.sqrt(sys.float_info.min) if end == "lowest" else math.sqrt(sys.float_info.max)
+    beyond = math.nextafter(c, 0.0 if end == "lowest" else math.inf)
+    block = {"g": profile, "samples": 50, "max_speed": 0.9999999999999999}
+    doc = bundled_doc("addition.json", lambda doc: doc["velocity_addition"].update(block, c=c))
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) in (0, 2)
+    assert json.loads((out / "report.json").read_text())["audits"]
+    doc["velocity_addition"]["c"] = beyond
+    with pytest.raises(ScenarioError, match=r"^velocity_addition\.c: "):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", ["translation", "boost", "time_offset"])
+def test_a_random_frame_scale_is_accepted_while_its_double_is_finite(key):
+    largest = sys.float_info.max / 2.0
+    doc = minimal_doc(frames={key: largest})
+    assert getattr(parse_scenario(doc).frames, key) == largest
+    doc["frames"][key] = math.nextafter(largest, math.inf)
+    with pytest.raises(ScenarioError, match=rf"^frames\.{key}: "):
+        parse_scenario(doc)

@@ -47,6 +47,8 @@ def test_g_function_validation():
         GFunction("decreasing", 1.0, lambda a: 1.0 - a if a < 0.5 else 1.0 + a)
     with pytest.raises(ValueError):
         GFunction("negative-c", -1.0, lambda a: 1.0)
+    with pytest.raises(TypeError):  # the inverse is keyword-only
+        GFunction("positional", 1.0, lorentz_g().g, lambda w: w)
     lorentz_g(2.0)  # fine
     rational_g(0.5)
     classical_g()
@@ -201,7 +203,7 @@ def test_closed_form_inverses_match_a_decimal_oracle():
 
 def test_closed_form_inverses_agree_with_the_root_solver():
     for gfun, scale, w in closed_form_cases():
-        solver_only = GFunction(gfun.name, gfun.c, gfun.g, gfun.g_prime)
+        solver_only = GFunction(gfun.name, gfun.c, gfun.g)
         assert abs(gfun.solve_speed(w) - solver_only.solve_speed(w)) <= 1e-12 * scale
 
 
