@@ -16,8 +16,9 @@ to a worker (``forking``, whose rule decides whether it forks) and runs the
 others here: without an integrator the first requested audit in catalog
 order; with one, the first with the most ``own_steps``, if it has at least
 ``_WORKER_MIN_STEPS`` (fewer cost less than the fork). The worker sends its
-result back as ``marshal`` data (exact for every float); one that did not
-start, failed or sent too little has its audit rerun here.
+result back as ``marshal`` data (exact for every float). After it is
+reaped, its audit runs here unless it delivered: one path for a worker that
+did not start and for one that failed or sent too little.
 """
 
 from __future__ import annotations
@@ -765,16 +766,14 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     chosen = _worker_audit(scenario, requested)
     worker = None if chosen is None else start_child(
         lambda: marshal.dumps(astuple(_verdict(chosen, ctx))))
-    if worker is None:
-        results = [_verdict(spec, ctx) for spec in requested]
-    else:
-        try:
-            here = {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
-        finally:
-            sent = reap_child(worker)
-        # A failed worker's audit gives the same verdict here, and an
-        # exception it hit surfaces with its traceback.
+    try:
+        here = {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
+    finally:
+        sent = None if worker is None else reap_child(worker)
+    if chosen is not None:
+        # A worker that did not start or failed has its audit run here, with
+        # the same verdict; an exception it hit surfaces with its traceback.
         here[chosen.name] = _received(sent) or _verdict(chosen, ctx)
-        results = [here[spec.name] for spec in requested]
+    results = [here[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, seed, tuple(results), integrator)

@@ -5,11 +5,12 @@ Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
-trajectory.csv is written in two phases: the numeric one (P, L and E of
-every sample) here, the text one handed to a child while this process
-writes drift.csv and runs the audits, which may hand one audit to a worker
-(see ``audits``). ``forking`` states the rule for where such work runs; a
-text child that did not start or failed has trajectory.csv written here.
+The trajectory's P, L and E are computed here first; trajectory.csv's text
+is then handed to a child while this process writes drift.csv and runs the
+audits, which may hand one audit to a worker (see ``audits``). ``forking``
+states the rule for where such work runs. After the child is reaped,
+trajectory.csv is written here unless the child delivered it: one path for
+a child that did not start and for one that failed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 from . import __version__
 from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
@@ -58,10 +59,10 @@ def _write_drift_csv(ctx: AuditContext, out: Path) -> None:
             stream.write(f"{t!r},{distance(p, p0)!r},{distance(l, l0)!r},{de}\n")
 
 
-def _text_phase(stream: IO[str], trajectory: Trajectory, cells: Sequence[float]) -> bytes:
-    """The text child's work: trajectory.csv's text phase into its copy of
-    ``stream``. It sends nothing back."""
-    trajectory.write_csv_text(stream, cells)
+def _text_phase(stream: IO[str], trajectory: Trajectory) -> bytes:
+    """The text child's work: trajectory.csv into its copy of ``stream``.
+    It sends nothing back."""
+    trajectory.write_csv(stream)
     stream.flush()
     return b""
 
@@ -80,18 +81,16 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
     started = time.perf_counter()
 
     ctx = AuditContext(scenario, seed)
+    trajectory: Trajectory | None = None
     trajectory_failure: AuditResult | None = None
     child: Child | None = None
     try:
         if scenario.integrator is not None:
             try:
                 trajectory = ctx.trajectory()
-                cells = trajectory.conserved()
+                trajectory.conserved()
                 with (out_dir / "trajectory.csv").open("w") as stream:
-                    child = start_child(partial(_text_phase, stream, trajectory, cells))
-                    if child is None:
-                        trajectory.write_csv_text(stream, cells)
-                del cells
+                    child = start_child(partial(_text_phase, stream, trajectory))
                 _write_drift_csv(ctx, out_dir)
             except (SingularityError, DivergenceError) as exc:
                 # drift.csv can diverge after trajectory.csv is started; drop
@@ -99,13 +98,14 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
                 # still writing keeps only its unlinked copy).
                 for name in ("trajectory.csv", "drift.csv"):
                     (out_dir / name).unlink(missing_ok=True)
+                trajectory = None
                 trajectory_failure = AuditResult(
                     "trajectory", "equations-of-motion", ERROR, detail=str(exc)
                 )
         report = run_audits(scenario, seed, context=ctx)
     finally:
-        failed = child is not None and reap_child(child) is None
-    if failed and trajectory_failure is None:
+        delivered = child is not None and reap_child(child) is not None
+    if trajectory is not None and not delivered:
         with (out_dir / "trajectory.csv").open("w") as stream:
             trajectory.write_csv(stream)
     if trajectory_failure is not None:

@@ -110,7 +110,8 @@ class Trajectory:
     sequences are accepted. ``bodies`` are the initial states, whose masses
     and properties hold along the motion; ``pair`` is ``law`` bound to them,
     which the read-back kernels evaluate. Read-back works on the rows:
-    ``samples()``, ``observed()``.
+    ``samples()``, ``observed()``, and ``conserved()``, which keeps what it
+    computes for ``write_csv``.
 
     Raises:
         ValueError: ``rows`` does not hold 12 floats per time, the times
@@ -118,7 +119,7 @@ class Trajectory:
         DivergenceError: a row holds a non-finite value.
     """
 
-    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step")
+    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step", "_conserved")
 
     def __init__(
         self,
@@ -143,6 +144,7 @@ class Trajectory:
         self.pair: PairLaw = bind(law, *bodies)
         self.method = method
         self.step = step
+        self._conserved: array | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -168,29 +170,36 @@ class Trajectory:
             raise DivergenceError(i, self.times[i], f"observables overflow: {exc}") from None
 
     def conserved(self) -> array:
-        """The numeric phase of ``write_csv``: P, L and E of every sample,
-        flat in one ``array('d')``, 7 floats per sample (Px, Py, Pz, Lx,
-        Ly, Lz, E), or 6 when the law is not central and E is undefined.
-        One ``observed()`` pass.
+        """P, L and E of every sample, flat in one ``array('d')``, 7 floats
+        per sample (Px, Py, Pz, Lx, Ly, Lz, E), or 6 when the law is not
+        central and E is undefined. One ``observed()`` pass on the first
+        call; the array is kept, and later calls return it.
 
         Raises:
             DivergenceError: at the first sample whose observables overflow.
         """
-        central = self.pair.central
-        cells = array("d")
-        append, pack = cells.frombytes, _PACK_CONSERVED[central]
-        for (px, py, pz), (lx, ly, lz), energy, _ in self.observed():
-            append(pack(px, py, pz, lx, ly, lz, energy) if central else pack(px, py, pz, lx, ly, lz))
-        return cells
+        if self._conserved is None:
+            central = self.pair.central
+            cells = array("d")
+            append, pack = cells.frombytes, _PACK_CONSERVED[central]
+            for (px, py, pz), (lx, ly, lz), energy, _ in self.observed():
+                append(pack(px, py, pz, lx, ly, lz, energy) if central else pack(px, py, pz, lx, ly, lz))
+            self._conserved = cells
+        return self._conserved
 
-    def write_csv_text(self, stream: IO[str], cells: Sequence[float]) -> None:
-        """The text phase of ``write_csv``: one row per sample from the
-        times, the rows and ``cells`` (what ``conserved`` returns).
+    def write_csv(self, stream: IO[str]) -> None:
+        """One row per sample from the times, the rows and ``conserved()``;
+        the energy column is blank when undefined.
 
         Every cell is ``repr`` of its float. A central pair law conserves P
         and L, so their six columns repeat a few values: those cells go
         through a bounded ``_ReprMemo``.
+
+        Raises:
+            DivergenceError: a sample's observables overflow; nothing is
+                written.
         """
+        cells = self.conserved()
         central = self.pair.central
         write, template = stream.write, _CSV_ROW[central]
         write(CSV_HEADER + "\n")
@@ -198,16 +207,6 @@ class Trajectory:
         it = iter(cells)
         for t, row, c in zip(self.times, self.samples(), zip(*[it] * (7 if central else 6))):
             write(template % (t, *row, *map(memo, c[:6]), *c[6:]))
-
-    def write_csv(self, stream: IO[str]) -> None:
-        """One row per sample; the energy column is blank when undefined.
-        Runs the numeric phase, then the text phase, in this process.
-
-        Raises:
-            DivergenceError: a sample's observables overflow; nothing is
-                written.
-        """
-        self.write_csv_text(stream, self.conserved())
 
 
 def integrate(

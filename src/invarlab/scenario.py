@@ -29,7 +29,8 @@ any computation runs. The audit fields ("audits", "tolerances",
 "audit_params") are checked against the catalog that ``invarlab audits``
 lists, with each audit's params, types and defaults: numeric params must
 be finite and positive, and no run, the audits' own integrations
-included, may take more than ``MAX_STEPS`` steps.
+included, may take more than ``MAX_STEPS`` steps. A body's mass and the
+light time baseline / c may not be below the smallest normal float.
 """
 
 from __future__ import annotations
@@ -143,9 +144,11 @@ class Scenario:
     audit_params: dict[str, dict] = field(default_factory=dict)
 
 
-# The largest random frame scale s whose span 2 s is a finite float, and
-# the bounds on c that keep c * c a finite normal float.
+# The largest random frame scale s whose span 2 s is a finite float, the
+# bounds on c that keep c * c a finite normal float, and the smallest normal
+# float, below which a mass or a light time baseline / c is refused.
 _MAX_SCALE = sys.float_info.max / 2.0
+_MIN_NORMAL = sys.float_info.min
 _MIN_C = math.sqrt(sys.float_info.min)
 _MAX_C = math.sqrt(sys.float_info.max)
 
@@ -194,9 +197,13 @@ def _body(doc: Any, path: str) -> Body:
     properties = {
         str(k): _number(v, f"{path}.properties.{k}") for k, v in props_doc.items()
     }
+    mass = _number(doc["mass"], f"{path}.mass", positive=True)
+    # The additivity audit splits a mass into parts, which must stay positive.
+    if mass < _MIN_NORMAL:
+        raise _fail(f"{path}.mass", f"must be at least {_MIN_NORMAL:.5g}, got {mass}")
     return Body(
         id=doc["id"],
-        mass=_number(doc["mass"], f"{path}.mass", positive=True),
+        mass=mass,
         position=_vector(doc["position"], f"{path}.position"),
         velocity=_vector(doc["velocity"], f"{path}.velocity"),
         properties=properties,
@@ -328,12 +335,15 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
         # The echo audit works with c^2, which must be a finite normal float.
         if not _MIN_C <= c <= _MAX_C:
             raise _fail("velocity_addition.c", f"must be in [{_MIN_C:.5g}, {_MAX_C:.5g}], got {c}")
+        baseline = _number(adoc.get("baseline", 1.0), "velocity_addition.baseline", positive=True)
+        # The echo audit divides by the light time baseline / c.
+        if baseline / c < _MIN_NORMAL:
+            raise _fail(
+                "velocity_addition.baseline",
+                f"baseline / c must be at least {_MIN_NORMAL:.5g}, got {baseline / c}",
+            )
         addition = AdditionConfig(
-            g_name=g_name,
-            c=c,
-            samples=samples,
-            max_speed=max_speed,
-            baseline=_number(adoc.get("baseline", 1.0), "velocity_addition.baseline", positive=True),
+            g_name=g_name, c=c, samples=samples, max_speed=max_speed, baseline=baseline
         )
 
     audits_doc = doc.get("audits", [])

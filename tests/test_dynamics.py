@@ -237,6 +237,23 @@ def test_rows_are_a_float_array_and_any_float_sequence_reads_back_alike():
     assert csv.getvalue() == listed_csv.getvalue()
 
 
+def test_conserved_is_computed_once_and_write_csv_reads_it(monkeypatch):
+    import invarlab.dynamics as dynamics
+
+    a, b, period = kepler_pair()
+    traj = integrate(a, b, gravity(1.0), period / 10.0, period / 100.0, "rk4")
+    expected = io.StringIO()
+    traj.write_csv(expected)
+    traj = integrate(a, b, gravity(1.0), period / 10.0, period / 100.0, "rk4")
+    cells = traj.conserved()
+    assert traj.conserved() is cells and len(cells) == 7 * len(traj)
+    calls = []
+    monkeypatch.setattr(dynamics, "observables", lambda *args: calls.append(args))
+    csv = io.StringIO()
+    traj.write_csv(csv)
+    assert calls == [] and csv.getvalue() == expected.getvalue()
+
+
 def test_finite_difference_on_linear_series():
     times = [0.0, 0.5, 1.0, 1.5]
     values = [Vec3(2.0 * t, -t, 0.0) for t in times]

@@ -405,6 +405,29 @@ def test_cli_step_override_must_be_finite_and_positive(tmp_path, capsys, step):
     assert not out.exists()
 
 
+# A mass that the additivity split rounds to 0, and light times baseline / c
+# that underflow: each once ended in a traceback, now in one error line.
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        ("kepler.json", lambda doc: doc["bodies"][0].update(mass=5e-324), "bodies[0].mass"),
+        ("addition.json", lambda doc: doc["velocity_addition"].update(baseline=5e-324),
+         "velocity_addition.baseline"),
+        ("addition.json", lambda doc: doc["velocity_addition"].update(c=1e154, baseline=1e-300),
+         "velocity_addition.baseline"),
+    ],
+    ids=["subnormal mass", "subnormal baseline", "baseline / c underflows"],
+)
+def test_numbers_below_the_normal_range_are_input_errors(tmp_path, capsys, name, edit, field):
+    doc = json.loads(resolve_scenario_path(name).read_text())
+    edit(doc)
+    out = tmp_path / "out"
+    assert main(["run", str(write(tmp_path, doc)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # report.json of the stiff spring run with torque-rate and momentum-rate,
 # recorded when the rate audits still read the cached (Body, Body)
 # snapshots in ``Trajectory.states``: the same samples, times and messages.
@@ -687,11 +710,11 @@ def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monke
 @pytest.mark.parametrize("fork", [True, False])
 def test_a_failed_text_phase_raises_oserror(tmp_path, capsys, monkeypatch, fork):
     # A failed child has trajectory.csv written here, which fails the same way.
-    def disk_full(self, stream, cells):
+    def disk_full(self, stream):
         stream.write("t,ax")
         raise OSError("disk full")
 
-    monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+    monkeypatch.setattr(Trajectory, "write_csv", disk_full)
     count_forks(monkeypatch, fork)
     out = tmp_path / "out"
     with pytest.raises(OSError) as raised:
@@ -709,10 +732,10 @@ def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, w
     taken.write_text("")
     out = {"file": taken, "under a file": taken / "out", "text phase": tmp_path / "out"}[where]
     if where == "text phase":
-        def disk_full(self, stream, cells):
+        def disk_full(self, stream):
             raise OSError("disk full")
 
-        monkeypatch.setattr(Trajectory, "write_csv_text", disk_full)
+        monkeypatch.setattr(Trajectory, "write_csv", disk_full)
     assert main(["run", "spring.json", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
