@@ -26,7 +26,7 @@ from __future__ import annotations
 import marshal
 import math
 import random
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -537,8 +537,8 @@ def _audit_additivity(ctx: AuditContext) -> Measurement:
 
     def split(q: float) -> Body:
         if prop == "mass":
-            return replace(a0, mass=q)
-        return replace(a0, properties={**a0.properties, prop: q})
+            return Body(a0.id, q, a0.position, a0.velocity, a0.properties)
+        return Body(a0.id, a0.mass, a0.position, a0.velocity, {**a0.properties, prop: q})
 
     coupled, uncoupled = [], []
     for law in ctx.scenario.laws or (ctx.law,):
@@ -765,7 +765,7 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     ctx = context if context is not None else AuditContext(scenario, seed)
     chosen = _worker_audit(scenario, requested)
     worker = None if chosen is None else start_child(
-        lambda: marshal.dumps(astuple(_verdict(chosen, ctx))))
+        lambda: marshal.dumps(tuple(_verdict(chosen, ctx))))
     try:
         here = {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
     finally:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -31,7 +30,7 @@ from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
 from .forking import Child, reap_child, start_child
 from .report import AuditResult, ERROR
-from .scenario import Scenario, ScenarioError, _number, load_scenario
+from .scenario import IntegratorConfig, Scenario, ScenarioError, _number, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
 
@@ -109,7 +108,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
         with (out_dir / "trajectory.csv").open("w") as stream:
             trajectory.write_csv(stream)
     if trajectory_failure is not None:
-        report = replace(report, results=(trajectory_failure,) + report.results)
+        report = report._replace(results=(trajectory_failure,) + report.results)
     (out_dir / "report.json").write_text(report.to_json())
 
     for line in report.summary_lines():
@@ -155,11 +154,9 @@ def main(argv: list[str] | None = None) -> int:
             if scenario.integrator is None:
                 raise ScenarioError("integrator: cannot override; scenario has no integrator block")
             cfg = scenario.integrator
-            if args.step is not None:
-                cfg = replace(cfg, step=args.step)
-            if args.method is not None:
-                cfg = replace(cfg, method=args.method)
-            scenario = replace(scenario, integrator=cfg)
+            method = cfg.method if args.method is None else args.method
+            step = cfg.step if args.step is None else args.step
+            scenario = scenario._replace(integrator=IntegratorConfig(method, step, cfg.t_end))
         return run_scenario(scenario, Path(args.out), args.seed)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,8 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "NonFiniteError", "Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state",
@@ -86,25 +86,56 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Body:
-    """Point body: positive mass, kinematic state, named scalar properties.
+class _Checked:
+    """Base of a NamedTuple subclass whose ``__new__`` checks its fields.
 
-    Property lookup is total: a property the body does not carry reads as
-    zero, so e.g. an uncharged body is just the zero-charge case. ``mass``
-    is reachable through the same lookup.
+    A NamedTuple's own ``_make`` builds the tuple without calling
+    ``__new__``; here it calls the constructor, and so do ``_replace`` and
+    unpickling, which go through ``_make``: every way to build an instance
+    runs the checks.
     """
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Any:
+        return cls(**dict(zip(cls._fields, iterable, strict=True)))  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> tuple:
+        return self._make, (tuple(self),)
+
+
+class _BodyFields(NamedTuple):
     id: str
     mass: float
     position: Vec3
     velocity: Vec3
-    properties: dict[str, float] = field(default_factory=dict)
+    properties: dict[str, float]
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"body {self.id!r}: mass must be positive and finite, got {self.mass}")
-        object.__setattr__(self, "properties", dict(self.properties))
+
+class Body(_Checked, _BodyFields):
+    """Point body: positive mass, kinematic state, named scalar properties.
+
+    Property lookup is total: a property the body does not carry reads as
+    zero, so e.g. an uncharged body is just the zero-charge case. ``mass``
+    is reachable through the same lookup. Each body holds its own copy of
+    the properties.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        mass: float,
+        position: Vec3,
+        velocity: Vec3,
+        properties: dict[str, float] | None = None,
+    ) -> "Body":
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ValueError(f"body {id!r}: mass must be positive and finite, got {mass}")
+        props = {} if properties is None else dict(properties)
+        return tuple.__new__(cls, (id, mass, position, velocity, props))
 
     def prop(self, name: str) -> float:
         if name == "mass":
@@ -116,8 +147,7 @@ class Body:
         return Body(self.id, self.mass, position, velocity, self.properties)
 
 
-@dataclass(frozen=True, slots=True)
-class PairState:
+class PairState(NamedTuple):
     """Relative state of an ordered body pair; negates under body exchange."""
 
     x_ab: Vec3

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import Body, Check, Vec3, pair_state
@@ -149,8 +148,7 @@ class PairTerms(NamedTuple):
 PairForm = Callable[[Mapping[str, float], Mapping[str, float]], PairTerms]
 
 
-@dataclass(frozen=True)
-class ForceLaw:
+class ForceLaw(NamedTuple):
     """A named pair form and its flags; whether the law is central is read
     from the terms the form returns.
 

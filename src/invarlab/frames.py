@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
-from .core import Vec3, ZERO, Body, Check
+from .core import Vec3, ZERO, Body, Check, _Checked
 
 __all__ = [
     "Mat3",
@@ -64,8 +63,14 @@ def orthogonality_defect(m: Mat3) -> float:
     return total if total != total else max(devs)
 
 
-@dataclass(frozen=True)
-class FrameTransform:
+class _FrameTransformFields(NamedTuple):
+    rotation: Mat3
+    translation: Vec3
+    boost: Vec3
+    time_offset: float
+
+
+class FrameTransform(_Checked, _FrameTransformFields):
     """One observer choice: rotation/reflection, origin shift, boost, clock offset.
 
     The rotation must be finite and orthogonal and the clock offset finite,
@@ -73,14 +78,17 @@ class FrameTransform:
     too; det -1 is allowed, so reflections are in the group.
     """
 
-    rotation: Mat3 = IDENTITY_ROTATION
-    translation: Vec3 = ZERO
-    boost: Vec3 = ZERO
-    time_offset: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        rotation: Mat3 = IDENTITY_ROTATION,
+        translation: Vec3 = ZERO,
+        boost: Vec3 = ZERO,
+        time_offset: float = 0.0,
+    ) -> "FrameTransform":
         try:
-            (a, b, c), (d, e, f), (g, h, k) = self.rotation
+            (a, b, c), (d, e, f), (g, h, k) = rotation
             rot = (
                 (float(a), float(b), float(c)),
                 (float(d), float(e), float(f)),
@@ -88,14 +96,14 @@ class FrameTransform:
             )
         except (TypeError, ValueError):
             raise ValueError("rotation must be a 3x3 matrix of numbers") from None
-        object.__setattr__(self, "rotation", rot)
         defect = orthogonality_defect(rot)
         if not defect <= ORTHOGONALITY_TOL:
             if not all(map(math.isfinite, (*rot[0], *rot[1], *rot[2]))):
                 raise ValueError(f"rotation entries must be finite, got {rot}")
             raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
-        if not math.isfinite(self.time_offset):
+        if not math.isfinite(time_offset):
             raise ValueError("time_offset must be finite")
+        return tuple.__new__(cls, (rot, translation, boost, time_offset))
 
 
 def identity() -> FrameTransform:

@@ -8,7 +8,7 @@ integration). FAIL is a result, not an exception.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 __all__ = ["PASS", "FAIL", "ERROR", "AuditResult", "AuditReport"]
 
@@ -17,8 +17,7 @@ FAIL = "FAIL"
 ERROR = "ERROR"
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     """Outcome of one audit: verdict plus the measured residual and the
     tolerance it was held to. ``lemma`` names the statement being checked."""
 
@@ -40,8 +39,7 @@ class AuditResult:
         return f"{self.verdict:5s} {self.audit}{res}{tol} ({self.lemma}){extra}"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Per-scenario collection of audit results, in catalog order.
 
     Serialization is deterministic: identical inputs give byte-identical
@@ -65,7 +63,7 @@ class AuditReport:
             "seed": self.seed,
             "integrator": self.integrator,
             "overall": self.overall,
-            "audits": [asdict(r) for r in self.results],
+            "audits": [r._asdict() for r in self.results],
         }
         return json.dumps(doc, indent=2) + "\n"
 

@@ -29,8 +29,9 @@ any computation runs. The audit fields ("audits", "tolerances",
 "audit_params") are checked against the catalog that ``invarlab audits``
 lists, with each audit's params, types and defaults: numeric params must
 be finite and positive, and no run, the audits' own integrations
-included, may take more than ``MAX_STEPS`` steps. A body's mass and the
-light time baseline / c may not be below the smallest normal float.
+included, may take more than ``MAX_STEPS`` steps. A body's mass may not
+be below the smallest normal float, c must square to a finite normal
+float, and the light time baseline / c and baseline * c to a normal one.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
-from .core import Body, Vec3
+from .core import Body, Vec3, _Checked
 from .forces import ForceLaw, make_preset, soften
 from .frames import FrameTransform
 from .velocity_addition import GFUNCTIONS, GFunction
@@ -85,29 +87,31 @@ def check_steps(path: str, steps: float, ratio: bool = False) -> None:
         raise ScenarioError(f"{path}: {what}{steps:.4g} steps, above the limit of {MAX_STEPS}")
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration settings, checked at construction (and so also when
-    ``dataclasses.replace`` overrides a field): at most ``MAX_STEPS``
-    steps of length ``step`` up to ``t_end``.
+class _IntegratorFields(NamedTuple):
+    method: str
+    step: float
+    t_end: float
+
+
+class IntegratorConfig(_Checked, _IntegratorFields):
+    """Integration settings, checked at construction: at most
+    ``MAX_STEPS`` steps of length ``step`` up to ``t_end``.
 
     Raises:
         ScenarioError: the run asks for more than ``MAX_STEPS`` steps.
     """
 
-    method: str
-    step: float
-    t_end: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_steps("integrator.step", self.t_end / self.step, ratio=True)
+    def __new__(cls, method: str, step: float, t_end: float) -> "IntegratorConfig":
+        check_steps("integrator.step", t_end / step, ratio=True)
+        return tuple.__new__(cls, (method, step, t_end))
 
     def meta(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FrameSweepConfig:
+class FrameSweepConfig(NamedTuple):
     """Objectivity sweep: explicit transforms, or scales for random ones."""
 
     count: int = 50
@@ -118,8 +122,7 @@ class FrameSweepConfig:
     explicit: tuple[FrameTransform, ...] = ()
 
 
-@dataclass(frozen=True)
-class AdditionConfig:
+class AdditionConfig(NamedTuple):
     g_name: str = "lorentz"
     c: float = 1.0
     samples: int = 200
@@ -131,22 +134,22 @@ class AdditionConfig:
         return factory() if self.g_name == "classical" else factory(self.c)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     bodies: tuple[Body, Body]
     laws: tuple[ForceLaw, ...]
     audits: tuple[str, ...] = ()
     integrator: IntegratorConfig | None = None
-    frames: FrameSweepConfig = field(default_factory=FrameSweepConfig)
+    frames: FrameSweepConfig = FrameSweepConfig()
     addition: AdditionConfig | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
-    audit_params: dict[str, dict] = field(default_factory=dict)
+    # Read-only empty defaults: a default is shared by every instance.
+    tolerances: Mapping[str, float] = MappingProxyType({})
+    audit_params: Mapping[str, dict] = MappingProxyType({})
 
 
 # The largest random frame scale s whose span 2 s is a finite float, the
-# bounds on c that keep c * c a finite normal float, and the smallest normal
-# float, below which a mass or a light time baseline / c is refused.
+# bounds on a speed or length x that keep x * x a finite normal float, and
+# the smallest normal float, below which a mass is refused.
 _MAX_SCALE = sys.float_info.max / 2.0
 _MIN_NORMAL = sys.float_info.min
 _MIN_C = math.sqrt(sys.float_info.min)
@@ -336,12 +339,15 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
         if not _MIN_C <= c <= _MAX_C:
             raise _fail("velocity_addition.c", f"must be in [{_MIN_C:.5g}, {_MAX_C:.5g}], got {c}")
         baseline = _number(adoc.get("baseline", 1.0), "velocity_addition.baseline", positive=True)
-        # The echo audit divides by the light time baseline / c.
-        if baseline / c < _MIN_NORMAL:
-            raise _fail(
-                "velocity_addition.baseline",
-                f"baseline / c must be at least {_MIN_NORMAL:.5g}, got {baseline / c}",
-            )
+        # The echo audit divides by the light time baseline / c, and its plain
+        # half squares baseline * c and baseline, whose square is the product
+        # of the two: below these bounds a square is not a normal float, and
+        # an echo leg underflows.
+        for what, value in (("baseline / c", baseline / c), ("baseline * c", baseline * c)):
+            if value < _MIN_C:
+                raise _fail(
+                    "velocity_addition.baseline", f"{what} must be at least {_MIN_C:.5g}, got {value}"
+                )
         addition = AdditionConfig(
             g_name=g_name, c=c, samples=samples, max_speed=max_speed, baseline=baseline
         )

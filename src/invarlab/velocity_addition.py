@@ -29,10 +29,10 @@ degenerates to ordinary vector addition with a single universal time;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .core import Check, Vec3
+from .core import Check, Vec3, _Checked
 from .rootfind import ConvergenceError, solve_increasing
 
 __all__ = [
@@ -53,8 +53,14 @@ __all__ = [
 _VALIDATION_GRID = 64
 
 
-@dataclass(frozen=True)
-class GFunction:
+class _GFunctionFields(NamedTuple):
+    name: str
+    c: float
+    g: Callable[[float], float]
+    inverse: Callable[[float], float] | None
+
+
+class GFunction(_Checked, _GFunctionFields):
     """Weight profile G: [0, c) -> [1, inf): continuous, strictly
     increasing, G(0) = 1, divergent at c.
 
@@ -65,23 +71,28 @@ class GFunction:
     the root by bisection.
     """
 
-    name: str
-    c: float
-    g: Callable[[float], float]
-    inverse: Callable[[float], float] | None = field(default=None, kw_only=True)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
+    def __new__(
+        cls,
+        name: str,
+        c: float,
+        g: Callable[[float], float],
+        *,
+        inverse: Callable[[float], float] | None = None,
+    ) -> "GFunction":
+        if not c > 0.0:
             raise ValueError("limiting speed c must be positive")
-        if abs(self.g(0.0) - 1.0) > 1e-12:
-            raise ValueError(f"G(0) must be 1, got {self.g(0.0)}")
-        if math.isfinite(self.c):
-            grid = [self.c * (k / _VALIDATION_GRID) for k in range(_VALIDATION_GRID)]
-            grid.append(self.c * (1.0 - 1e-9))
-            values = [self.g(a) for a in grid]
+        if abs(g(0.0) - 1.0) > 1e-12:
+            raise ValueError(f"G(0) must be 1, got {g(0.0)}")
+        if math.isfinite(c):
+            grid = [c * (k / _VALIDATION_GRID) for k in range(_VALIDATION_GRID)]
+            grid.append(c * (1.0 - 1e-9))
+            values = [g(a) for a in grid]
             for a, (v1, v2) in zip(grid, zip(values, values[1:])):
                 if not v2 > v1:
                     raise ValueError(f"G must be strictly increasing; violated near {a:.6g}")
+        return tuple.__new__(cls, (name, c, g, inverse))
 
     def __call__(self, speed: float) -> float:
         if speed < 0.0 or speed >= self.c:
@@ -94,22 +105,23 @@ class GFunction:
             raise ValueError("weighted norm must be nonnegative")
         if weighted == 0.0:
             return 0.0
+        name, c, g, inverse = self
         # G >= 1 puts the root at or below `weighted`; cap just under c.
-        hi = min(weighted, self.c * (1.0 - 1e-15))
+        hi = min(weighted, c * (1.0 - 1e-15))
 
         def f(a: float) -> float:
-            return a * self.g(a) - weighted
+            return a * g(a) - weighted
 
         if f(hi) < 0.0:
             raise ConvergenceError(
-                f"{self.name}: weighted norm {weighted:.6g} not reachable below the bound"
+                f"{name}: weighted norm {weighted:.6g} not reachable below the bound"
             )
-        if self.inverse is not None:
-            return min(self.inverse(weighted), hi)
+        if inverse is not None:
+            return min(inverse(weighted), hi)
         return solve_increasing(f, 0.0, hi, ftol=1e-14 * (1.0 + weighted))
 
     def compatible(self, other: "GFunction") -> bool:
-        return self.name == other.name and self.c == other.c
+        return self is other or (self.name == other.name and self.c == other.c)
 
 
 def lorentz_g(c: float = 1.0) -> GFunction:

@@ -10,11 +10,14 @@ from hypothesis import given, strategies as st
 from invarlab import (
     Body,
     BoundedVelocity,
+    FrameTransform,
     GFunction,
+    ScenarioError,
     Vec3,
     cross,
     pair_state,
 )
+from invarlab.scenario import IntegratorConfig
 
 from helpers import Observables
 
@@ -171,3 +174,52 @@ def test_value_types_reject_bad_fields_with_messages():
     slow = BoundedVelocity(Vec3(0.5, 0.0, 0.0), PICKLABLE_PROFILE)
     with pytest.raises(ValueError, match=re.escape("speed 2.0 must be strictly below the bound 1.0")):
         dataclasses.replace(slow, v=Vec3(2.0, 0.0, 0.0))
+
+
+def _rational_inverse(w):
+    # Module level, so a profile built on it pickles.
+    return 2.0 * w / (1.0 + math.hypot(1.0, 2.0 * w))
+
+
+def _doubled(a):
+    return 2.0 * (1.0 + a)
+
+
+# The records that check their fields: (valid instance, a bad field value,
+# the error it raises). The constructor, _replace and unpickling all build
+# through the checks.
+CHECKED = [
+    (Body("A", 1.5, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), {"charge": 2.0}),
+     {"mass": 0.0}, ValueError, "body 'A': mass must be positive and finite, got 0.0"),
+    (FrameTransform(((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), Vec3(1.0, 2.0, 3.0),
+                    Vec3(0.5, 0.0, 0.0), 0.25),
+     {"rotation": ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))}, ValueError,
+     "rotation is not orthogonal (defect 3.000e+00)"),
+    (FrameTransform(time_offset=-1.0), {"time_offset": float("inf")}, ValueError,
+     "time_offset must be finite"),
+    (IntegratorConfig("rk4", 0.01, 10.0), {"t_end": 1e5}, ScenarioError,
+     "integrator.step: t_end / step = 1e+07 steps, above the limit of 1000000"),
+    (GFunction("rational", 1.0, _rational, inverse=_rational_inverse), {"g": _doubled},
+     ValueError, "G(0) must be 1, got 2.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, bad, error, message", CHECKED,
+    ids=["Body mass", "FrameTransform rotation", "FrameTransform time_offset",
+         "IntegratorConfig steps", "GFunction G(0)"],
+)
+def test_checked_records_check_every_construction_path(value, bad, error, message):
+    cls = type(value)
+    fields = {**value._asdict(), **bad}
+    with pytest.raises(error, match=re.escape(message)):
+        cls(**fields)
+    with pytest.raises(error, match=re.escape(message)):
+        value._replace(**bad)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert type(restored) is cls and restored == value and repr(restored) == repr(value)
+    # A tuple built around the checks does not unpickle.
+    forged = tuple.__new__(cls, tuple(fields.values()))
+    with pytest.raises(error, match=re.escape(message)):
+        pickle.loads(pickle.dumps(forged))

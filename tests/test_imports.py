@@ -1,6 +1,8 @@
 """Module layout: which package modules import which."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import invarlab
@@ -35,3 +37,36 @@ def test_only_the_audit_runner_and_the_cli_import_report():
         path.stem for path in PACKAGE.glob("*.py") if "report" in imported_modules(path)
     }
     assert importers == {"__init__", "audits", "cli"}
+
+
+# Run in a fresh interpreter, as bench/run.py times setup_s: the classes
+# that the dataclass decorator built on the way from ``import invarlab``
+# through parsing every bundled document.
+DATACLASS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import invarlab
+from invarlab.scenario import load_scenario
+for path in sys.argv[2:]:
+    load_scenario(path)
+print(" ".join(sorted(
+    f"{name}.{cls.__name__}"
+    for name, module in list(sys.modules.items())
+    if name == "invarlab" or name.startswith("invarlab.")
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls)
+)))
+"""
+
+
+def test_the_import_path_builds_only_the_pinned_dataclasses():
+    # The records on this path are NamedTuples, which cost a fraction of a
+    # dataclass to build; Vec3 and BoundedVelocity keep the dataclass
+    # contract that test_core pins.
+    documents = sorted(str(path) for path in (PACKAGE / "scenarios").glob("*.json"))
+    assert len(documents) == 4
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", DATACLASS_PROBE, str(PACKAGE.parent), *documents],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["invarlab.core.Vec3", "invarlab.velocity_addition.BoundedVelocity"]

@@ -405,8 +405,10 @@ def test_cli_step_override_must_be_finite_and_positive(tmp_path, capsys, step):
     assert not out.exists()
 
 
-# A mass that the additivity split rounds to 0, and light times baseline / c
-# that underflow: each once ended in a traceback, now in one error line.
+# A mass that the additivity split rounds to 0, light times baseline / c
+# that underflow, and echo legs whose squares underflow: each once ended in
+# a traceback or, for c = 1, in a report with a wrong plain-addition
+# deviation; now each ends in one error line.
 @pytest.mark.parametrize(
     "name, edit, field",
     [
@@ -415,8 +417,13 @@ def test_cli_step_override_must_be_finite_and_positive(tmp_path, capsys, step):
          "velocity_addition.baseline"),
         ("addition.json", lambda doc: doc["velocity_addition"].update(c=1e154, baseline=1e-300),
          "velocity_addition.baseline"),
+        ("addition.json", lambda doc: doc["velocity_addition"].update(c=1.4917e-154, baseline=1e-300),
+         "velocity_addition.baseline"),
+        ("addition.json", lambda doc: doc["velocity_addition"].update(c=1.0, baseline=1e-300),
+         "velocity_addition.baseline"),
     ],
-    ids=["subnormal mass", "subnormal baseline", "baseline / c underflows"],
+    ids=["subnormal mass", "subnormal baseline", "baseline / c underflows",
+         "baseline * c underflows", "baseline squared underflows"],
 )
 def test_numbers_below_the_normal_range_are_input_errors(tmp_path, capsys, name, edit, field):
     doc = json.loads(resolve_scenario_path(name).read_text())
