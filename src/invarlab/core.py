@@ -7,7 +7,6 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 __all__ = [
@@ -20,16 +19,51 @@ class NonFiniteError(ValueError):
     float range. The audits turn it into an ERROR verdict."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Vec3:
+class _Value:
+    """Base of an immutable value class whose fields are its ``__slots__``.
+
+    The subclass's constructor checks its arguments and stores them through
+    the slot descriptors; after that a field can be neither set nor deleted.
+    Equality and hashing work on the tuple of field values, and ``repr``
+    names each field. Pickling and ``copy`` rebuild through the constructor,
+    so an instance that skipped the checks does not unpickle.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Vec3(_Value):
     """3-component real vector; components must be finite.
 
     The constructor is written by hand: it checks the components, then
-    stores them through the slot descriptors, which skips the per-field
-    ``object.__setattr__`` calls of the generated frozen ``__init__``.
-    Equality, hashing, repr, pickling and ``dataclasses.replace`` are the
-    generated ones.
+    stores them through the slot descriptors.
     """
+
+    __slots__ = ("x", "y", "z")
 
     x: float
     y: float

@@ -29,10 +29,9 @@ degenerates to ordinary vector addition with a single universal time;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import Check, Vec3, _Checked
+from .core import Check, Vec3, _Checked, _Value
 from .rootfind import ConvergenceError, solve_increasing
 
 __all__ = [
@@ -166,13 +165,14 @@ GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BoundedVelocity:
+class BoundedVelocity(_Value):
     """Velocity vector strictly inside the bound of its weight profile.
 
     Like ``Vec3``, the constructor checks its arguments and then stores
     them through the slot descriptors.
     """
+
+    __slots__ = ("v", "gfun")
 
     v: Vec3
     gfun: GFunction

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -12,6 +13,7 @@ from invarlab import (
     BoundedVelocity,
     FrameTransform,
     GFunction,
+    NonFiniteError,
     ScenarioError,
     Vec3,
     cross,
@@ -138,42 +140,77 @@ def _rational(a):
 
 PICKLABLE_PROFILE = GFunction("rational", 1.0, _rational)
 
-# (value, field changes for dataclasses.replace)
+# (value, field changes, its repr). Vec3 and BoundedVelocity are slot
+# classes on core's value base; Observables is a test-helper dataclass.
 VALUES = [
-    (Vec3(1.0, -2.5, 3.0), {"y": 0.5}),
-    (BoundedVelocity(Vec3(0.3, 0.1, -0.2), PICKLABLE_PROFILE), {"v": Vec3(0.0, 0.5, 0.0)}),
-    (Observables(Vec3(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 1.0), -0.5, 0.75), {"internal_energy": None}),
+    (Vec3(1.0, -2.5, 3.0), {"y": 0.5}, "Vec3(x=1.0, y=-2.5, z=3.0)"),
+    (BoundedVelocity(Vec3(0.3, 0.1, -0.2), PICKLABLE_PROFILE), {"v": Vec3(0.0, 0.5, 0.0)},
+     f"BoundedVelocity(v=Vec3(x=0.3, y=0.1, z=-0.2), gfun={PICKLABLE_PROFILE!r})"),
+    (Observables(Vec3(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 1.0), -0.5, 0.75), {"internal_energy": None},
+     "Observables(total_momentum=Vec3(x=1.0, y=2.0, z=3.0), "
+     "angular_momentum=Vec3(x=0.0, y=0.0, z=1.0), internal_energy=-0.5, reduced_mass=0.75)"),
 ]
 
 
-@pytest.mark.parametrize("value, change", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
-def test_value_types_are_frozen_hashable_and_copyable(value, change):
+@pytest.mark.parametrize("value, change, text", VALUES, ids=[type(v).__name__ for v, _, _ in VALUES])
+def test_value_types_are_frozen_hashable_and_copyable(value, change, text):
     cls = type(value)
-    names = [f.name for f in dataclasses.fields(value)]
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, getattr(value, name))
-    twin = cls(**{name: getattr(value, name) for name in names})
+    fields = {name: getattr(value, name) for name in cls.__slots__}
+    for name, field in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is field
+    assert repr(value) == text
+    twin = cls(**fields)
     assert twin is not value and twin == value and hash(twin) == hash(value)
-    changed = dataclasses.replace(value, **change)
+    changed = cls(**{**fields, **change})
     assert changed != value
-    for name in names:
-        assert getattr(changed, name) == change.get(name, getattr(value, name))
-    restored = pickle.loads(pickle.dumps(value))
-    assert restored == value and hash(restored) == hash(value) and repr(restored) == repr(value)
+    for name in fields:
+        assert getattr(changed, name) == change.get(name, fields[name])
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for restored in [*copies, copy.copy(value), copy.deepcopy(value)]:
+        assert type(restored) is cls and restored == value
+        assert hash(restored) == hash(value) and repr(restored) == text
+    if cls is Observables:
+        assert [f.name for f in dataclasses.fields(value)] == list(fields)
+        assert dataclasses.replace(value, **change) == changed
 
 
 def test_value_types_reject_bad_fields_with_messages():
     nan, inf = float("nan"), float("inf")
-    with pytest.raises(ValueError, match=re.escape("non-finite vector component in (nan, 0.0, 0.0)")):
-        Vec3(nan, 0.0, 0.0)
-    with pytest.raises(ValueError, match=re.escape("non-finite vector component in (0.0, 1.0, -inf)")):
-        dataclasses.replace(Vec3(0.0, 1.0, 2.0), z=-inf)
+    for fields, components in [
+        ((nan, 0.0, 0.0), "(nan, 0.0, 0.0)"),
+        ((0.0, inf, 2.0), "(0.0, inf, 2.0)"),
+        ((0.0, 1.0, -inf), "(0.0, 1.0, -inf)"),
+    ]:
+        with pytest.raises(NonFiniteError, match=re.escape(f"non-finite vector component in {components}")):
+            Vec3(*fields)
     with pytest.raises(ValueError, match=re.escape("speed 1.0 must be strictly below the bound 1.0")):
         BoundedVelocity(Vec3(0.0, -1.0, 0.0), PICKLABLE_PROFILE)
-    slow = BoundedVelocity(Vec3(0.5, 0.0, 0.0), PICKLABLE_PROFILE)
     with pytest.raises(ValueError, match=re.escape("speed 2.0 must be strictly below the bound 1.0")):
-        dataclasses.replace(slow, v=Vec3(2.0, 0.0, 0.0))
+        BoundedVelocity(v=Vec3(2.0, 0.0, 0.0), gfun=PICKLABLE_PROFILE)
+
+
+def test_value_types_unpickle_through_the_constructor_checks():
+    # An instance stored through the slot descriptors without the
+    # constructor's checks pickles, but does not unpickle.
+    forged_vector = object.__new__(Vec3)
+    for name, component in zip("xyz", (1.0, float("nan"), 3.0)):
+        Vec3.__dict__[name].__set__(forged_vector, component)
+    forged_velocity = object.__new__(BoundedVelocity)
+    BoundedVelocity.__dict__["v"].__set__(forged_velocity, Vec3(0.0, 1.0, 0.0))
+    BoundedVelocity.__dict__["gfun"].__set__(forged_velocity, PICKLABLE_PROFILE)
+    for forged, error, message in [
+        (forged_vector, NonFiniteError, "non-finite vector component in (1.0, nan, 3.0)"),
+        (forged_velocity, ValueError, "speed 1.0 must be strictly below the bound 1.0"),
+    ]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            payload = pickle.dumps(forged, protocol)
+            with pytest.raises(error, match=re.escape(message)):
+                pickle.loads(payload)
 
 
 def _rational_inverse(w):
