@@ -7,7 +7,7 @@ between threads.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 __all__ = [
     "NonFiniteError", "Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state",
@@ -22,11 +22,14 @@ class NonFiniteError(ValueError):
 class _Value:
     """Base of an immutable value class whose fields are its ``__slots__``.
 
+    Every package value whose constructor checks its fields builds on it.
     The subclass's constructor checks its arguments and stores them through
     the slot descriptors; after that a field can be neither set nor deleted.
-    Equality and hashing work on the tuple of field values, and ``repr``
-    names each field. Pickling and ``copy`` rebuild through the constructor,
-    so an instance that skipped the checks does not unpickle.
+    Each slot is named as the constructor parameter that declares its
+    type. Equality and hashing work on the tuple of field values, and
+    ``repr`` names each field.
+    Pickling and ``copy`` rebuild through the constructor, by keyword, so
+    an instance that skipped the checks does not unpickle.
     """
 
     __slots__ = ()
@@ -53,7 +56,13 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return _rebuild, (self.__class__, self._values())
+
+
+def _rebuild(cls: type, values: tuple) -> Any:
+    """Unpickle through the constructor, by keyword: a positional call
+    could not pass a keyword-only field."""
+    return cls(**dict(zip(cls.__slots__, values)))
 
 
 class Vec3(_Value):
@@ -64,10 +73,6 @@ class Vec3(_Value):
     """
 
     __slots__ = ("x", "y", "z")
-
-    x: float
-    y: float
-    z: float
 
     def __init__(self, x: float, y: float, z: float) -> None:
         if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
@@ -120,34 +125,7 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-class _Checked:
-    """Base of a NamedTuple subclass whose ``__new__`` checks its fields.
-
-    A NamedTuple's own ``_make`` builds the tuple without calling
-    ``__new__``; here it calls the constructor, and so do ``_replace`` and
-    unpickling, which go through ``_make``: every way to build an instance
-    runs the checks.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Any:
-        return cls(**dict(zip(cls._fields, iterable, strict=True)))  # type: ignore[attr-defined]
-
-    def __reduce__(self) -> tuple:
-        return self._make, (tuple(self),)
-
-
-class _BodyFields(NamedTuple):
-    id: str
-    mass: float
-    position: Vec3
-    velocity: Vec3
-    properties: dict[str, float]
-
-
-class Body(_Checked, _BodyFields):
+class Body(_Value):
     """Point body: positive mass, kinematic state, named scalar properties.
 
     Property lookup is total: a property the body does not carry reads as
@@ -156,20 +134,23 @@ class Body(_Checked, _BodyFields):
     the properties.
     """
 
-    __slots__ = ()
+    __slots__ = ("id", "mass", "position", "velocity", "properties")
 
-    def __new__(
-        cls,
+    def __init__(
+        self,
         id: str,
         mass: float,
         position: Vec3,
         velocity: Vec3,
         properties: dict[str, float] | None = None,
-    ) -> "Body":
+    ) -> None:
         if not (math.isfinite(mass) and mass > 0.0):
             raise ValueError(f"body {id!r}: mass must be positive and finite, got {mass}")
-        props = {} if properties is None else dict(properties)
-        return tuple.__new__(cls, (id, mass, position, velocity, props))
+        _set_id(self, id)
+        _set_mass(self, mass)
+        _set_position(self, position)
+        _set_velocity(self, velocity)
+        _set_properties(self, {} if properties is None else dict(properties))
 
     def prop(self, name: str) -> float:
         if name == "mass":
@@ -179,6 +160,11 @@ class Body(_Checked, _BodyFields):
     def with_state(self, position: Vec3, velocity: Vec3) -> "Body":
         """Copy with a new kinematic state; identity, mass and properties kept."""
         return Body(self.id, self.mass, position, velocity, self.properties)
+
+
+_set_id, _set_mass, _set_position, _set_velocity, _set_properties = (
+    Body.__dict__[name].__set__ for name in Body.__slots__
+)
 
 
 class PairState(NamedTuple):

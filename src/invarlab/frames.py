@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .core import Vec3, ZERO, Body, Check, _Checked
+from .core import Vec3, ZERO, Body, Check, _Value
 
 __all__ = [
     "Mat3",
@@ -63,14 +63,7 @@ def orthogonality_defect(m: Mat3) -> float:
     return total if total != total else max(devs)
 
 
-class _FrameTransformFields(NamedTuple):
-    rotation: Mat3
-    translation: Vec3
-    boost: Vec3
-    time_offset: float
-
-
-class FrameTransform(_Checked, _FrameTransformFields):
+class FrameTransform(_Value):
     """One observer choice: rotation/reflection, origin shift, boost, clock offset.
 
     The rotation must be finite and orthogonal and the clock offset finite,
@@ -78,15 +71,15 @@ class FrameTransform(_Checked, _FrameTransformFields):
     too; det -1 is allowed, so reflections are in the group.
     """
 
-    __slots__ = ()
+    __slots__ = ("rotation", "translation", "boost", "time_offset")
 
-    def __new__(
-        cls,
+    def __init__(
+        self,
         rotation: Mat3 = IDENTITY_ROTATION,
         translation: Vec3 = ZERO,
         boost: Vec3 = ZERO,
         time_offset: float = 0.0,
-    ) -> "FrameTransform":
+    ) -> None:
         try:
             (a, b, c), (d, e, f), (g, h, k) = rotation
             rot = (
@@ -103,7 +96,15 @@ class FrameTransform(_Checked, _FrameTransformFields):
             raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
         if not math.isfinite(time_offset):
             raise ValueError("time_offset must be finite")
-        return tuple.__new__(cls, (rot, translation, boost, time_offset))
+        _set_rotation(self, rot)
+        _set_translation(self, translation)
+        _set_boost(self, boost)
+        _set_time_offset(self, time_offset)
+
+
+_set_rotation, _set_translation, _set_boost, _set_time_offset = (
+    FrameTransform.__dict__[name].__set__ for name in FrameTransform.__slots__
+)
 
 
 def identity() -> FrameTransform:

@@ -44,9 +44,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, NamedTuple
 
-from .core import Body, Vec3, _Checked
+from .core import Body, Vec3, _Value
 from .forces import ForceLaw, make_preset, soften
-from .frames import FrameTransform
+from .frames import IDENTITY_ROTATION, FrameTransform
 from .velocity_addition import GFUNCTIONS, GFunction
 
 __all__ = [
@@ -87,13 +87,7 @@ def check_steps(path: str, steps: float, ratio: bool = False) -> None:
         raise ScenarioError(f"{path}: {what}{steps:.4g} steps, above the limit of {MAX_STEPS}")
 
 
-class _IntegratorFields(NamedTuple):
-    method: str
-    step: float
-    t_end: float
-
-
-class IntegratorConfig(_Checked, _IntegratorFields):
+class IntegratorConfig(_Value):
     """Integration settings, checked at construction: at most
     ``MAX_STEPS`` steps of length ``step`` up to ``t_end``.
 
@@ -101,14 +95,21 @@ class IntegratorConfig(_Checked, _IntegratorFields):
         ScenarioError: the run asks for more than ``MAX_STEPS`` steps.
     """
 
-    __slots__ = ()
+    __slots__ = ("method", "step", "t_end")
 
-    def __new__(cls, method: str, step: float, t_end: float) -> "IntegratorConfig":
+    def __init__(self, method: str, step: float, t_end: float) -> None:
         check_steps("integrator.step", t_end / step, ratio=True)
-        return tuple.__new__(cls, (method, step, t_end))
+        _set_method(self, method)
+        _set_step(self, step)
+        _set_t_end(self, t_end)
 
     def meta(self) -> dict:
-        return self._asdict()
+        return {"method": self.method, "step": self.step, "t_end": self.t_end}
+
+
+_set_method, _set_step, _set_t_end = (
+    IntegratorConfig.__dict__[name].__set__ for name in IntegratorConfig.__slots__
+)
 
 
 class FrameSweepConfig(NamedTuple):
@@ -239,7 +240,7 @@ def _frames(doc: Any, path: str) -> FrameSweepConfig:
             item = _mapping(item, f"{path}[{i}]")
             rotation = item.get("rotation")
             if rotation is None:
-                rot = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+                rot = IDENTITY_ROTATION
             else:
                 if not isinstance(rotation, list) or len(rotation) != 3:
                     raise _fail(f"{path}[{i}].rotation", "expected a 3x3 matrix")
@@ -381,16 +382,21 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises:
-        ScenarioError: unreadable file, malformed JSON (with line/column),
-            or a schema violation (with the field path).
+        ScenarioError: unreadable or non-UTF-8 file, malformed JSON (with
+            line/column), JSON the parser refuses, or a schema violation
+            (with the field path).
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")  # the encoding JSON requires (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:
+        # Well-formed JSON beyond Python's limits: nesting deeper than the
+        # recursion limit, or an integer literal over the digit limit.
+        raise ScenarioError(f"{path}: cannot parse JSON: {exc}") from None
     return parse_scenario(doc, default_name=path.stem)

@@ -29,9 +29,9 @@ degenerates to ordinary vector addition with a single universal time;
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .core import Check, Vec3, _Checked, _Value
+from .core import Check, Vec3, _Value
 from .rootfind import ConvergenceError, solve_increasing
 
 __all__ = [
@@ -52,14 +52,7 @@ __all__ = [
 _VALIDATION_GRID = 64
 
 
-class _GFunctionFields(NamedTuple):
-    name: str
-    c: float
-    g: Callable[[float], float]
-    inverse: Callable[[float], float] | None
-
-
-class GFunction(_Checked, _GFunctionFields):
+class GFunction(_Value):
     """Weight profile G: [0, c) -> [1, inf): continuous, strictly
     increasing, G(0) = 1, divergent at c.
 
@@ -70,16 +63,16 @@ class GFunction(_Checked, _GFunctionFields):
     the root by bisection.
     """
 
-    __slots__ = ()
+    __slots__ = ("name", "c", "g", "inverse")
 
-    def __new__(
-        cls,
+    def __init__(
+        self,
         name: str,
         c: float,
         g: Callable[[float], float],
         *,
         inverse: Callable[[float], float] | None = None,
-    ) -> "GFunction":
+    ) -> None:
         if not c > 0.0:
             raise ValueError("limiting speed c must be positive")
         if abs(g(0.0) - 1.0) > 1e-12:
@@ -91,7 +84,10 @@ class GFunction(_Checked, _GFunctionFields):
             for a, (v1, v2) in zip(grid, zip(values, values[1:])):
                 if not v2 > v1:
                     raise ValueError(f"G must be strictly increasing; violated near {a:.6g}")
-        return tuple.__new__(cls, (name, c, g, inverse))
+        _set_name(self, name)
+        _set_c(self, c)
+        _set_g(self, g)
+        _set_inverse(self, inverse)
 
     def __call__(self, speed: float) -> float:
         if speed < 0.0 or speed >= self.c:
@@ -104,23 +100,27 @@ class GFunction(_Checked, _GFunctionFields):
             raise ValueError("weighted norm must be nonnegative")
         if weighted == 0.0:
             return 0.0
-        name, c, g, inverse = self
         # G >= 1 puts the root at or below `weighted`; cap just under c.
-        hi = min(weighted, c * (1.0 - 1e-15))
+        hi = min(weighted, self.c * (1.0 - 1e-15))
 
         def f(a: float) -> float:
-            return a * g(a) - weighted
+            return a * self.g(a) - weighted
 
         if f(hi) < 0.0:
             raise ConvergenceError(
-                f"{name}: weighted norm {weighted:.6g} not reachable below the bound"
+                f"{self.name}: weighted norm {weighted:.6g} not reachable below the bound"
             )
-        if inverse is not None:
-            return min(inverse(weighted), hi)
+        if self.inverse is not None:
+            return min(self.inverse(weighted), hi)
         return solve_increasing(f, 0.0, hi, ftol=1e-14 * (1.0 + weighted))
 
     def compatible(self, other: "GFunction") -> bool:
         return self is other or (self.name == other.name and self.c == other.c)
+
+
+_set_name, _set_c, _set_g, _set_inverse = (
+    GFunction.__dict__[name].__set__ for name in GFunction.__slots__
+)
 
 
 def lorentz_g(c: float = 1.0) -> GFunction:
@@ -173,9 +173,6 @@ class BoundedVelocity(_Value):
     """
 
     __slots__ = ("v", "gfun")
-
-    v: Vec3
-    gfun: GFunction
 
     def __init__(self, v: Vec3, gfun: GFunction) -> None:
         s = v.norm()

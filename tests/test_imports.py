@@ -62,9 +62,9 @@ print(*sorted(
 
 def test_the_import_path_loads_neither_dataclasses_nor_inspect():
     # Importing dataclasses (which imports inspect, ast, dis and tokenize)
-    # took about half of setup_s. The records on this path are NamedTuples
-    # and Vec3 and BoundedVelocity are slot classes; of the package, only
-    # audits (audits.AuditSpec) still imports dataclasses.
+    # took about half of setup_s. The plain records on this path are
+    # NamedTuples and the checked values slot classes on core._Value; of the
+    # package, only audits (audits.AuditSpec) still imports dataclasses.
     documents = sorted(str(path) for path in (PACKAGE / "scenarios").glob("*.json"))
     assert len(documents) == 4
     proc = subprocess.run(

@@ -140,6 +140,27 @@ def test_invalid_json_reports_position(tmp_path):
         load_scenario(path)
 
 
+# Files the UTF-8 decoder or the JSON parser refuse without a
+# JSONDecodeError are input errors too: one error line that names the file.
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps(minimal_doc(name="k\u00e9pler"), ensure_ascii=False).encode("latin-1"),
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"softening": ' + b"1" * 5000 + b", " + json.dumps(minimal_doc()).encode()[1:],
+    ],
+    ids=["not UTF-8", "nested 100000 deep", "5000-digit integer"],
+)
+def test_cli_unparsable_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_input_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")])
     assert code == 1
