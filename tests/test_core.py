@@ -18,6 +18,7 @@ from invarlab import (
     cross,
     pair_state,
 )
+from invarlab.frames import compose, inverse
 from invarlab.scenario import IntegratorConfig
 
 from helpers import Observables
@@ -265,3 +266,42 @@ def test_value_types_unpickle_through_the_constructor_checks():
                 payload = pickle.dumps(forged, protocol)
                 with pytest.raises(type(error), match=re.escape(str(error))):
                     pickle.loads(payload)
+
+
+# A FrameTransform builds through its checks on every path: the
+# constructor by keyword and by position, copying and unpickling, and
+# compose and inverse, which build their result through the constructor.
+# (valid instance, a bad field value, the error it raises)
+FRAME_CHECKS = [
+    (FrameTransform(QUARTER_TURN, Vec3(1.0, 2.0, 3.0), Vec3(0.5, 0.0, 0.0), 0.25),
+     {"rotation": ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))},
+     ValueError("rotation is not orthogonal (defect 3.000e+00)")),
+    (FrameTransform(time_offset=-1.0), {"time_offset": inf}, ValueError("time_offset must be finite")),
+]
+
+
+@pytest.mark.parametrize(
+    "value, bad, error", FRAME_CHECKS, ids=["FrameTransform rotation", "FrameTransform time_offset"],
+)
+def test_checked_records_check_every_construction_path(value, bad, error):
+    cls, message = type(value), re.escape(str(error))
+    fields = {**_fields(value), **bad}
+    with pytest.raises(type(error), match=message):
+        cls(**fields)
+    with pytest.raises(type(error), match=message):
+        cls(*fields.values())
+    for restored in [*(pickle.loads(pickle.dumps(value, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+                     copy.copy(value), copy.deepcopy(value)]:
+        assert type(restored) is cls and restored == value and repr(restored) == repr(value)
+    # An instance stored around the checks neither copies nor unpickles,
+    # and compose and inverse refuse to build on it.
+    forged = object.__new__(cls)
+    for name, field in fields.items():
+        cls.__dict__[name].__set__(forged, field)
+    for rebuild in [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))]:
+        with pytest.raises(type(error), match=message):
+            rebuild(forged)
+    for build in [inverse, lambda t: compose(t, value), lambda t: compose(value, t)]:
+        with pytest.raises(ValueError):
+            build(forged)
