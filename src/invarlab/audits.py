@@ -12,18 +12,15 @@ Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 
 When a scenario requests more than one audit, ``run_audits`` hands one
-to a worker (``forking``, whose rule decides whether it forks) and runs the
-others here: without an integrator the first requested audit in catalog
-order; with one, the first with the most ``own_steps``, if it has at least
-``_WORKER_MIN_STEPS`` (fewer cost less than the fork). The worker sends its
-result back as ``marshal`` data (exact for every float). After it is
-reaped, its audit runs here unless it delivered: one path for a worker that
-did not start and for one that failed or sent too little.
+to a worker beside this process (``forking.beside``, which decides whether
+it forks and runs it here if its child did not start or failed) and runs
+the others here. The worker's audit is the first requested one, in catalog
+order, with the most ``own_steps``; with an integrator it must have at
+least ``_WORKER_MIN_STEPS`` of them (fewer cost less than the fork).
 """
 
 from __future__ import annotations
 
-import marshal
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +36,7 @@ from .forces import (
     ForceLaw, ForceOverflowError, PropertyView, SingularityError, bind,
     check_property_additivity, force_on_a, force_pair, merge_laws, superpose,
 )
-from .forking import reap_child, start_child
+from .forking import beside
 from .frames import (
     FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
     pure_boost, pure_translation, random_transform, raw_apply, transform_residual,
@@ -727,25 +724,15 @@ def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
 _WORKER_MIN_STEPS = 1000
 
 
-def _received(payload: bytes | None) -> AuditResult | None:
-    """The worker's result, or None if it failed or sent too little."""
-    if payload is None:
-        return None
-    try:
-        return AuditResult(*marshal.loads(payload))
-    except (EOFError, ValueError, TypeError):
-        return None
-
-
 def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec | None:
     """The requested audit to run in a forked worker, if any (see the
     module notes)."""
     if len(requested) < 2:
         return None
-    if scenario.integrator is None:
-        return requested[0]
     chosen = max(requested, key=lambda spec: spec.own_steps(scenario))
-    return chosen if chosen.own_steps(scenario) >= _WORKER_MIN_STEPS else None
+    if scenario.integrator is None or chosen.own_steps(scenario) >= _WORKER_MIN_STEPS:
+        return chosen
+    return None
 
 
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
@@ -764,16 +751,15 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
     chosen = _worker_audit(scenario, requested)
-    worker = None if chosen is None else start_child(
-        lambda: marshal.dumps(tuple(_verdict(chosen, ctx))))
-    try:
-        here = {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
-    finally:
-        sent = None if worker is None else reap_child(worker)
-    if chosen is not None:
-        # A worker that did not start or failed has its audit run here, with
-        # the same verdict; an exception it hit surfaces with its traceback.
-        here[chosen.name] = _received(sent) or _verdict(chosen, ctx)
-    results = [here[spec.name] for spec in requested]
+
+    def here() -> dict[str, AuditResult]:
+        return {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
+
+    if chosen is None:
+        verdicts = here()
+    else:
+        sent, verdicts = beside(lambda: tuple(_verdict(chosen, ctx)), here)
+        verdicts[chosen.name] = AuditResult(*sent)
+    results = [verdicts[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, seed, tuple(results), integrator)

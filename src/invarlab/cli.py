@@ -5,12 +5,13 @@ Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
-The trajectory's P, L and E are computed here first; trajectory.csv's text
-is then handed to a child while this process writes drift.csv and runs the
-audits, which may hand one audit to a worker (see ``audits``). ``forking``
-states the rule for where such work runs. After the child is reaped,
-trajectory.csv is written here unless the child delivered it: one path for
-a child that did not start and for one that failed.
+The trajectory and its P, L and E are computed first; an integration that
+fails there removes any trajectory.csv and drift.csv and is reported as the
+``trajectory`` ERROR, before any output is opened. Otherwise trajectory.csv
+is written beside this process (``forking.beside``) while drift.csv is
+written and the audits run here, which may hand one audit to a worker (see
+``audits``). Lines printed to stdout escape what its encoding cannot hold;
+report.json is the record.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import IO
 
 from . import __version__
 from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
 from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
-from .forking import Child, reap_child, start_child
-from .report import AuditResult, ERROR
+from .forking import beside
+from .report import AuditReport, AuditResult, ERROR
 from .scenario import IntegratorConfig, Scenario, ScenarioError, _number, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
@@ -58,12 +57,17 @@ def _write_drift_csv(ctx: AuditContext, out: Path) -> None:
             stream.write(f"{t!r},{distance(p, p0)!r},{distance(l, l0)!r},{de}\n")
 
 
-def _text_phase(stream: IO[str], trajectory: Trajectory) -> bytes:
-    """The text child's work: trajectory.csv into its copy of ``stream``.
-    It sends nothing back."""
-    trajectory.write_csv(stream)
-    stream.flush()
-    return b""
+def _say(line: str) -> None:
+    """Print ``line`` to stdout, with what its encoding cannot hold (a lone
+    surrogate, a path byte that is not UTF-8) as a backslash escape."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
+def _write_trajectory_csv(trajectory: Trajectory, out: Path) -> None:
+    """trajectory.csv, written whole (see ``Trajectory.write_csv``)."""
+    with (out / "trajectory.csv").open("w") as stream:
+        trajectory.write_csv(stream)
 
 
 def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
@@ -82,38 +86,32 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
     ctx = AuditContext(scenario, seed)
     trajectory: Trajectory | None = None
     trajectory_failure: AuditResult | None = None
-    child: Child | None = None
-    try:
-        if scenario.integrator is not None:
-            try:
-                trajectory = ctx.trajectory()
-                trajectory.conserved()
-                with (out_dir / "trajectory.csv").open("w") as stream:
-                    child = start_child(partial(_text_phase, stream, trajectory))
-                _write_drift_csv(ctx, out_dir)
-            except (SingularityError, DivergenceError) as exc:
-                # drift.csv can diverge after trajectory.csv is started; drop
-                # both files so no output describes a run that failed (a child
-                # still writing keeps only its unlinked copy).
-                for name in ("trajectory.csv", "drift.csv"):
-                    (out_dir / name).unlink(missing_ok=True)
-                trajectory = None
-                trajectory_failure = AuditResult(
-                    "trajectory", "equations-of-motion", ERROR, detail=str(exc)
-                )
+    if scenario.integrator is not None:
+        try:
+            trajectory = ctx.trajectory()
+            trajectory.conserved()
+        except (SingularityError, DivergenceError) as exc:
+            for name in ("trajectory.csv", "drift.csv"):
+                (out_dir / name).unlink(missing_ok=True)
+            trajectory = None
+            trajectory_failure = AuditResult(
+                "trajectory", "equations-of-motion", ERROR, detail=str(exc)
+            )
+    if trajectory is None:
         report = run_audits(scenario, seed, context=ctx)
-    finally:
-        delivered = child is not None and reap_child(child) is not None
-    if trajectory is not None and not delivered:
-        with (out_dir / "trajectory.csv").open("w") as stream:
-            trajectory.write_csv(stream)
+    else:
+        def here() -> AuditReport:
+            _write_drift_csv(ctx, out_dir)
+            return run_audits(scenario, seed, context=ctx)
+
+        _, report = beside(lambda: _write_trajectory_csv(trajectory, out_dir), here)
     if trajectory_failure is not None:
         report = report._replace(results=(trajectory_failure,) + report.results)
     (out_dir / "report.json").write_text(report.to_json())
 
     for line in report.summary_lines():
-        print(line)
-    print(f"elapsed {time.perf_counter() - started:.2f} s, outputs in {out_dir}")
+        _say(line)
+    _say(f"elapsed {time.perf_counter() - started:.2f} s, outputs in {out_dir}")
     return 0 if report.overall == "PASS" else 2
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 
@@ -12,7 +13,6 @@ from invarlab import (
     Body, ScenarioError, Trajectory, Vec3, cross, load_scenario, parse_scenario,
 )
 import invarlab.audits as audits
-import invarlab.cli as cli
 import invarlab.forking as forking
 from invarlab.audits import run_audits
 from invarlab.cli import main, resolve_scenario_path, run_scenario
@@ -248,6 +248,31 @@ def test_cli_runs_are_deterministic(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "drift.csv").read_bytes() == (out2 / "drift.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, out, stdout, shown", [
+    ("kep\ud800ler", "out", "utf-8:strict", "(kep\\ud800ler, seed 42)"),
+    ("addition", "out-\udcff", "utf-8:strict", "outputs in {tmp}/out-\\udcff"),
+    ("addition–Zusatz", "out", "ascii:strict", "(addition\\u2013Zusatz, seed 42)"),
+], ids=["lone surrogate", "path not UTF-8", "non-ASCII on ASCII"])
+def test_cli_prints_what_stdout_cannot_encode_as_escapes(tmp_path, capsys, name, out, stdout,
+                                                        shown):
+    # report.json is the record; the printed lines escape what stdout cannot
+    # hold instead of ending in a traceback.
+    path = write(tmp_path, bundled_doc("addition.json", lambda doc: doc.update(name=name)))
+    argv = ["run", str(path), "--out", str(tmp_path / out)]
+    if stdout == "utf-8:strict":  # capsys's stream is strict UTF-8
+        code = main(argv)
+        printed, err = capsys.readouterr()
+    else:
+        env = dict(os.environ, PYTHONIOENCODING=stdout, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "invarlab", *argv], env=env,
+                              capture_output=True)
+        code, printed, err = done.returncode, done.stdout.decode("ascii"), done.stderr.decode()
+    assert (code, err) == (0, "")
+    assert shown.format(tmp=tmp_path) in printed
+    report = json.loads((tmp_path / out / "report.json").read_text())
+    assert report["scenario"] == name
 
 
 def test_cli_step_and_method_overrides(tmp_path):
@@ -774,16 +799,20 @@ def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, monkeypatch, w
 
 
 @pytest.mark.parametrize("fork", [True, False])
-def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch, fork):
-    def diverge(ctx, out):
-        (out / "drift.csv").write_text("t,dP,dL,dE\n")
+def test_a_divergence_leaves_no_csv(tmp_path, capsys, monkeypatch, fork):
+    # The integration fails before any output opens or any child starts;
+    # trajectory.csv and drift.csv from an earlier run are removed too.
+    def diverge(self):
         raise DivergenceError(7, 0.07, "injected")
 
-    monkeypatch.setattr(cli, "_write_drift_csv", diverge)
+    monkeypatch.setattr(Trajectory, "conserved", diverge)
     pids = count_forks(monkeypatch, fork)
     out = tmp_path / "out"
+    out.mkdir()
+    for name in ("trajectory.csv", "drift.csv"):
+        (out / name).write_text("stale\n")
     assert run_scenario(load_scenario(resolve_scenario_path("spring.json")), out, seed=42) == 2
-    assert len(pids) == fork
+    assert pids == []
     assert_no_child_left()
     assert [path.name for path in out.iterdir()] == ["report.json"]
     trajectory, *_ = json.loads((out / "report.json").read_text())["audits"]
@@ -792,10 +821,9 @@ def test_a_divergence_after_the_fork_leaves_no_csv(tmp_path, capsys, monkeypatch
 
 
 # The audit worker: where a child may be forked and more than one audit is
-# requested, one audit runs in a forked worker, on one CPU as on two.
-# Without an integrator it is the first requested audit; with one, the
-# audit with the most own integration steps, if it has at least
-# audits._WORKER_MIN_STEPS of them.
+# requested, one audit runs in a forked worker, on one CPU as on two. It is
+# the first requested audit with the most own integration steps; with an
+# integrator it must have at least audits._WORKER_MIN_STEPS of them.
 
 # PASS, FAIL (frame-group's tolerance is below its rounding) and ERROR
 # (light-quotient needs a finite c, which the classical profile lacks).
@@ -861,8 +889,8 @@ def failing_fork(monkeypatch, how):
         if pid == 0 and how == "exit 3":
             os._exit(3)
         if pid == 0 and how == "short payload":
-            dumps = audits.marshal.dumps
-            audits.marshal.dumps = lambda value: dumps(value)[:-1]
+            dumps = forking.marshal.dumps
+            forking.marshal.dumps = lambda value: dumps(value)[:-1]
         if pid:
             pids.append(pid)
         return pid
@@ -1028,13 +1056,24 @@ def test_a_worker_needs_the_floor_of_own_steps(monkeypatch, steps, forks):
     assert_no_child_left()
 
 
-def test_the_worker_takes_the_first_audit_with_the_most_own_steps(monkeypatch):
-    doc = dict(RK4_DOC, audits=["momentum", "inertia", "boost-covariance"])
-    for inertia_steps, chosen in [(999, "boost-covariance"), (1000, "inertia"),
-                                  (1001, "inertia")]:
-        scenario = parse_scenario(dict(doc, audit_params={
-            **doc["audit_params"], "inertia": {"steps": inertia_steps},
-        }))
+def with_inertia_steps(doc, steps):
+    return dict(doc, audit_params={**doc.get("audit_params", {}), "inertia": {"steps": steps}})
+
+
+RK4_THREE = dict(RK4_DOC, audits=["momentum", "inertia", "boost-covariance"])
+NO_INTEGRATOR = minimal_doc(audits=["frame-group", "inertia", "momentum"])
+
+
+def test_the_worker_takes_the_first_audit_with_the_most_own_steps():
+    for doc, chosen in [
+        (with_inertia_steps(RK4_THREE, 999), "boost-covariance"),
+        (with_inertia_steps(RK4_THREE, 1000), "inertia"),
+        (with_inertia_steps(RK4_THREE, 1001), "inertia"),
+        # Without an integrator no floor applies: inertia's 10 steps win.
+        (with_inertia_steps(NO_INTEGRATOR, 10), "inertia"),
+        (MIXED_DOC, "frame-group"),  # nothing integrates: the first requested
+    ]:
+        scenario = parse_scenario(doc)
         requested = [spec for spec in audits.CATALOG if spec.name in scenario.audits]
         assert audits._worker_audit(scenario, requested).name == chosen
 
