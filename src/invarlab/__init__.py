@@ -14,7 +14,6 @@ from .dynamics import (
     integrate,
     momentum_rate,
     observables,
-    path_time,
 )
 from .forces import (
     ForceLaw,

@@ -129,10 +129,12 @@ class AuditContext:
     """Shared state for one run: scenario, seed, and cached trajectories.
 
     A failed integration is cached like a trajectory, so every audit that
-    needs it reports the same error without integrating again.
+    needs it reports the same error without integrating again. Building one
+    checks the scenario's audit inputs (``check_audit_inputs``) first.
     """
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
+        check_audit_inputs(scenario)
         self.scenario = scenario
         self.seed = seed
         self.law = merge_laws(scenario.laws)
@@ -201,6 +203,11 @@ def _random_velocity(rng: random.Random, gfun: GFunction, fraction: float) -> Bo
     x, y, z = _unit_components(rng)
     s = rng.uniform(0.0, fraction) * scale
     return BoundedVelocity(Vec3(x * s, y * s, z * s), gfun)
+
+
+def _speed_unit(gfun: GFunction) -> float:
+    """The unit of the bounded-addition residuals: c, or 1 when c = inf."""
+    return gfun.c if math.isfinite(gfun.c) else 1.0
 
 
 def _random_pair(rng: random.Random, a0: Body, b0: Body, min_sep: float) -> tuple[Body, Body]:
@@ -577,7 +584,7 @@ def _audit_oplus_group(ctx: AuditContext) -> Measurement:
         worst = _worst(residuals, worst)
     detail = f"{cfg.samples} triples, profile {gfun.name}, c={gfun.c:g}"
     detail += "" if closed else "; closure violated"
-    return Measurement(worst, detail, ok=closed)
+    return Measurement(worst / _speed_unit(gfun), detail, ok=closed)
 
 
 @_declare("proper-time", "distance-iff-proper-time",
@@ -587,16 +594,17 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
     tol = ctx.tolerance("proper-time")
     cfg = ctx.addition()
     gfun = cfg.gfunction()
+    unit = _speed_unit(gfun)
     worst = 0.0
     failures = 0
     for _ in range(cfg.samples):
         v2, v3 = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(2))
-        result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=tol)
+        result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=tol * unit)
         worst = _worst((result.residual,), worst)
         if not result.passed:
             failures += 1
     detail = f"{cfg.samples} splits, {failures} converse failures"
-    return Measurement(worst, detail, ok=failures == 0)
+    return Measurement(worst / unit, detail, ok=failures == 0)
 
 
 @_declare("light-quotient", "echo-quotient-invariance",
@@ -614,13 +622,13 @@ def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     for _ in range(count):
         direction = _unit_vector(rng)
         boost = BoundedVelocity(direction * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun)
-        worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c),), worst)
+        worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c) / gfun.c,), worst)
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
-        deviations.append(abs(plain - gfun.c))
+        deviations.append(abs(plain - gfun.c) / gfun.c)
     # Unlike min(), a nan stays, as in _worst, so it cannot pass as a deviation.
     classical_min = math.nan if any(d != d for d in deviations) else min(deviations)
     detail = f"{count} boosts; plain-addition deviation >= {classical_min:.3e}"
-    return Measurement(worst, detail, ok=classical_min > 1e-6 * gfun.c)
+    return Measurement(worst, detail, ok=classical_min > 1e-6)
 
 
 CATALOG: tuple[AuditSpec, ...] = tuple(_DECLARED)
@@ -738,18 +746,17 @@ def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec |
 def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
     """Run the scenario's requested audits in catalog order.
 
-    Invalid audit inputs (see ``check_audit_inputs``) are a scenario
-    error (input problem, not a FAIL). A singular encounter, a diverging
-    integration, a force that overflows or a missing scenario block turns
-    into an ERROR verdict for that audit alone. Passing an existing
-    ``context`` reuses its cached trajectories and failures. A nan
-    residual compares false against every tolerance, so it is a FAIL.
+    Invalid audit inputs, checked when the context is built, are a
+    scenario error (input problem, not a FAIL). A singular encounter, a
+    diverging integration, a force that overflows or a missing scenario
+    block turns into an ERROR verdict for that audit alone. Passing an
+    existing ``context`` reuses its cached trajectories and failures. A
+    nan residual compares false against every tolerance, so it is a FAIL.
     One audit may run in a forked worker (see the module notes); no
     worker outlives this call.
     """
-    check_audit_inputs(scenario)
-    requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     ctx = context if context is not None else AuditContext(scenario, seed)
+    requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     chosen = _worker_audit(scenario, requested)
 
     def here() -> dict[str, AuditResult]:

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .audits import AuditContext, check_audit_inputs, format_catalog, run_audits
+from .audits import AuditContext, format_catalog, run_audits
 from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
@@ -79,11 +79,9 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
         OSError: an output could not be written; report.json is not
             written.
     """
-    check_audit_inputs(scenario)
+    ctx = AuditContext(scenario, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-
-    ctx = AuditContext(scenario, seed)
     trajectory: Trajectory | None = None
     trajectory_failure: AuditResult | None = None
     if scenario.integrator is not None:

@@ -37,7 +37,7 @@ from array import array
 from typing import Callable, IO, Iterator, NoReturn, Sequence
 
 from .core import Body, NonFiniteError, Vec3, cross, pair_state
-from .forces import ForceLaw, PairLaw, _adaptive_simpson, bind, raw_force_pair
+from .forces import ForceLaw, PairLaw, bind, raw_force_pair
 
 __all__ = [
     "DivergenceError",
@@ -45,7 +45,6 @@ __all__ = [
     "CSV_HEADER",
     "integrate",
     "observables",
-    "path_time",
     "momentum_rate",
 ]
 
@@ -541,33 +540,3 @@ def _rate_mismatch(traj: Trajectory, kernel: RateKernel) -> float:
         i, exc = failed
         raise DivergenceError(i, times[i], f"rate overflow: {exc}")
     return worst
-
-
-def path_time(points: Sequence[Vec3], speed: Callable[[float], float]) -> float:
-    """Elapsed time along a polyline traversed at a given speed profile.
-
-    ``speed`` maps arc length to a strictly positive speed; the result is
-    the quadrature of ds / speed(s) along the path. Change of position is
-    the clock here: a degenerate (zero-length) path takes no time.
-
-    Raises:
-        ValueError: fewer than two points, or a nonpositive speed sample.
-    """
-    if len(points) < 2:
-        raise ValueError("a path needs at least two points")
-
-    def pace(s: float) -> float:
-        v = speed(s)
-        if v <= 0.0:
-            raise ValueError(f"speed must be positive along the path; got {v} at s={s}")
-        return 1.0 / v
-
-    total = 0.0
-    s0 = 0.0
-    for p, q in zip(points, points[1:]):
-        seg = (q - p).norm()
-        if seg == 0.0:
-            continue
-        total += _adaptive_simpson(pace, s0, s0 + seg, 1e-12)
-        s0 += seg
-    return total

@@ -505,33 +505,3 @@ def make_preset(name: str, **params: float) -> ForceLaw:
         return factory(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for preset {name!r}: {exc}") from None
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Recursive Simpson quadrature with interval-halving error control."""
-    if a == b:
-        return 0.0
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl, fr = f(lmid), f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, fl, fmid, left, 0.5 * eps, depth - 1) + recurse(
-            mid, hi, fmid, fr, fhi, right, 0.5 * eps, depth - 1
-        )
-
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return sign * recurse(a, b, fa, fm, fb, whole, tol, 48)

@@ -168,22 +168,24 @@ GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
 class BoundedVelocity(_Value):
     """Velocity vector strictly inside the bound of its weight profile.
 
-    Like ``Vec3``, the constructor checks its arguments and then stores
-    them through the slot descriptors.
+    Like ``Vec3``, the constructor stores its arguments through the slot
+    descriptors, and raises before it returns unless the speed is in bound.
     """
 
     __slots__ = ("v", "gfun")
 
     def __init__(self, v: Vec3, gfun: GFunction) -> None:
-        s = v.norm()
+        _set_v(self, v)
+        s = self.speed
         if not s < gfun.c:
             raise ValueError(f"speed {s} must be strictly below the bound {gfun.c}")
-        _set_v(self, v)
         _set_gfun(self, gfun)
 
     @property
     def speed(self) -> float:
-        return self.v.norm()
+        """|v|; where only the sum of squares overflows, by hypot."""
+        s = self.v.norm()
+        return s if s < math.inf else math.hypot(self.v.x, self.v.y, self.v.z)
 
     def weight(self) -> float:
         return self.gfun(self.speed)
@@ -222,8 +224,9 @@ def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
     if not r < math.inf:
         # A weighted vector or their sum is not finite, or only the norm
         # overflows: the Vec3 expression raises the NonFiniteError naming the
-        # first non-finite vector, and lets the last case go on.
+        # first non-finite vector, and in the last case hypot takes the norm.
         u.weighted() + v.weighted()
+        r = math.hypot(x, y, z)
     if r == 0.0:
         return zero_velocity(gfun)
     w = gfun.solve_speed(r)

@@ -4,8 +4,9 @@ read-back of a trajectory (snapshots, relative states, observables and
 rates built from validated ``Vec3`` arithmetic), which the float kernels
 of ``invarlab.dynamics`` are held to; and the unbound force laws
 (``UnboundLaw``, the presets' coefficient functions, ``unbound_merge``,
-``unbound_soften``, ``unbound_raw_force_pair``, ``unbound_potential``),
-which the pair forms of ``invarlab.forces`` are held to."""
+``unbound_soften``, ``unbound_raw_force_pair``, ``unbound_potential`` with
+its Simpson quadrature ``_adaptive_simpson``), which the pair forms of
+``invarlab.forces`` are held to."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from invarlab import (
     Body, DivergenceError, ForceLaw, PairState, SingularityError, Trajectory, Vec3, bind, cross,
     force_pair, observables, pair_state,
 )
-from invarlab.forces import _adaptive_simpson
 
 
 def as_tuple(v: Vec3) -> tuple[float, float, float]:
@@ -377,6 +377,36 @@ def unbound_raw_force_pair(law, qa, qb, rx, ry, rz, wx, wy, wz):
         py = (rz * wx - rx * wz) * c
         pz = (rx * wy - ry * wx) * c
     return (fx + px, fy + py, fz + pz, -fx + px, -fy + py, -fz + pz)
+
+
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Recursive Simpson quadrature with interval-halving error control."""
+    if a == b:
+        return 0.0
+
+    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
+        mid = 0.5 * (lo + hi)
+        lmid = 0.5 * (lo + mid)
+        rmid = 0.5 * (mid + hi)
+        fl, fr = f(lmid), f(rmid)
+        left = simpson(lo, mid, flo, fl, fmid)
+        right = simpson(mid, hi, fmid, fr, fhi)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(lo, mid, flo, fl, fmid, left, 0.5 * eps, depth - 1) + recurse(
+            mid, hi, fmid, fr, fhi, right, 0.5 * eps, depth - 1
+        )
+
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return sign * recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
 def unbound_potential(law, qa, qb, r):

@@ -22,7 +22,6 @@ from invarlab import (
     momentum_rate,
     observables,
     pair_state,
-    path_time,
     perp_demo,
     spring,
 )
@@ -128,30 +127,6 @@ def test_potential_quadrature_fallback_matches_closed_form():
         numeric = unbound_potential(bare, PropertyView(a), PropertyView(b), r)
         assert abs(numeric - (potential(r) - potential(1.0))) < 1e-10
     assert potential(2.0) == 1.3 * 1.5 * 1.5 * -0.5 / 2.0
-
-
-def test_path_time_straight_segment():
-    assert path_time([Vec3(0, 0, 0), Vec3(2, 0, 0)], lambda s: 1.0) == pytest.approx(2.0)
-
-
-def test_path_time_constant_speed_is_length_over_speed():
-    pts = [Vec3(0, 0, 0), Vec3(1, 1, 0), Vec3(1, 1, 3)]
-    length = math.sqrt(2.0) + 3.0
-    assert path_time(pts, lambda s: 4.0) == pytest.approx(length / 4.0, rel=1e-12)
-
-
-def test_path_time_piecewise_speeds():
-    pts = [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(2, 0, 0)]
-    assert path_time(pts, lambda s: 1.0 if s < 1.0 else 2.0) == pytest.approx(1.5, rel=1e-10)
-
-
-def test_path_time_rejects_bad_input():
-    with pytest.raises(ValueError):
-        path_time([Vec3(0, 0, 0)], lambda s: 1.0)
-    with pytest.raises(ValueError):
-        path_time([Vec3(0, 0, 0), Vec3(1, 0, 0)], lambda s: 0.0)
-    with pytest.raises(ValueError):
-        path_time([Vec3(0, 0, 0), Vec3(1, 0, 0)], lambda s: -2.0)
 
 
 def test_verlet_rejects_velocity_dependent_law():

@@ -73,3 +73,32 @@ def test_the_import_path_loads_neither_dataclasses_nor_inspect():
     )
     # Line 1: dataclasses or inspect if loaded; line 2: any package dataclass.
     assert proc.stdout.splitlines() == ["", ""]
+
+
+def loaded_names(path):
+    """Names a source file reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # No public API that only the tests call: each name the package exports
+    # is read by another package module or by a script, not just defined.
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert len(exported) > 60
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    sources = [path for path in PACKAGE.glob("*.py") if path != init] + scripts
+    used = set().union(*map(loaded_names, sources))
+    assert sorted(exported - used) == []

@@ -776,6 +776,9 @@ def reference_oplus(u, v):
         )
     rhs = u.weighted() + v.weighted()
     r = rhs.norm()
+    if r == math.inf:
+        # The sum is finite and only its squared norm overflows.
+        r = math.hypot(rhs.x, rhs.y, rhs.z)
     if r == 0.0:
         return zero_velocity(u.gfun)
     w = u.gfun.solve_speed(r)
@@ -869,7 +872,7 @@ def test_bounded_addition_errors_equal_the_vec3_formulas():
         (edge, edge),
         # The weighted sum overflows.
         (fast, fast),
-        # The weighted sum is finite, its norm is not.
+        # The weighted sum is finite, its squared norm is not.
         (large, large),
         # The sum is zero, the perturbed displacement overflows.
         (fast, -fast),
@@ -879,6 +882,7 @@ def test_bounded_addition_errors_equal_the_vec3_formulas():
         assert outcome(check_invariance_theorem, u, v, 1.0) == outcome(
             reference_invariance_theorem, u, v, 1.0
         )
+    assert oplus(large, large).v == Vec3(2.4e154, 0.0, 0.0)
     # Only the stretched leg v2 (dt2 (1 + p)) leaves the float range.
     args = (large, zero_velocity(classical), 1.49e154)
     assert outcome(reference_invariance_theorem, *args) == (

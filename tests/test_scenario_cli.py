@@ -209,6 +209,26 @@ def test_cli_kepler_run_passes(tmp_path, capsys):
     assert (out / "drift.csv").exists()
 
 
+def test_a_run_checks_its_audit_inputs_once(tmp_path, capsys):
+    # Counted by code object, so a call through any imported name counts;
+    # the audit context checks them when it is built, and nothing again.
+    check = audits.check_audit_inputs.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is check:
+            calls.append(frame.f_back.f_code.co_name)
+
+    argv = ["run", "kepler.json", "--out", str(tmp_path / "out"), "--step", "0.036"]
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code in (0, 2)
+    assert calls == ["__init__"]
+
+
 def test_cli_perp_demo_momentum_fails_as_designed(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "perp-demo.json", "--out", str(out)])

@@ -1,11 +1,15 @@
+import json
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
 
+import invarlab.audits as audits
 import invarlab.velocity_addition as velocity_addition
+from invarlab.cli import main, resolve_scenario_path
 from invarlab.velocity_addition import _catch_up_time
 from invarlab import (
     BoundedVelocity,
@@ -472,3 +476,56 @@ def test_catch_up_time_is_accurate_on_both_legs():
                 c = sum(p * p for p in dt)
                 exact = (b + (b * b + da * c).sqrt()) / da
                 assert abs(Decimal(t) - exact) <= Decimal(1e-15) * exact
+
+
+# --- verdicts in units of c: a choice of unit changes no verdict ---
+
+UNIT_AUDITS = ["oplus-group", "proper-time", "light-quotient"]
+
+
+def run_addition_at(tmp_path, g, c):
+    """Verdicts and residuals of addition.json's three bounded-addition
+    audits, run through ``main`` with the profile ``g`` and the bound ``c``."""
+    doc = json.loads(resolve_scenario_path("addition.json").read_text())
+    doc["velocity_addition"].update(g=g, c=c)
+    doc["audits"] = UNIT_AUDITS
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    return code, {entry["audit"]: (entry["verdict"], entry["residual"]) for entry in report["audits"]}
+
+
+@pytest.mark.parametrize("g", ["lorentz", "rational"])
+@pytest.mark.parametrize(
+    "c", [1e-150, 1e-20, 1.0, 1e20, 1e150, math.sqrt(sys.float_info.max)],
+    ids=["1e-150", "1e-20", "1", "1e20", "1e150", "sqrt-max"],
+)
+def test_bounded_addition_verdicts_do_not_depend_on_the_unit_of_velocity(tmp_path, capsys, g, c):
+    code, verdicts = run_addition_at(tmp_path, g, c)
+    assert {audit: verdict for audit, (verdict, _) in verdicts.items()} == dict.fromkeys(
+        UNIT_AUDITS, "PASS"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e150])
+def test_a_composition_off_by_one_part_in_a_million_fails_at_every_unit(
+    tmp_path, capsys, monkeypatch, c
+):
+    # Every composed velocity shrunk by 1e-6: the group laws and the
+    # distance identity break by a fixed share of c, whatever c is.
+    exact = velocity_addition.oplus
+
+    def shrunk(u, v):
+        w = exact(u, v)
+        return BoundedVelocity(w.v * (1.0 - 1e-6), w.gfun)
+
+    monkeypatch.setattr(velocity_addition, "oplus", shrunk)
+    monkeypatch.setattr(audits, "oplus", shrunk)
+    code, verdicts = run_addition_at(tmp_path, "lorentz", c)
+    assert code == 2
+    assert verdicts["oplus-group"][0] == verdicts["proper-time"][0] == "FAIL"
+    assert verdicts["oplus-group"][1] > 1e-6
+    assert verdicts["proper-time"][1] > 1e-5
