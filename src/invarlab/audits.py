@@ -344,7 +344,7 @@ def _audit_exchange(ctx: AuditContext) -> Measurement:
     law = ctx.law
     worst = 0.0
     for _ in range(count):
-        a, b = _random_pair(rng, a0, b0, law.min_separation if law.singular else 0.0)
+        a, b = _random_pair(rng, a0, b0, law.min_separation)
         f, k = force_pair(law, a, b)
         f_swapped, k_swapped = force_pair(law, b, a)
         # The forces are finite; f + k or 2 (x_ab x v_ab) phi_perp may not be.
@@ -486,10 +486,9 @@ def _audit_superposition(ctx: AuditContext) -> Measurement:
     count = ctx.params("superposition")["count"]
     laws, merged = ctx.scenario.laws, ctx.law
     a0, b0 = ctx.scenario.bodies
-    min_sep = merged.min_separation if merged.singular else 0.0
     worst = 0.0
     for _ in range(count):
-        a, b = _random_pair(rng, a0, b0, min_sep)
+        a, b = _random_pair(rng, a0, b0, merged.min_separation)
         residuals = (
             (superpose(laws, a, b) - force_on_a(merged, a, b)).norm(),
             superpose((), a, b).norm(),
@@ -559,7 +558,7 @@ def _audit_additivity(ctx: AuditContext) -> Measurement:
     detail = f"property {prop!r}, split {q1:g}/{q2:g}"
     detail += f"; failing laws: {', '.join(failed)}" if failed else ""
     detail += f"; not coupled: {', '.join(law.name for law in uncoupled)}" if uncoupled else ""
-    return Measurement(worst, detail, ok=not failed)
+    return Measurement(worst, detail)
 
 
 @_declare("oplus-group", "bounded-addition-group",
@@ -591,7 +590,6 @@ def _audit_oplus_group(ctx: AuditContext) -> Measurement:
           "leg-by-leg displacements agree exactly when proper intervals agree", 1e-12)
 def _audit_proper_time(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("proper-time")
-    tol = ctx.tolerance("proper-time")
     cfg = ctx.addition()
     gfun = cfg.gfunction()
     unit = _speed_unit(gfun)
@@ -599,7 +597,8 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
     failures = 0
     for _ in range(cfg.samples):
         v2, v3 = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(2))
-        result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=tol * unit)
+        # Only the converse probe decides ``passed``; the runner holds the residual.
+        result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=math.inf)
         worst = _worst((result.residual,), worst)
         if not result.passed:
             failures += 1
@@ -743,19 +742,18 @@ def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec |
     return None
 
 
-def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = None) -> AuditReport:
-    """Run the scenario's requested audits in catalog order.
+def run_audits(ctx: AuditContext) -> AuditReport:
+    """Run the context's requested audits in catalog order.
 
     Invalid audit inputs, checked when the context is built, are a
     scenario error (input problem, not a FAIL). A singular encounter, a
     diverging integration, a force that overflows or a missing scenario
-    block turns into an ERROR verdict for that audit alone. Passing an
-    existing ``context`` reuses its cached trajectories and failures. A
-    nan residual compares false against every tolerance, so it is a FAIL.
-    One audit may run in a forked worker (see the module notes); no
-    worker outlives this call.
+    block turns into an ERROR verdict for that audit alone. The context's
+    cached trajectories and failures are reused. A nan residual compares
+    false against every tolerance, so it is a FAIL. One audit may run in
+    a forked worker (see the module notes); no worker outlives this call.
     """
-    ctx = context if context is not None else AuditContext(scenario, seed)
+    scenario = ctx.scenario
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
     chosen = _worker_audit(scenario, requested)
 
@@ -769,4 +767,4 @@ def run_audits(scenario: Scenario, seed: int, context: AuditContext | None = Non
         verdicts[chosen.name] = AuditResult(*sent)
     results = [verdicts[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
-    return AuditReport(scenario.name, seed, tuple(results), integrator)
+    return AuditReport(scenario.name, ctx.seed, tuple(results), integrator)

@@ -96,11 +96,11 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
                 "trajectory", "equations-of-motion", ERROR, detail=str(exc)
             )
     if trajectory is None:
-        report = run_audits(scenario, seed, context=ctx)
+        report = run_audits(ctx)
     else:
         def here() -> AuditReport:
             _write_drift_csv(ctx, out_dir)
-            return run_audits(scenario, seed, context=ctx)
+            return run_audits(ctx)
 
         _, report = beside(lambda: _write_trajectory_csv(trajectory, out_dir), here)
     if trajectory_failure is not None:

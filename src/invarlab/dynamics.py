@@ -100,7 +100,7 @@ class DivergenceError(ArithmeticError):
 
 
 class Trajectory:
-    """Time-ordered samples of the pair, step metadata attached.
+    """Time-ordered samples of the pair under one law and method.
 
     Samples are stored as raw floats: ``rows`` holds 12 per sample, flat,
     in the order position of a, velocity of a, position of b, velocity of
@@ -118,7 +118,7 @@ class Trajectory:
         DivergenceError: a row holds a non-finite value.
     """
 
-    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "step", "_conserved")
+    __slots__ = ("times", "rows", "bodies", "law", "pair", "method", "_conserved")
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class Trajectory:
         bodies: tuple[Body, Body],
         law: ForceLaw,
         method: str,
-        step: float,
     ) -> None:
         if len(rows) != 12 * len(times):
             raise ValueError("rows must hold 12 floats per time")
@@ -142,7 +141,6 @@ class Trajectory:
         self.law = law
         self.pair: PairLaw = bind(law, *bodies)
         self.method = method
-        self.step = step
         self._conserved: array | None = None
 
     def __len__(self) -> int:
@@ -225,7 +223,7 @@ def integrate(
         ValueError: nonpositive step or t_end, unknown method, a law that
             ``bind`` refuses, or verlet requested for a law that is not
             central.
-        SingularityError: the pair entered a singular law's exclusion
+        SingularityError: the pair entered the law's exclusion
             radius (including at t = 0).
         DivergenceError: the state stopped being finite.
     """
@@ -344,7 +342,7 @@ def integrate(
             append(pack(ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz))
 
     times = array("d", (i * step for i in range(n_steps + 1)))
-    return Trajectory(times, rows, (a0, b0), law, method, step)
+    return Trajectory(times, rows, (a0, b0), law, method)
 
 
 def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:

@@ -13,13 +13,14 @@ normal channel adds: f + k = 2 (x_ab x v_ab) phi_perp. Restricting the
 coefficients to invariant arguments is what makes every law built here
 rotationally covariant by construction.
 
-A ``ForceLaw`` is its name, its flags and its pair form. The form takes
-the two bodies' property views, which never change along a motion, and
-returns the law's ``PairTerms`` for that pair, with the property products
-folded in once. A radial coefficient that reads the separation alone is
-given as ``phi_r``. A law whose only term is ``phi_r``, or that has none,
-is central: velocity independent, with a scalar potential V,
-V'(r) = -phi_r(r) r, which its form registers in closed form.
+A ``ForceLaw`` is its name, its pair form and its exclusion radius. The
+form takes the two bodies' property views, which never change along a
+motion, and returns the law's ``PairTerms`` for that pair, with the
+property products folded in once. A radial coefficient that reads the
+separation alone is given as ``phi_r``. A law whose only term is
+``phi_r``, or that has none, is central: velocity independent, with a
+scalar potential V, V'(r) = -phi_r(r) r, which its form registers in
+closed form.
 ``bind(law, a, b)`` calls the form once and ``raw_force_pair`` evaluates
 the result; ``merge_laws`` and ``soften`` compose the terms.
 
@@ -85,28 +86,25 @@ def _force(name: str, x: float, y: float, z: float) -> Vec3:
 
 
 class PropertyView(Mapping):
-    """Read-only, total view of a body's scalar properties including mass.
-
-    Lookups never fail; absent properties read as 0.0.
+    """Read-only, total view of a body's scalar properties including mass,
+    read through ``Body.prop``: lookups never fail, and absent properties
+    read as 0.0. It gives a pair form no position or velocity.
     """
 
-    __slots__ = ("_mass", "_props")
+    __slots__ = ("_body",)
 
     def __init__(self, body: Body) -> None:
-        self._mass = body.mass
-        self._props = body.properties
+        self._body = body
 
     def __getitem__(self, name: str) -> float:
-        if name == "mass":
-            return self._mass
-        return self._props.get(name, 0.0)
+        return self._body.prop(name)
 
     def __iter__(self) -> Iterator[str]:
         yield "mass"
-        yield from self._props
+        yield from self._body.properties
 
     def __len__(self) -> int:
-        return 1 + len(self._props)
+        return 1 + len(self._body.properties)
 
 
 class PairTerms(NamedTuple):
@@ -149,22 +147,26 @@ PairForm = Callable[[Mapping[str, float], Mapping[str, float]], PairTerms]
 
 
 class ForceLaw(NamedTuple):
-    """A named pair form and its flags; whether the law is central is read
-    from the terms the form returns.
+    """A named pair form and its exclusion radius; whether the law is
+    central is read from the terms the form returns.
 
-    ``singular`` laws refuse evaluation below ``min_separation``.
+    The law refuses evaluation below ``min_separation``; a law with a
+    positive radius is ``singular``.
     """
 
     name: str
     pair_form: PairForm
-    singular: bool = False
-    min_separation: float = 1e-9
+    min_separation: float = 0.0
+
+    @property
+    def singular(self) -> bool:
+        return self.min_separation > 0.0
 
 
 class PairLaw:
     """A law bound to one pair by ``bind``: the masses, the reduced mass
-    ``mu = ma * mb / (ma + mb)``, the law's flags, and its terms closed
-    over the pair's properties.
+    ``mu = ma * mb / (ma + mb)``, the law's exclusion radius, and its terms
+    closed over the pair's properties.
 
     ``phi_e``, ``phi_s`` and ``phi_perp`` take (separation, relative speed,
     x_ab . v_ab), or are None where the law has no such channel; a
@@ -175,17 +177,15 @@ class PairLaw:
     """
 
     __slots__ = (
-        "name", "ma", "mb", "mu", "singular", "min_separation", "central", "floor",
-        "forceless", "phi_e", "phi_s", "phi_perp", "phi_r", "potential",
+        "name", "ma", "mb", "mu", "min_separation", "central", "forceless",
+        "phi_e", "phi_s", "phi_perp", "phi_r", "potential",
     )
 
     def __init__(self, law: ForceLaw, ma: float, mb: float, terms: PairTerms) -> None:
         self.name = law.name
         self.ma, self.mb = ma, mb
         self.mu = ma * mb / (ma + mb)
-        self.singular, self.min_separation = law.singular, law.min_separation
-        # A separation is refused below ``floor``; none is below 0.0.
-        self.floor = law.min_separation if law.singular else 0.0
+        self.min_separation = law.min_separation
         self.central = terms.central
         self.phi_e, self.phi_s, self.phi_perp = terms.radial_channel, terms.phi_s, terms.phi_perp
         self.forceless = self.central and terms.phi_r is None
@@ -234,11 +234,11 @@ def raw_force_pair(
     no component comes out as -0.0 unless phi_perp makes it so.
 
     Raises:
-        SingularityError: the separation is below a singular law's minimum;
-            no coefficient has been evaluated.
+        SingularityError: the separation is below the law's minimum; no
+            coefficient has been evaluated.
     """
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if r < pair.floor:
+    if r < pair.min_separation:
         raise SingularityError(
             f"law {pair.name!r}: separation {r:.3e} below minimum {pair.min_separation:.3e}"
         )
@@ -332,7 +332,8 @@ def merge_laws(laws: Sequence[ForceLaw]) -> ForceLaw:
     outputs of a multi-law run depend on the Python version. A channel
     that one law alone has is that law's term, unsummed. If every law's
     terms are central, ``phi_r`` and the potential are summed; otherwise
-    each ``phi_r`` joins the ``phi_e`` sum as a function of the state.
+    each ``phi_r`` joins the ``phi_e`` sum as a function of the state. The
+    exclusion radius is the largest of the laws' radii.
     """
     laws = tuple(laws)
     if not laws:
@@ -351,13 +352,8 @@ def merge_laws(laws: Sequence[ForceLaw]) -> ForceLaw:
                          phi_s=_channel([t.phi_s for t in terms]),
                          phi_perp=_channel([t.phi_perp for t in terms]))
 
-    singular_laws = [law for law in laws if law.singular]
-    return ForceLaw(
-        "+".join(law.name for law in laws),
-        pair_form,
-        singular=bool(singular_laws),
-        min_separation=max((law.min_separation for law in singular_laws), default=1e-9),
-    )
+    return ForceLaw("+".join(law.name for law in laws), pair_form,
+                    max(law.min_separation for law in laws))
 
 
 def soften(law: ForceLaw, epsilon: float) -> ForceLaw:
@@ -437,7 +433,7 @@ def gravity(g: float = 1.0) -> ForceLaw:
         k = -g * qa["mass"] * qb["mass"]
         return PairTerms(phi_r=lambda r: k / (r * r * r), potential=lambda r: k / r)
 
-    return ForceLaw("gravity", pair_form, singular=True)
+    return ForceLaw("gravity", pair_form, min_separation=1e-9)
 
 
 def coulomb(k: float = 1.0) -> ForceLaw:
@@ -448,7 +444,7 @@ def coulomb(k: float = 1.0) -> ForceLaw:
         kq = k * qa["charge"] * qb["charge"]
         return PairTerms(phi_r=lambda r: kq / (r * r * r), potential=lambda r: kq / r)
 
-    return ForceLaw("coulomb", pair_form, singular=True)
+    return ForceLaw("coulomb", pair_form, min_separation=1e-9)
 
 
 def spring(kappa: float = 1.0) -> ForceLaw:
@@ -480,7 +476,7 @@ def charge_squared(k: float = 1.0) -> ForceLaw:
         kq = k * q * q * qb["charge"]
         return PairTerms(phi_r=lambda r: kq / (r * r * r), potential=lambda r: kq / r)
 
-    return ForceLaw("charge-squared", pair_form, singular=True)
+    return ForceLaw("charge-squared", pair_form, min_separation=1e-9)
 
 
 PRESETS: dict[str, Callable[..., ForceLaw]] = {

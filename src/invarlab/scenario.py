@@ -31,7 +31,8 @@ lists, with each audit's params, types and defaults: numeric params must
 be finite and positive, and no run, the audits' own integrations
 included, may take more than ``MAX_STEPS`` steps. A body's mass may not
 be below the smallest normal float, c must square to a finite normal
-float, and the light time baseline / c and baseline * c to a normal one.
+float (the classical profile, which has no bound, takes no c), and the
+light time baseline / c and baseline * c to a normal one.
 """
 
 from __future__ import annotations
@@ -329,6 +330,8 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
         if not isinstance(g_name, str) or g_name not in GFUNCTIONS:
             known = ", ".join(sorted(GFUNCTIONS))
             raise _fail("velocity_addition.g", f"unknown profile {g_name!r} (known: {known})")
+        if g_name == "classical" and "c" in adoc:
+            raise _fail("velocity_addition.c", "the classical profile has no speed bound; drop c")
         samples = adoc.get("samples", 200)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
             raise _fail("velocity_addition.samples", "expected a positive integer")

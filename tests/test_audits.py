@@ -7,7 +7,7 @@ from invarlab import (
     Body, BoundedVelocity, ForceLaw, ScenarioError, Vec3, charge_squared, coulomb, gravity,
     linear_drag, perp_demo, soften, spring,
 )
-from invarlab.audits import audit_names, format_catalog, run_audits
+from invarlab.audits import AuditContext, audit_names, format_catalog, run_audits
 from invarlab.forces import PairTerms
 from invarlab.scenario import AdditionConfig, IntegratorConfig, Scenario
 
@@ -30,7 +30,7 @@ def scenario_with(**overrides):
 def test_unknown_audit_name_is_scenario_error():
     sc = scenario_with(audits=("momentum", "no-such-audit"))
     with pytest.raises(ScenarioError, match="no-such-audit"):
-        run_audits(sc, seed=1)
+        run_audits(AuditContext(sc, 1))
 
 
 def test_report_holds_each_requested_audit_once_in_catalog_order():
@@ -41,7 +41,7 @@ def test_report_holds_each_requested_audit_once_in_catalog_order():
         audits=("momentum", "frame-group", "momentum", "exchange"),
         integrator=IntegratorConfig("rk4", 0.01, 1.0),
     )
-    report = run_audits(sc, seed=3)
+    report = run_audits(AuditContext(sc, 3))
     assert [r.audit for r in report.results] == ["frame-group", "exchange", "momentum"]
     assert report.overall == "PASS"
 
@@ -54,7 +54,7 @@ def test_energy_audit_errors_for_non_central_law():
         audits=("energy",),
         integrator=IntegratorConfig("rk4", 0.01, 0.1),
     )
-    report = run_audits(sc, seed=1)
+    report = run_audits(AuditContext(sc, 1))
     assert report.results[0].verdict == "ERROR"
     assert "undefined" in report.results[0].detail
     assert report.overall == "FAIL"
@@ -76,7 +76,7 @@ def test_energy_audit_keeps_a_nan_drift_after_finite_ones():
     def energy(law):
         sc = scenario_with(laws=(law,), audits=("energy",), tolerances={"energy": 1e-3},
                            integrator=IntegratorConfig("verlet", 0.01, 30.0))
-        return run_audits(sc, seed=1).results[0]
+        return run_audits(AuditContext(sc, 1)).results[0]
 
     finite = energy(nan_spring(10**9))
     assert finite.verdict == "PASS" and finite.residual > 0.0
@@ -88,7 +88,7 @@ def test_trajectory_audit_without_integrator_block_errors():
     from invarlab import gravity
 
     sc = scenario_with(laws=(gravity(1.0),), audits=("momentum",))
-    report = run_audits(sc, seed=1)
+    report = run_audits(AuditContext(sc, 1))
     assert report.results[0].verdict == "ERROR"
     assert "integrator" in report.results[0].detail
 
@@ -99,7 +99,7 @@ def test_oplus_audit_covers_both_shipped_profiles():
             audits=("oplus-group", "proper-time"),
             addition=AdditionConfig(g_name=g_name, c=2.0, samples=50, max_speed=0.9),
         )
-        report = run_audits(sc, seed=5)
+        report = run_audits(AuditContext(sc, 5))
         assert all(r.passed for r in report.results), report.summary_lines()
 
 
@@ -115,7 +115,7 @@ def test_unreachable_weighted_norm_is_an_error_verdict(monkeypatch):
             audits=("oplus-group", "proper-time"),
             addition=AdditionConfig(g_name=g_name, c=1.0, samples=5, max_speed=0.9),
         )
-        report = run_audits(sc, seed=5)
+        report = run_audits(AuditContext(sc, 5))
         assert [r.verdict for r in report.results] == ["ERROR", "ERROR"]
         assert all("not reachable below the bound" in r.detail for r in report.results)
 
@@ -124,7 +124,7 @@ def test_additivity_audit_defaults_to_mass_for_gravity():
     from invarlab import gravity
 
     sc = scenario_with(laws=(gravity(1.0),), audits=("additivity",))
-    report = run_audits(sc, seed=1)
+    report = run_audits(AuditContext(sc, 1))
     assert report.results[0].passed
     assert "'mass'" in report.results[0].detail
 
@@ -160,7 +160,7 @@ def test_additivity_tests_only_the_laws_that_read_the_property(laws, prop, verdi
     params = {} if prop is None else {"additivity": {"property": prop}}
     sc = scenario_with(bodies=CHARGED, laws=tuple(laws), audits=("additivity",),
                        audit_params=params)
-    result = run_audits(sc, seed=1).results[0]
+    result = run_audits(AuditContext(sc, 1)).results[0]
     assert (result.verdict, result.detail) == (verdict, detail)
 
 
@@ -170,22 +170,22 @@ def test_a_law_that_does_not_bind_is_an_input_error():
         sc = scenario_with(laws=laws, audits=("energy", "exchange"),
                            integrator=IntegratorConfig("rk4", 0.01, 0.1))
         with pytest.raises(ScenarioError, match="^laws: central law 'bare' registers no potential"):
-            run_audits(sc, seed=1)
+            run_audits(AuditContext(sc, 1))
 
 
 def test_results_do_not_depend_on_which_other_audits_run():
     from invarlab import gravity
 
     cfg = IntegratorConfig("rk4", 0.01, 1.0)
-    alone = run_audits(
-        scenario_with(laws=(gravity(1.0),), audits=("exchange",), integrator=cfg), seed=9
-    )
-    together = run_audits(
+    alone = run_audits(AuditContext(
+        scenario_with(laws=(gravity(1.0),), audits=("exchange",), integrator=cfg), 9
+    ))
+    together = run_audits(AuditContext(
         scenario_with(
             laws=(gravity(1.0),), audits=("exchange", "frame-group", "momentum"), integrator=cfg
         ),
-        seed=9,
-    )
+        9,
+    ))
     lone = alone.results[0]
     paired = next(r for r in together.results if r.audit == "exchange")
     assert lone.residual == paired.residual
@@ -201,7 +201,7 @@ def test_bad_audit_param_type_is_an_error_verdict():
         audit_params={"boost-covariance": {"count": "ten"}},
     )
     with pytest.raises(ScenarioError, match=r"audit_params\.boost-covariance\.count: expected"):
-        run_audits(sc, seed=1)
+        run_audits(AuditContext(sc, 1))
 
 
 def test_catalog_listing_is_complete():
@@ -232,7 +232,7 @@ def test_integration_failures_are_cached_per_step_scale(monkeypatch):
         integrator=IntegratorConfig("rk4", 0.01, 10.0),
     )
     ctx = audits.AuditContext(sc, seed=1)
-    report = run_audits(sc, seed=1, context=ctx)
+    report = run_audits(ctx)
     assert [r.verdict for r in report.results] == ["ERROR"] * 5
     assert all("diverged at sample" in r.detail for r in report.results)
     assert calls == [0.01]
@@ -265,7 +265,7 @@ def test_runner_alone_decides_the_verdict(monkeypatch, measured, verdict, tolera
 
     spec = replace(audits.CATALOG[0], run=lambda ctx: measured)
     monkeypatch.setattr(audits, "CATALOG", (spec,))
-    (result,) = run_audits(scenario_with(audits=(spec.name,)), seed=1).results
+    (result,) = run_audits(AuditContext(scenario_with(audits=(spec.name,)), 1)).results
     assert (result.audit, result.lemma) == (spec.name, spec.lemma)
     assert (result.verdict, result.tolerance) == (verdict, tolerance)
     assert result.detail == measured.detail
@@ -304,7 +304,7 @@ class NanVector(Vec3):
 def test_frame_group_keeps_a_nan_residual_after_a_finite_one(monkeypatch):
     patched = nan_on_second_call(audits.transform_residual, math.nan)
     monkeypatch.setattr(audits, "transform_residual", patched)
-    (result,) = run_audits(scenario_with(audits=("frame-group",)), seed=1).results
+    (result,) = run_audits(AuditContext(scenario_with(audits=("frame-group",)), 1)).results
     assert result.verdict == "FAIL" and math.isnan(result.residual)
 
 
@@ -314,7 +314,7 @@ def test_oplus_group_keeps_a_nan_residual(monkeypatch):
     patched = nan_on_second_call(audits.oplus, SimpleNamespace(v=NanVector()))
     monkeypatch.setattr(audits, "oplus", patched)
     sc = scenario_with(audits=("oplus-group",), addition=AdditionConfig(samples=5))
-    (result,) = run_audits(sc, seed=1).results
+    (result,) = run_audits(AuditContext(sc, 1)).results
     assert result.verdict == "FAIL" and math.isnan(result.residual)
 
 
@@ -322,6 +322,6 @@ def test_light_quotient_keeps_a_nan_plain_quotient_after_a_finite_one(monkeypatc
     patched = nan_on_second_call(audits.classical_light_quotient, math.nan)
     monkeypatch.setattr(audits, "classical_light_quotient", patched)
     sc = scenario_with(audits=("light-quotient",), addition=AdditionConfig(samples=5))
-    (result,) = run_audits(sc, seed=1).results
+    (result,) = run_audits(AuditContext(sc, 1)).results
     assert result.verdict == "FAIL"
     assert result.detail == "20 boosts; plain-addition deviation >= nan"

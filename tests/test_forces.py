@@ -18,6 +18,7 @@ from invarlab import (
     force_pair,
     free,
     gravity,
+    integrate,
     linear_drag,
     make_preset,
     merge_laws,
@@ -28,7 +29,7 @@ from invarlab import (
     spring,
     superpose,
 )
-from invarlab.forces import PairTerms, bind
+from invarlab.forces import PairTerms, bind, raw_force_pair
 from invarlab.frames import random_rotation
 
 from helpers import force_on_b, random_body
@@ -197,6 +198,34 @@ def test_singularity_error_below_minimum_separation():
     b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
     with pytest.raises(SingularityError):
         force_on_a(law, a, b)
+
+
+# A law's exclusion radius is its ``min_separation`` alone: a law given a
+# radius and nothing else refuses every separation below it.
+RADIUS_ONLY = ForceLaw("radius-only", spring(1.0).pair_form, min_separation=0.5)
+
+
+@pytest.mark.parametrize("through", ["raw_force_pair", "integrate"])
+def test_a_radius_alone_refuses_evaluation_inside_it(through):
+    a = body_at(Vec3(0.1, 0, 0), Vec3(0, 0, 0))
+    b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), name="B")
+    assert RADIUS_ONLY.singular and not spring(1.0).singular
+    message = r"'radius-only': separation 1\.000e-01 below minimum 5\.000e-01"
+    with pytest.raises(SingularityError, match=message):
+        if through == "raw_force_pair":
+            raw_force_pair(bind(RADIUS_ONLY, a, b), 0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            integrate(a, b, RADIUS_ONLY, 1.0, 0.01, "rk4")
+
+
+def test_a_merged_law_takes_the_largest_radius():
+    assert merge_laws((gravity(), RADIUS_ONLY)).min_separation == 0.5
+    assert merge_laws((spring(), linear_drag())).min_separation == 0.0
+
+
+def test_a_softened_law_has_no_radius():
+    assert soften(RADIUS_ONLY, 0.1).min_separation == 0.0
+    assert soften(gravity(), 0.1).min_separation == 0.0
 
 
 def test_softening_removes_singularity():

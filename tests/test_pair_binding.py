@@ -50,7 +50,7 @@ def library_law():
             phi_perp=lambda r, speed, radial: p / (1.0 + r),
         )
 
-    return ForceLaw("library", pair_form, singular=True, min_separation=1e-6)
+    return ForceLaw("library", pair_form, min_separation=1e-6)
 
 
 def unbound_library_law():
@@ -72,7 +72,7 @@ def library_central_law():
         return PairTerms(phi_r=lambda r: k / (r * r * r) - 0.5,
                          potential=lambda r: k / r + 0.25 * r * r)
 
-    return ForceLaw("library-central", pair_form, singular=True)
+    return ForceLaw("library-central", pair_form, min_separation=1e-9)
 
 
 def unbound_library_central_law():
@@ -178,9 +178,9 @@ def test_pair_law_holds_the_pair_and_the_law_flags():
         pair = bind(law, a, b)
         assert (pair.name, pair.ma, pair.mb) == (unbound.name, 1.5, 0.5)
         assert pair.mu == 1.5 * 0.5 / (1.5 + 0.5)
-        assert (pair.singular, pair.min_separation, pair.central) == (
-            unbound.singular, unbound.min_separation, unbound.central
-        )
+        # The reference law keeps a flag beside its radius; the bound law, the floor they make.
+        floor = unbound.min_separation if unbound.singular else 0.0
+        assert (pair.min_separation, pair.central) == (floor, unbound.central)
         assert (pair.potential is not None) == unbound.central
         for channel in ("phi_e", "phi_s", "phi_perp"):
             assert (getattr(pair, channel) is None) == (getattr(unbound, channel) is None)
@@ -216,7 +216,7 @@ def test_library_built_law_is_not_called_below_its_minimum():
         return 1.0
 
     terms = PairTerms(phi_e=counted, phi_s=counted, phi_perp=counted)
-    law = ForceLaw("counted", lambda qa, qb: terms, singular=True)
+    law = ForceLaw("counted", lambda qa, qb: terms, min_separation=1e-9)
     a, b = bodies(random.Random(5))
     with pytest.raises(SingularityError, match="'counted': separation 0.000e"):
         raw_force_pair(bind(law, a, b), 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)

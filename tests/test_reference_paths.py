@@ -309,7 +309,7 @@ def test_observables_errors_equal_the_body_level_formulas():
     b0 = Body("B", 3.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     law = spring(1.0)
     traj = Trajectory((0.0, 1.0, 2.0, 3.0, 4.0), [x for row in rows for x in row], (a0, b0),
-                      law, "rk4", 1.0)
+                      law, "rk4")
     pair = bind(law, a0, b0)
     for i, ((a, b), row) in enumerate(zip(states_of(traj), rows)):
         expected = outcome(body_level_observables, a, b, unbound_spring(1.0))
@@ -351,7 +351,7 @@ def signed_zero_trajectory():
         rows += [1.0, 0.0, 0.0, zero, zero, zero, 0.0, 0.0, 0.0, zero, zero, zero]
     a = Body("A", 1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     b = Body("B", 2.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
-    return Trajectory((0.0, 1.0, 2.0, 3.0), rows, (a, b), merge_laws(()), "rk4", 1.0)
+    return Trajectory((0.0, 1.0, 2.0, 3.0), rows, (a, b), merge_laws(()), "rk4")
 
 
 def conserved_cells(traj):
@@ -546,14 +546,14 @@ def velocity_trajectory(velocities):
     a = Body("A", 1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     b = Body("B", 1.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0))
     times = tuple(float(i) for i in range(len(velocities)))
-    return Trajectory(times, rows, (a, b), merge_laws(()), "rk4", 1.0)
+    return Trajectory(times, rows, (a, b), merge_laws(()), "rk4")
 
 
 def constant_trajectory(row, law, masses=(1.0, 1.0)):
     """Three equal samples of one 12-float row at unit time steps."""
     a = Body("A", masses[0], Vec3(*row[0:3]), Vec3(*row[3:6]))
     b = Body("B", masses[1], Vec3(*row[6:9]), Vec3(*row[9:12]))
-    return Trajectory((0.0, 1.0, 2.0), list(row) * 3, (a, b), law, "rk4", 1.0)
+    return Trajectory((0.0, 1.0, 2.0), list(row) * 3, (a, b), law, "rk4")
 
 
 def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
@@ -677,7 +677,7 @@ def random_extreme_trajectory(rng):
     masses = [rng.choice([1.0, 3.0, 1e-200, 1e200, 1e308]) for _ in range(2)]
     rest = Vec3(0.0, 0.0, 0.0)
     bodies = tuple(Body(name, m, rest, rest) for name, m in zip("AB", masses))
-    return Trajectory(times, rows, bodies, law, "rk4", 1.0)
+    return Trajectory(times, rows, bodies, law, "rk4")
 
 
 def test_rate_mismatch_equals_the_snapshot_pass_on_extreme_rows(monkeypatch):

@@ -14,7 +14,7 @@ from invarlab import (
 )
 import invarlab.audits as audits
 import invarlab.forking as forking
-from invarlab.audits import run_audits
+from invarlab.audits import AuditContext, run_audits
 from invarlab.cli import main, resolve_scenario_path, run_scenario
 from invarlab.dynamics import DivergenceError
 
@@ -942,9 +942,9 @@ def test_a_failed_worker_has_its_audit_run_here(monkeypatch, how):
     scenario = parse_scenario(MIXED_DOC)
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
-        expected = run_audits(scenario, seed=7).to_json()
+        expected = run_audits(AuditContext(scenario, 7)).to_json()
     pids = failing_fork(monkeypatch, how)
-    assert run_audits(scenario, seed=7).to_json() == expected
+    assert run_audits(AuditContext(scenario, 7)).to_json() == expected
     assert len(pids) == (how != "fork raises")
     assert_no_child_left()
 
@@ -962,7 +962,7 @@ def test_an_exception_in_either_process_is_raised_here(monkeypatch, where, audit
     monkeypatch.setattr(audits, "CATALOG", catalog)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match=f"{audit} broke"):
-        run_audits(parse_scenario(MIXED_DOC), seed=1)
+        run_audits(AuditContext(parse_scenario(MIXED_DOC), 1))
     assert len(pids) == 1
     assert_no_child_left()
 
@@ -981,7 +981,7 @@ def test_no_worker_for_one_audit_or_a_scenario_with_an_integrator(monkeypatch, d
         raise AssertionError("run_audits forked")
 
     monkeypatch.setattr(os, "fork", fork)
-    report = run_audits(parse_scenario(doc), seed=1)
+    report = run_audits(AuditContext(parse_scenario(doc), 1))
     assert [r.verdict for r in report.results] == ["PASS"] * len(doc["audits"])
 
 
@@ -1036,9 +1036,9 @@ def test_a_failed_worker_on_an_integrator_scenario_has_its_audit_run_here(monkey
     scenario = parse_scenario(RK4_DOC)
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
-        expected = run_audits(scenario, seed=7).to_json()
+        expected = run_audits(AuditContext(scenario, 7)).to_json()
     pids = failing_fork(monkeypatch, how)
-    assert run_audits(scenario, seed=7).to_json() == expected
+    assert run_audits(AuditContext(scenario, 7)).to_json() == expected
     assert len(pids) == (how != "fork raises")
     assert_no_child_left()
 
@@ -1056,7 +1056,7 @@ def test_an_exception_in_the_worker_on_an_integrator_scenario_is_raised_here(mon
     monkeypatch.setattr(audits, "CATALOG", catalog)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="boost-covariance broke"):
-        run_audits(parse_scenario(RK4_DOC), seed=1)
+        run_audits(AuditContext(parse_scenario(RK4_DOC), 1))
     assert len(pids) == 1
     assert_no_child_left()
 
@@ -1070,7 +1070,7 @@ def test_a_worker_needs_the_floor_of_own_steps(monkeypatch, steps, forks):
     )
     assert audits._WORKER_MIN_STEPS == 1000
     pids = count_forks(monkeypatch)
-    report = run_audits(parse_scenario(doc), seed=1)
+    report = run_audits(AuditContext(parse_scenario(doc), 1))
     assert [r.verdict for r in report.results] == ["PASS", "PASS"]
     assert len(pids) == forks
     assert_no_child_left()
@@ -1133,9 +1133,12 @@ EXTREME_FRAME = {"translation": [1e308, 1e308, 1e308], "boost": [1e308, 0, 0], "
         ("addition.json", set_field("velocity_addition", "c", 1e308), 1, "velocity_addition.c"),
         ("addition.json", set_field("velocity_addition", "c", 1e-170), 1, "velocity_addition.c"),
         ("addition.json", set_field("velocity_addition", "c", 1e-300), 1, "velocity_addition.c"),
+        # The classical profile has no bound, so a c given with it would go unread.
+        ("addition.json", set_field("velocity_addition", "g", "classical"), 1,
+         "velocity_addition.c"),
     ],
     ids=["positions", "velocities", "explicit-frame", "translation", "boost", "time-offset",
-         "c-1e308", "c-1e-170", "c-1e-300"],
+         "c-1e308", "c-1e-170", "c-1e-300", "classical-with-c"],
 )
 def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
     tmp_path, capsys, name, change, code, where

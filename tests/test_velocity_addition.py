@@ -483,18 +483,26 @@ def test_catch_up_time_is_accurate_on_both_legs():
 UNIT_AUDITS = ["oplus-group", "proper-time", "light-quotient"]
 
 
-def run_addition_at(tmp_path, g, c):
-    """Verdicts and residuals of addition.json's three bounded-addition
-    audits, run through ``main`` with the profile ``g`` and the bound ``c``."""
+def run_addition(tmp_path, audits, **block):
+    """addition.json with ``block`` over its velocity_addition block, cut
+    to ``audits`` and run through ``main``: the exit code and each audit's
+    report entry."""
     doc = json.loads(resolve_scenario_path("addition.json").read_text())
-    doc["velocity_addition"].update(g=g, c=c)
-    doc["audits"] = UNIT_AUDITS
+    doc["velocity_addition"].update(block)
+    doc["audits"] = audits
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = main(["run", str(path), "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
-    return code, {entry["audit"]: (entry["verdict"], entry["residual"]) for entry in report["audits"]}
+    return code, {entry["audit"]: entry for entry in report["audits"]}
+
+
+def run_addition_at(tmp_path, g, c):
+    """Verdicts and residuals of addition.json's three bounded-addition
+    audits, run through ``main`` with the profile ``g`` and the bound ``c``."""
+    code, entries = run_addition(tmp_path, UNIT_AUDITS, g=g, c=c)
+    return code, {audit: (entry["verdict"], entry["residual"]) for audit, entry in entries.items()}
 
 
 @pytest.mark.parametrize("g", ["lorentz", "rational"])
@@ -529,3 +537,35 @@ def test_a_composition_off_by_one_part_in_a_million_fails_at_every_unit(
     assert verdicts["oplus-group"][0] == verdicts["proper-time"][0] == "FAIL"
     assert verdicts["oplus-group"][1] > 1e-6
     assert verdicts["proper-time"][1] > 1e-5
+
+
+# --- proper-time: the residual is held to the tolerance once, by the runner ---
+
+
+# At c = 1 near the speed bound the residual, absolute in displacement, is
+# over the tolerance while the converse holds in every split: the verdict
+# FAILs on the residual, and the count names converse failures only.
+@pytest.mark.parametrize(
+    "g, max_speed, code, verdict",
+    [("lorentz", 0.999, 2, "FAIL"), ("rational", 0.999, 2, "FAIL"), ("rational", 0.99, 0, "PASS")],
+)
+def test_proper_time_counts_only_converse_failures(tmp_path, capsys, g, max_speed, code, verdict):
+    exit_code, entries = run_addition(tmp_path, ["proper-time"], g=g, c=1.0, max_speed=max_speed)
+    entry = entries["proper-time"]
+    assert (exit_code, entry["verdict"]) == (code, verdict)
+    assert (entry["residual"] > entry["tolerance"]) == (verdict == "FAIL")
+    assert entry["detail"] == "300 splits, 0 converse failures"
+
+
+def test_a_broken_converse_still_fails_proper_time(tmp_path, capsys, monkeypatch):
+    exact = audits.check_invariance_theorem
+
+    def broken(*args, **kwargs):
+        return exact(*args, **kwargs)._replace(passed=False)
+
+    monkeypatch.setattr(audits, "check_invariance_theorem", broken)
+    code, entries = run_addition(tmp_path, ["proper-time"])
+    assert code == 2
+    assert entries["proper-time"]["verdict"] == "FAIL"
+    assert entries["proper-time"]["residual"] <= entries["proper-time"]["tolerance"]
+    assert entries["proper-time"]["detail"] == "300 splits, 300 converse failures"
