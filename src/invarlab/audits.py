@@ -29,8 +29,8 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .core import Body, NonFiniteError, Vec3, distance, pair_state
 from .dynamics import (
-    DivergenceError, RateKernel, Trajectory, _angular_momentum_and_rate, _momentum_and_rate,
-    _rate_mismatch, integrate, momentum_rate,
+    DivergenceError, RowFunction, Trajectory, _angular_momentum, _exact_momentum_rate,
+    _exact_torque, _momentum, _rate_mismatch, integrate, momentum_rate,
 )
 from .forces import (
     ForceLaw, ForceOverflowError, PropertyView, SingularityError, bind,
@@ -375,15 +375,17 @@ _declare("momentum", "momentum-iff-no-normal-channel",
          1e-9)(partial(_audit_conserved, observable="total_momentum"))
 
 
-def _order_check_audit(ctx: AuditContext, name: str, kernel: RateKernel) -> Measurement:
+def _order_check_audit(
+    ctx: AuditContext, name: str, series: RowFunction, rate: RowFunction
+) -> Measurement:
     """Held to its own tolerance: ``floor`` when the mismatch at the
     scenario step is already below it, else a 3.5x reduction at half the
     step (second order in the step)."""
     floor = ctx.params(name)["floor"]
-    base = _rate_mismatch(ctx.trajectory(), kernel)
+    base = _rate_mismatch(ctx.trajectory(), series, rate)
     if base <= floor:
         return Measurement(base, "rate below noise floor; order check skipped", tolerance=floor)
-    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), kernel)
+    halved = _rate_mismatch(ctx.trajectory(step_scale=0.5), series, rate)
     ratio = base / halved if halved > 0.0 else math.inf
     detail = f"mismatch {base:.3e} at h, {halved:.3e} at h/2 (reduction x{ratio:.2f}, need >=3.5)"
     return Measurement(halved, detail, tolerance=base / 3.5)
@@ -392,7 +394,7 @@ def _order_check_audit(ctx: AuditContext, name: str, kernel: RateKernel) -> Meas
 _declare("momentum-rate", "generalized-action-reaction",
          "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
          Param("floor", float, 1e-10))(
-    partial(_order_check_audit, name="momentum-rate", kernel=_momentum_and_rate))
+    partial(_order_check_audit, name="momentum-rate", series=_momentum, rate=_exact_momentum_rate))
 
 
 _declare("angular-momentum", "torque-iff-central-channels",
@@ -403,7 +405,7 @@ _declare("angular-momentum", "torque-iff-central-channels",
 _declare("torque-rate", "internal-torque-rate",
          "measured dL/dt matches the internal-torque formula at second order in the step", None,
          Param("floor", float, 1e-10))(
-    partial(_order_check_audit, name="torque-rate", kernel=_angular_momentum_and_rate))
+    partial(_order_check_audit, name="torque-rate", series=_angular_momentum, rate=_exact_torque))
 
 
 @_declare("energy", "internal-energy-conservation",
@@ -592,7 +594,10 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("proper-time")
     cfg = ctx.addition()
     gfun = cfg.gfunction()
+    # The leg displacements grow with G: the residual is in units of
+    # c G(max_speed c), or 1 for the classical profile.
     unit = _speed_unit(gfun)
+    growth = gfun(cfg.max_speed * gfun.c) if math.isfinite(gfun.c) else 1.0
     worst = 0.0
     failures = 0
     for _ in range(cfg.samples):
@@ -603,7 +608,7 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
         if not result.passed:
             failures += 1
     detail = f"{cfg.samples} splits, {failures} converse failures"
-    return Measurement(worst / unit, detail, ok=failures == 0)
+    return Measurement(worst / unit / growth, detail, ok=failures == 0)
 
 
 @_declare("light-quotient", "echo-quotient-invariance",

@@ -23,10 +23,11 @@ law is central is read from it. Exact statements the audits lean on:
             + (m_b - m_a)/(m_a + m_b) x_ab x (x_ab x v_ab) phi_perp
 
 ``_rate_mismatch`` holds a trajectory's finite-difference rates of P and L
-to them, in one pass of float kernels over the rows. Where a value leaves
-the floating-point range, the kernels name the failing sample and vector
-as the ``Vec3`` formulas, evaluated in order, would. A trajectory is read
-back from its rows only; no (Body, Body) snapshot is built.
+to them, in one pass of float kernels over the rows. A failure names its
+sample and the quantity that failed: a series value that is not finite,
+at its own sample; else the first interior sample whose exact rate raises
+or whose mismatch is not finite. A trajectory is read back from its rows
+only; no (Body, Body) snapshot is built.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from typing import Callable, IO, Iterator, NoReturn, Sequence
+from typing import Callable, IO, Iterator, Sequence
 
-from .core import Body, NonFiniteError, Vec3, cross, pair_state
+from .core import Body, Vec3, cross, pair_state
 from .forces import ForceLaw, PairLaw, bind, raw_force_pair
 
 __all__ = [
@@ -114,7 +115,8 @@ class Trajectory:
 
     Raises:
         ValueError: ``rows`` does not hold 12 floats per time, the times
-            are not strictly increasing, or ``bind`` refuses the law.
+            are not finite and strictly increasing, or ``bind`` refuses
+            the law.
         DivergenceError: a row holds a non-finite value.
     """
 
@@ -130,8 +132,11 @@ class Trajectory:
     ) -> None:
         if len(rows) != 12 * len(times):
             raise ValueError("rows must hold 12 floats per time")
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
+        # Strictly increasing times between finite ends are all finite.
+        if any(not t1 < t2 for t1, t2 in zip(times, times[1:])) or not all(
+            map(math.isfinite, times[:1] + times[-1:])
+        ):
+            raise ValueError("times must be finite and strictly increasing")
         if not all(map(math.isfinite, rows)):
             index = next(i for i, x in enumerate(rows) if not math.isfinite(x)) // 12
             raise DivergenceError(index, times[index], "non-finite state")
@@ -362,23 +367,16 @@ def observables(pair: PairLaw, row: Sequence[float]) -> RawObservables:
     ux, uy, uz = avx - bvx, avy - bvy, avz - bvz
     wx, wy, wz = ux * mu, uy * mu, uz * mu
     lx, ly, lz = ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
-    # One test in the common case: a sum that is not finite names P, else L.
+    # One test in the common case: a sum that is not finite names P, else
+    # L, in the NonFiniteError of the first ``Vec3`` that cannot be built.
     if not math.isfinite(px + py + pz + lx + ly + lz):
-        _check_finite((px, py, pz), (lx, ly, lz))
+        Vec3(px, py, pz), Vec3(lx, ly, lz)
     energy: float | None = None
     potential = pair.potential
     if potential is not None:
         r = math.sqrt(rx * rx + ry * ry + rz * rz)
         energy = 0.5 * mu * (ux**2 + uy**2 + uz**2) + potential(r)
     return (px, py, pz), (lx, ly, lz), energy, mu
-
-
-def _check_finite(*vectors: Triple) -> None:
-    """Raise the ``NonFiniteError`` ``Vec3`` gives for the first of
-    ``vectors`` with a component that is not finite."""
-    for x, y, z in vectors:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise NonFiniteError(f"non-finite vector component in ({x}, {y}, {z})")
 
 
 def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
@@ -394,144 +392,107 @@ def momentum_rate(a: Body, b: Body, law: ForceLaw) -> Vec3:
     return cross(ps.x_ab, ps.v_ab) * (2.0 * c)
 
 
-class _FailedRate(tuple):
-    """Nans in place of a predicted rate that raised ``error``: a mismatch
-    with it is not finite, so the finite path needs no test for it."""
-
-    def __new__(cls, error: ArithmeticError | ValueError) -> "_FailedRate":
-        failed = super().__new__(cls, (math.nan, math.nan, math.nan))
-        failed.error = error
-        return failed
-
-
-# Row-level float kernels of the rate audits: a series value and its
-# predicted rate, P and dP/dt or L and dL/dt, of one sample (ordered as
-# ``Trajectory.rows``), in the operation order of the Vec3 formulas
-# (``momentum_rate`` and its torque twin). Each vector the formula builds
-# is checked where it would be, through ``_check_finite``: a series vector
-# raises its NonFiniteError, a prediction's error is returned as a
-# ``_FailedRate``. A sum of components may overflow while each is finite,
-# so a sum that is not finite only selects the per-vector checks.
-RateKernel = Callable[[PairLaw, Sequence[float]], tuple[Triple, Triple]]
+# Row functions of the rate audits: a series, P or L, and its exact rate,
+# dP/dt or dL/dt, of one sample (ordered as ``Trajectory.rows``) as float
+# triples, in the operation order of the Vec3 formulas (``momentum_rate``
+# and its torque twin). ``_rate_mismatch`` checks what they return; an
+# exact rate checks x_ab and v_ab before it calls a law coefficient. A
+# check builds a ``Vec3`` only where a sum of components is not finite,
+# and so raises the NonFiniteError naming the vector.
+RowFunction = Callable[[PairLaw, Sequence[float]], Triple]
 
 
-def _momentum_and_rate(pair: PairLaw, row: Sequence[float]) -> tuple[Triple, Triple]:
-    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+def _momentum(pair: PairLaw, row: Sequence[float]) -> Triple:
+    _, _, _, avx, avy, avz, _, _, _, bvx, bvy, bvz = row
     ma, mb = pair.ma, pair.mb
-    px, py, pz = avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb
-    if not math.isfinite(px + py + pz):
-        _check_finite((avx * ma, avy * ma, avz * ma), (bvx * mb, bvy * mb, bvz * mb), (px, py, pz))
-    phi_perp = pair.phi_perp
-    if phi_perp is None:
-        return (px, py, pz), (0.0, 0.0, 0.0)
-    rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
-    try:
-        if not math.isfinite(rx + ry + rz + ux + uy + uz):
-            _check_finite((rx, ry, rz), (ux, uy, uz))
-        r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
-        k = 2.0 * phi_perp(r, speed, rx * ux + ry * uy + rz * uz)
-        nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
-        qx, qy, qz = nx * k, ny * k, nz * k
-        if not math.isfinite(qx + qy + qz):
-            _check_finite((nx, ny, nz), (qx, qy, qz))
-    except (ArithmeticError, ValueError) as exc:
-        return (px, py, pz), _FailedRate(exc)
-    return (px, py, pz), (qx, qy, qz)
+    return avx * ma + bvx * mb, avy * ma + bvy * mb, avz * ma + bvz * mb
 
 
-def _angular_momentum_and_rate(pair: PairLaw, row: Sequence[float]) -> tuple[Triple, Triple]:
+def _angular_momentum(pair: PairLaw, row: Sequence[float]) -> Triple:
     ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
-    ma, mb, mu = pair.ma, pair.mb, pair.mu
+    mu = pair.mu
     rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
     wx, wy, wz = ux * mu, uy * mu, uz * mu
-    lx, ly, lz = ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
     # A finite L has finite factors: an infinite x_ab or mu v_ab component
     # meets the other vector's two other components, as inf or as inf * 0.
-    if not math.isfinite(lx + ly + lz):
-        _check_finite((rx, ry, rz), (ux, uy, uz), (wx, wy, wz), (lx, ly, lz))
-    try:
-        # The normal is checked even if no channel reads it.
-        nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
-        if not math.isfinite(nx + ny + nz):
-            _check_finite((nx, ny, nz))
-        r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
-        radial = rx * ux + ry * uy + rz * uz
-        tx = ty = tz = 0.0
-        if pair.phi_s is not None:
-            s = pair.phi_s(r, speed, radial)
-            sx, sy, sz = nx * s, ny * s, nz * s
-            if not math.isfinite(sx + sy + sz):
-                _check_finite((sx, sy, sz))
-            tx, ty, tz = tx + sx, ty + sy, tz + sz
-        if pair.phi_perp is not None:
-            cx, cy, cz = ry * nz - rz * ny, rz * nx - rx * nz, rx * ny - ry * nx
-            if not math.isfinite(cx + cy + cz):
-                _check_finite((cx, cy, cz))
-            k = (mb - ma) / (ma + mb) * pair.phi_perp(r, speed, radial)
-            qx, qy, qz = cx * k, cy * k, cz * k
-            tx, ty, tz = tx + qx, ty + qy, tz + qz
-            # The phi_s part is finite, so a finite sum has a finite q.
-            if not math.isfinite(tx + ty + tz):
-                _check_finite((qx, qy, qz), (tx, ty, tz))
-    except (ArithmeticError, ValueError) as exc:
-        return (lx, ly, lz), _FailedRate(exc)
-    return (lx, ly, lz), (tx, ty, tz)
+    return ry * wz - rz * wy, rz * wx - rx * wz, rx * wy - ry * wx
 
 
-def _raise_rate_failure(value: Triple, before: Triple, dt: float, prediction: Triple) -> NoReturn:
-    """Raise what ``(value - before) / dt - prediction`` raises in Vec3s,
-    its norm included, where the mismatch in floats is not finite: the
-    difference, the rate, the prediction's own error, the mismatch vector,
-    else an infinite norm."""
-    (x, y, z), (bx, by, bz), (px, py, pz) = value, before, prediction
-    dx, dy, dz = x - bx, y - by, z - bz
-    rx, ry, rz = dx / dt, dy / dt, dz / dt
-    _check_finite((dx, dy, dz), (rx, ry, rz))
-    if isinstance(prediction, _FailedRate):
-        raise prediction.error
-    _check_finite((rx - px, ry - py, rz - pz))
-    raise OverflowError("|rate - prediction| is infinite")
+def _exact_momentum_rate(pair: PairLaw, row: Sequence[float]) -> Triple:
+    phi_perp = pair.phi_perp
+    if phi_perp is None:
+        return 0.0, 0.0, 0.0
+    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+    rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+    if not math.isfinite(rx + ry + rz + ux + uy + uz):
+        Vec3(rx, ry, rz), Vec3(ux, uy, uz)
+    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+    k = 2.0 * phi_perp(r, speed, rx * ux + ry * uy + rz * uz)
+    return (ry * uz - rz * uy) * k, (rz * ux - rx * uz) * k, (rx * uy - ry * ux) * k
 
 
-def _rate_mismatch(traj: Trajectory, kernel: RateKernel) -> float:
-    """Largest |central-difference rate of the series - prediction| over
-    the interior samples, in one pass over the rows: ``kernel`` gives a
-    sample's series value and prediction as floats.
+def _exact_torque(pair: PairLaw, row: Sequence[float]) -> Triple:
+    ax, ay, az, avx, avy, avz, bx, by, bz, bvx, bvy, bvz = row
+    rx, ry, rz, ux, uy, uz = ax - bx, ay - by, az - bz, avx - bvx, avy - bvy, avz - bvz
+    if not math.isfinite(rx + ry + rz + ux + uy + uz):
+        Vec3(rx, ry, rz), Vec3(ux, uy, uz)
+    nx, ny, nz = ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux
+    # The normal is checked even if no channel reads it.
+    if not math.isfinite(nx + ny + nz):
+        Vec3(nx, ny, nz)
+    r, speed = math.sqrt(rx * rx + ry * ry + rz * rz), math.sqrt(ux * ux + uy * uy + uz * uz)
+    radial = rx * ux + ry * uy + rz * uz
+    tx = ty = tz = 0.0
+    if pair.phi_s is not None:
+        s = pair.phi_s(r, speed, radial)
+        tx, ty, tz = tx + nx * s, ty + ny * s, tz + nz * s
+    if pair.phi_perp is not None:
+        ma, mb = pair.ma, pair.mb
+        cx, cy, cz = ry * nz - rz * ny, rz * nx - rx * nz, rx * ny - ry * nx
+        k = (mb - ma) / (ma + mb) * pair.phi_perp(r, speed, radial)
+        tx, ty, tz = tx + cx * k, ty + cy * k, tz + cz * k
+    return tx, ty, tz
 
-    A failure is named as the Vec3 formulas would name it, evaluated in
-    order: at sample i, the rate of sample i - 1 from the series at i - 2
-    and i, then its prediction. A sample whose series value overflows is
-    named before any sample whose rate does, wherever it lies: a failed
-    rate stops the rates, and the series runs on to the last sample.
+
+def _rate_mismatch(traj: Trajectory, series: RowFunction, rate: RowFunction) -> float:
+    """Largest |central-difference rate of ``series`` - exact ``rate``|
+    over the interior samples, in one pass over the rows; the exact rate
+    is computed at interior samples only.
+
+    A failure is named by its sample and by the quantity that failed. A
+    series value that is not finite is named at its own sample, wherever
+    it lies. Otherwise the first interior sample whose exact rate raises,
+    or whose mismatch is not finite, is named: the message names the
+    series or mismatch vector that is not finite, an infinite
+    |rate - prediction|, or the exact rate's own error.
 
     Raises:
-        DivergenceError: the rows are finite, but the series, its rate or
-            the mismatch leaves the floating-point range at some sample.
+        DivergenceError: the rows are finite, but a series value, an exact
+            rate or a mismatch leaves the floating-point range.
     """
     times, pair = traj.times, traj.pair
-    samples = enumerate(traj.samples())
     worst = 0.0
     failed: tuple[int, Exception] | None = None
-    # Series values of samples i - 2 and i - 1, and the prediction of i - 1.
-    before = middle = predicted = None
+    # Series values of samples i - 2 and i - 1, and the row of i - 1.
+    before = middle = previous = None
     try:
-        for i, row in samples:
-            value, prediction = kernel(pair, row)
-            if i >= 2:
-                (x, y, z), (bx, by, bz), (px, py, pz) = value, before, predicted
-                dt = times[i] - times[i - 2]
-                dx, dy, dz = (x - bx) / dt - px, (y - by) / dt - py, (z - bz) / dt - pz
-                mismatch = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if not math.isfinite(mismatch):
-                    try:
-                        _raise_rate_failure(value, before, dt, predicted)
-                    except (OverflowError, ValueError) as exc:
-                        failed = (i - 1, exc)
-                    break
-                worst = max(worst, mismatch)
-            before, middle, predicted = middle, value, prediction
-        for i, row in samples:
-            kernel(pair, row)
+        for i, row in enumerate(traj.samples()):
+            x, y, z = value = series(pair, row)
+            if not math.isfinite(x + y + z):
+                Vec3(x, y, z)
+            if i >= 2 and failed is None:
+                try:
+                    px, py, pz = rate(pair, previous)
+                    (bx, by, bz), dt = before, times[i] - times[i - 2]
+                    dx, dy, dz = (x - bx) / dt - px, (y - by) / dt - py, (z - bz) / dt - pz
+                    mismatch = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    if not math.isfinite(mismatch):
+                        Vec3(dx, dy, dz)
+                        raise OverflowError("|rate - prediction| is infinite")
+                    worst = max(worst, mismatch)
+                except (OverflowError, ValueError) as exc:
+                    failed = (i - 1, exc)
+            before, middle, previous = middle, value, row
     except (OverflowError, ValueError) as exc:
         raise DivergenceError(i, times[i], f"rate overflow: {exc}") from None
     if failed is not None:

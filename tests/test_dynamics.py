@@ -169,6 +169,10 @@ def test_trajectory_invariants_enforced():
     row = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory((0.0, 0.0), row * 2, (a, b), free(), "rk4")
+    # The rate pass divides by time differences: every time is finite.
+    for times in [(0.0, math.nan, 2.0), (math.nan, 1.0), (0.0, 1.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(times, row * len(times), (a, b), free(), "rk4")
     with pytest.raises(ValueError, match="12 floats per time"):
         Trajectory((0.0, 0.1), row, (a, b), free(), "rk4")
 

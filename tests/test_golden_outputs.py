@@ -15,7 +15,7 @@ from invarlab.scenario import load_scenario
 
 GOLDEN = {
     "addition.json": (0, {
-        "report.json": "950235f126bac928ab00d2f318a35a536d518f8c335d7726b2ddd7b35784831c",
+        "report.json": "01efd94a471b1b20dd1edfe38482bad734561eedede25394eeceb2c4d31c14ca",
     }),
     "kepler.json": (0, {
         "report.json": "2ed8b95bab2706d25d4de4c0cc258b5b0556f89a519dbee56ee96c53f30c9969",

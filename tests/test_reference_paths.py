@@ -12,7 +12,9 @@ validated ``Vec3`` arithmetic, ``Body`` snapshots, one ``repr`` per CSV
 cell and five force evaluations per exchange state.
 Both must agree exactly (``==``, not a tolerance): the arithmetic is the
 same operation for operation, which is what keeps the CSVs and reports
-byte-identical.
+byte-identical. Where the rate pass fails, it agrees with its reference
+in exception type, sample and time; its message names the quantity that
+failed in its own terms.
 """
 
 import io
@@ -70,7 +72,8 @@ from invarlab.audits import (
 )
 from invarlab.core import Check
 from invarlab.dynamics import (
-    CSV_HEADER, _REPR_MEMO_SIZE, _angular_momentum_and_rate, _momentum_and_rate, _rate_mismatch,
+    CSV_HEADER, _REPR_MEMO_SIZE, _angular_momentum, _exact_momentum_rate, _exact_torque, _momentum,
+    _rate_mismatch,
 )
 from invarlab.forces import PairTerms, PropertyView, bind, raw_force_pair
 from invarlab.frames import apply, pure_boost, random_transform
@@ -480,11 +483,11 @@ def torque_series(a, b):
     return cross(ps.x_ab, ps.v_ab * mu)
 
 
-# Each rate audit's row kernel, with the Vec3 series and prediction it
-# must equal.
+# Each rate audit's row functions, series and exact rate, with the Vec3
+# series and prediction they must equal.
 RATE_CHECKS = (
-    (_momentum_and_rate, momentum_series, momentum_rate),
-    (_angular_momentum_and_rate, torque_series, angular_momentum_rate),
+    ((_momentum, _exact_momentum_rate), momentum_series, momentum_rate),
+    ((_angular_momentum, _exact_torque), torque_series, angular_momentum_rate),
 )
 
 
@@ -494,7 +497,7 @@ def test_rate_mismatch_equals_the_finite_difference_formula(
 ):
     traj = integrate(*bodies, law, t_end, step, method)
     for rows, series, predict in RATE_CHECKS:
-        assert _rate_mismatch(traj, rows) == reference_rate_mismatch(
+        assert _rate_mismatch(traj, *rows) == reference_rate_mismatch(
             traj, series, predict
         )
 
@@ -534,7 +537,7 @@ def test_rate_mismatch_equals_the_snapshot_pass(
         expected = [snapshot_rate_mismatch(traj, s, p) for _, s, p in RATE_CHECKS]
         with monkeypatch.context() as patched:
             patched.setattr(Body, "with_state", refuse_bodies)
-            assert [_rate_mismatch(traj, rows) for rows, _, _ in RATE_CHECKS] == expected
+            assert [_rate_mismatch(traj, *rows) for rows, _, _ in RATE_CHECKS] == expected
 
 
 def velocity_trajectory(velocities):
@@ -556,6 +559,31 @@ def constant_trajectory(row, law, masses=(1.0, 1.0)):
     return Trajectory((0.0, 1.0, 2.0), list(row) * 3, (a, b), law, "rk4")
 
 
+def located(fn, *args):
+    """The result, or the exception's type, sample index, time and message
+    (index and time None where the exception names none)."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), getattr(exc, "index", None), getattr(exc, "time", None), str(exc)
+
+
+def rate_pass_outcome(monkeypatch, traj, rows, series, predict):
+    """The rate pass's ``located`` outcome on ``traj``, asserted equal to
+    the snapshot pass's in result, or in exception type, sample and time:
+    only the message may differ."""
+    # The reference builds its snapshots before the patch.
+    expected = located(snapshot_rate_mismatch, traj, series, predict)
+    with monkeypatch.context() as patched:
+        patched.setattr(Body, "with_state", refuse_bodies)
+        got = located(_rate_mismatch, traj, *rows)
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got[:3] == expected[:3]
+    else:
+        assert got == expected
+    return got
+
+
 def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
     huge = 1.7e308
     flat = [(huge, huge, 0.0)] * 4
@@ -572,7 +600,7 @@ def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
         # to t = 1, the series and rates do not.
         integrate(*_spring_pair(), spring(1e6), 1.0, 0.01, "rk4"),
         # A at (10, 0, 0) moving at (0, 1, 0) around B at rest: the series
-        # are finite, both predictions overflow: 2 * 1e308 in dP/dt, and
+        # are finite, both exact rates overflow: 2 * 1e308 in dP/dt, and
         # 100 * 5e307 in the normal-channel part of dL/dt.
         constant_trajectory(
             [10.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -583,24 +611,26 @@ def test_rate_mismatch_errors_equal_the_snapshot_pass(monkeypatch):
     messages = []
     for traj in cases:
         for rows, series, predict in RATE_CHECKS:
-            expected = outcome(snapshot_rate_mismatch, traj, series, predict)
-            assert expected[0] is DivergenceError
-            with monkeypatch.context() as patched:
-                patched.setattr(Body, "with_state", refuse_bodies)
-                assert outcome(_rate_mismatch, traj, rows) == expected
-            messages.append(expected[1])
-    assert "at sample 3 (t = 3.0): rate overflow: non-finite vector component" in messages[0]
-    assert "at sample 3 (t = 3.0): rate overflow: |rate - prediction| is infinite" in messages[1]
-    assert "at sample 5 (t = 5.0): rate overflow: non-finite vector component" in messages[2]
+            got = rate_pass_outcome(monkeypatch, traj, rows, series, predict)
+            assert got[0] is DivergenceError
+            messages.append(got[3])
+    assert messages[0].endswith(
+        "at sample 3 (t = 3.0): rate overflow: non-finite vector component in (-inf, -inf, 0.0)"
+    )
+    assert messages[1].endswith("at sample 3 (t = 3.0): rate overflow: |rate - prediction| is infinite")
+    assert messages[2].endswith(
+        "at sample 5 (t = 5.0): rate overflow: non-finite vector component in (inf, 1.7e+308, 0.0)"
+    )
     assert "at sample 3 (t = 3.0)" in messages[3]
-    assert "at sample 1 (t = 1.0): rate overflow: |rate - prediction| is infinite" in messages[4]
+    assert messages[4].endswith("at sample 1 (t = 1.0): rate overflow: |rate - prediction| is infinite")
+    # The exact rates are not finite: the mismatch vector, 0 - rate, is named.
     assert messages[8] == (
         "trajectory diverged at sample 1 (t = 1.0): rate overflow: "
-        "non-finite vector component in (nan, nan, inf)"
+        "non-finite vector component in (nan, nan, -inf)"
     )
     assert messages[9] == (
         "trajectory diverged at sample 1 (t = 1.0): rate overflow: "
-        "non-finite vector component in (0.0, -inf, 0.0)"
+        "non-finite vector component in (0.0, inf, 0.0)"
     )
 
 
@@ -610,11 +640,11 @@ def strict_coefficient(r, speed, radial):
 
 
 def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow(monkeypatch):
-    # The float pass must hand over wherever the Vec3 formulas raise, also
-    # where the overflowing value never reaches a rate.
+    # A value that is not finite is named also where it never reaches a
+    # rate, and no law coefficient is called at a non-finite separation.
     huge = 1.7e308
     momentum, torque = RATE_CHECKS
-    # x_ab overflows: the Vec3 formulas raise before calling the law.
+    # x_ab overflows: it is checked before the law is called.
     terms = PairTerms(phi_s=strict_coefficient, phi_perp=strict_coefficient)
     strict = ForceLaw("strict", lambda qa, qb: terms)
     apart = constant_trajectory([1e308, 0, 0, 0, 1.0, 0, -1e308, 0, 0, 0, 0, 0], strict)
@@ -626,15 +656,44 @@ def test_rate_mismatch_falls_back_where_no_rate_reads_the_overflow(monkeypatch):
         (torque, constant_trajectory([1e200, 0, 0, 0, 1e200, 0, 0, 0, 0, 0, 0, 0],
                                      merge_laws(()), masses=(1e-150, 1e-150)),
          "at sample 1 (t = 1.0): rate overflow: non-finite vector component in (0.0, 0.0, inf)"),
-        (momentum, apart, "at sample 1 (t = 1.0): rate overflow: non-finite vector component"),
-        (torque, apart, "at sample 0 (t = 0.0): rate overflow: non-finite vector component"),
+        # The momentum series is finite: the exact rate's x_ab is named.
+        (momentum, apart,
+         "at sample 1 (t = 1.0): rate overflow: non-finite vector component in (inf, 0, 0)"),
+        # L is not finite at the first sample, which no rate reads.
+        (torque, apart,
+         "at sample 0 (t = 0.0): rate overflow: non-finite vector component in (0.0, nan, inf)"),
     ]
     for (rows, series, predict), traj, where in cases:
-        expected = outcome(snapshot_rate_mismatch, traj, series, predict)
-        assert expected[0] is DivergenceError and where in expected[1]
-        with monkeypatch.context() as patched:
-            patched.setattr(Body, "with_state", refuse_bodies)
-            assert outcome(_rate_mismatch, traj, rows) == expected
+        got = rate_pass_outcome(monkeypatch, traj, rows, series, predict)
+        assert got[0] is DivergenceError and got[3].endswith(where)
+
+
+def test_rate_mismatch_names_each_failing_quantity(monkeypatch):
+    # One row per failure kind, each named by its sample and quantity.
+    momentum = RATE_CHECKS[0]
+    around = [10.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    exponential = PairTerms(phi_perp=lambda r, speed, radial: math.exp(100.0 * r))
+    raising = ForceLaw("exponential", lambda qa, qb: exponential)
+    cases = [
+        # The series is not finite at the last sample, after a finite rate.
+        (velocity_trajectory([(0.0, 0.0, 0.0)] * 3 + [(1.7e308, 0.0, 1.7e308)]),
+         3, "non-finite vector component in (inf, 0.0, 0.0)"),
+        # The exact rate raises: exp(1000) overflows in the law.
+        (constant_trajectory(around, raising), 1, "math range error"),
+        # The exact rate is not finite: the mismatch vector is named.
+        (constant_trajectory(around, perp_demo(1e308)), 1,
+         "non-finite vector component in (nan, nan, -inf)"),
+        # Each mismatch component is finite, their sum of squares is not.
+        (velocity_trajectory([(0.0, 0.0, 0.0)] * 2 + [(1e200, 1e200, 0.0)] * 2), 1,
+         "|rate - prediction| is infinite"),
+    ]
+    for traj, index, quantity in cases:
+        got = rate_pass_outcome(monkeypatch, traj, *momentum)
+        time = traj.times[index]
+        assert got == (
+            DivergenceError, index, time,
+            f"trajectory diverged at sample {index} (t = {time!r}): rate overflow: {quantity}",
+        )
 
 
 # Values that overflow in a difference, a product or a sum of squares.
@@ -686,11 +745,8 @@ def test_rate_mismatch_equals_the_snapshot_pass_on_extreme_rows(monkeypatch):
     for _ in range(300):
         traj = random_extreme_trajectory(rng)
         for rows, series, predict in RATE_CHECKS:
-            expected = outcome(snapshot_rate_mismatch, traj, series, predict)
-            with monkeypatch.context() as patched:
-                patched.setattr(Body, "with_state", refuse_bodies)
-                assert outcome(_rate_mismatch, traj, rows) == expected
-            outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+            got = rate_pass_outcome(monkeypatch, traj, rows, series, predict)
+            outcomes.add(got[0] if isinstance(got, tuple) else float)
     assert outcomes == {float, DivergenceError}
 
 

@@ -542,18 +542,20 @@ def test_a_composition_off_by_one_part_in_a_million_fails_at_every_unit(
 # --- proper-time: the residual is held to the tolerance once, by the runner ---
 
 
-# At c = 1 near the speed bound the residual, absolute in displacement, is
-# over the tolerance while the converse holds in every split: the verdict
-# FAILs on the residual, and the count names converse failures only.
+# Near the speed bound the leg displacements grow with G, and the residual
+# with them: in units of c G(max_speed c) it passes, and the count names
+# converse failures only. In units of c alone, every row but rational at
+# 0.99 and c = 1 (6.2e-13) was over the 1e-12 tolerance.
 @pytest.mark.parametrize(
-    "g, max_speed, code, verdict",
-    [("lorentz", 0.999, 2, "FAIL"), ("rational", 0.999, 2, "FAIL"), ("rational", 0.99, 0, "PASS")],
+    "g, max_speed, c",
+    [("lorentz", 0.999, 1.0), ("rational", 0.999, 1.0), ("rational", 0.99, 1.0),
+     ("rational", 0.99, 3e8), ("lorentz", 0.999, 1e-3)],
 )
-def test_proper_time_counts_only_converse_failures(tmp_path, capsys, g, max_speed, code, verdict):
-    exit_code, entries = run_addition(tmp_path, ["proper-time"], g=g, c=1.0, max_speed=max_speed)
+def test_proper_time_counts_only_converse_failures(tmp_path, capsys, g, max_speed, c):
+    exit_code, entries = run_addition(tmp_path, ["proper-time"], g=g, c=c, max_speed=max_speed)
     entry = entries["proper-time"]
-    assert (exit_code, entry["verdict"]) == (code, verdict)
-    assert (entry["residual"] > entry["tolerance"]) == (verdict == "FAIL")
+    assert (exit_code, entry["verdict"]) == (0, "PASS")
+    assert entry["residual"] <= entry["tolerance"]
     assert entry["detail"] == "300 splits, 0 converse failures"
 
 
