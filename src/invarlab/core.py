@@ -168,13 +168,11 @@ _set_id, _set_mass, _set_position, _set_velocity, _set_properties = (
 
 
 class PairState(NamedTuple):
-    """Relative state of an ordered body pair; negates under body exchange."""
+    """Relative state of an ordered body pair; both fields negate under
+    body exchange."""
 
     x_ab: Vec3
     v_ab: Vec3
-
-    def __neg__(self) -> "PairState":
-        return PairState(-self.x_ab, -self.v_ab)
 
 
 class Check(NamedTuple):

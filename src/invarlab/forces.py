@@ -32,6 +32,7 @@ demo is not, and exists to fail the additivity audit.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -356,11 +357,17 @@ def merge_laws(laws: Sequence[ForceLaw]) -> ForceLaw:
                     max(law.min_separation for law in laws))
 
 
+# The least softening length: at or above it epsilon^2, and so the cube of
+# every softened radius, is a normal float; below it an inverse-cube law
+# can divide by zero.
+_MIN_SOFTENING = sys.float_info.min ** (1.0 / 3.0)
+
+
 def soften(law: ForceLaw, epsilon: float) -> ForceLaw:
     """Plummer-style regularization: every term sees sqrt(r^2 + epsilon^2)
     instead of r. The result is no longer singular."""
-    if epsilon <= 0.0:
-        raise ValueError("softening length must be positive")
+    if not epsilon >= _MIN_SOFTENING:
+        raise ValueError(f"softening length must be at least {_MIN_SOFTENING:.5g}, got {epsilon}")
     eps2 = epsilon * epsilon
     form = law.pair_form
 

@@ -30,9 +30,10 @@ any computation runs. The audit fields ("audits", "tolerances",
 lists, with each audit's params, types and defaults: numeric params must
 be finite and positive, and no run, the audits' own integrations
 included, may take more than ``MAX_STEPS`` steps. A body's mass may not
-be below the smallest normal float, c must square to a finite normal
-float (the classical profile, which has no bound, takes no c), and the
-light time baseline / c and baseline * c to a normal one.
+be below the smallest normal float, nor a softening that a singular law
+takes below its cube root. c must square to a finite normal float (the
+classical profile, which has no bound, takes no c), and the light time
+baseline / c and baseline * c to a normal one.
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ def _law(doc: Any, path: str, softening: float) -> ForceLaw:
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
     if softening > 0.0 and law.singular:
-        law = soften(law, softening)
+        try:
+            law = soften(law, softening)
+        except ValueError as exc:
+            raise _fail("softening", str(exc)) from None
     return law
 
 

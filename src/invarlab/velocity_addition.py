@@ -183,16 +183,12 @@ class BoundedVelocity(_Value):
 
     @property
     def speed(self) -> float:
-        """|v|; where only the sum of squares overflows, by hypot."""
+        """|v|, by ``_wide_norm`` where the sum of squares overflows."""
         s = self.v.norm()
-        return s if s < math.inf else math.hypot(self.v.x, self.v.y, self.v.z)
+        return s if s < math.inf else _wide_norm(self.v.x, self.v.y, self.v.z)
 
     def weight(self) -> float:
         return self.gfun(self.speed)
-
-    def weighted(self) -> Vec3:
-        """The additive representative g(v) v."""
-        return self.v * self.weight()
 
     def __neg__(self) -> "BoundedVelocity":
         return BoundedVelocity(-self.v, self.gfun)
@@ -205,11 +201,18 @@ def zero_velocity(gfun: GFunction) -> BoundedVelocity:
     return BoundedVelocity(Vec3(0.0, 0.0, 0.0), gfun)
 
 
+def _wide_norm(x: float, y: float, z: float) -> float:
+    """|(x, y, z)| once its sum of squares is not finite: by hypot, after
+    ``Vec3`` raises the NonFiniteError naming any non-finite component."""
+    Vec3(x, y, z)
+    return math.hypot(x, y, z)
+
+
 def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
     """Group composition: weighted vectors add, the result stays bounded.
 
     Computed on the components, in the operation order of the vector
-    expression ``(u.weighted() + v.weighted()) * (w / r)``.
+    expression ``(u g(u) + v g(v)) * (w / r)``.
     """
     gfun = u.gfun
     if not gfun.compatible(v.gfun):
@@ -222,11 +225,7 @@ def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
     x, y, z = a.x * ga + b.x * gb, a.y * ga + b.y * gb, a.z * ga + b.z * gb
     r = math.sqrt(x * x + y * y + z * z)
     if not r < math.inf:
-        # A weighted vector or their sum is not finite, or only the norm
-        # overflows: the Vec3 expression raises the NonFiniteError naming the
-        # first non-finite vector, and in the last case hypot takes the norm.
-        u.weighted() + v.weighted()
-        r = math.hypot(x, y, z)
+        r = _wide_norm(x, y, z)
     if r == 0.0:
         return zero_velocity(gfun)
     w = gfun.solve_speed(r)
@@ -270,6 +269,8 @@ def check_invariance_theorem(
     dy = ly - (b.y * dt2 + cy)
     dz = lz - (b.z * dt2 + cz)
     residual = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if not residual < math.inf:
+        residual = _wide_norm(dx, dy, dz)
 
     stretch = 0.01  # the converse probe lengthens dt2 by 1%
     predicted = stretch * dt2 * v2.speed
@@ -278,11 +279,8 @@ def check_invariance_theorem(
     dy = (ly - b.y * k) - cy
     dz = (lz - b.z * k) - cz
     perturbed = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if not residual + perturbed < math.inf:
-        # As in ``oplus``: the Vec3 expressions raise the NonFiniteError naming
-        # the first non-finite vector, when there is one.
-        (a * dt1 - (b * dt2 + c * dt3)).norm()
-        (a * dt1 - b * k - c * dt3).norm()
+    if not perturbed < math.inf:
+        perturbed = _wide_norm(dx, dy, dz)
     converse_ok = True
     detail = f"perturbed residual {perturbed:.3e}, first-order prediction {predicted:.3e}"
     if predicted > 0.0:

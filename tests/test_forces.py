@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -237,6 +238,17 @@ def test_softening_removes_singularity():
     soft = force_on_a(law, far, b)
     hard = force_on_a(gravity(1.0), far, b)
     assert (soft - hard).norm() < 1e-8  # softening negligible at large range
+
+
+@pytest.mark.parametrize("law", [gravity(), coulomb(), charge_squared()], ids=lambda law: law.name)
+def test_softening_is_refused_where_the_softened_radius_cubes_to_zero(law):
+    least = sys.float_info.min ** (1.0 / 3.0)
+    with pytest.raises(ValueError, match=r"^softening length must be at least 2\.8126e-103, got "):
+        soften(law, math.nextafter(least, 0.0))
+    a = body_at(Vec3(1e-110, 0, 0), Vec3(0, 0, 0), charge=1.0)
+    b = body_at(Vec3(0, 0, 0), Vec3(0, 0, 0), charge=1.0, name="B")
+    # A Vec3 force is finite; at the least softening it is also nonzero.
+    assert force_on_a(soften(law, least), a, b).x != 0.0
 
 
 def test_additivity_gravity_with_mass():

@@ -102,3 +102,26 @@ def test_every_exported_name_is_used_outside_the_tests():
     sources = [path for path in PACKAGE.glob("*.py") if path != init] + scripts
     used = set().union(*map(loaded_names, sources))
     assert sorted(exported - used) == []
+
+
+def test_every_public_class_member_is_used_outside_the_tests():
+    # The same rule for the methods and properties of the package's
+    # classes: each is read as an attribute by a package module or a
+    # script, not just defined. Dunders are called by the language.
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"] + scripts
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    members = [
+        f"{path.stem}.{node.name}.{item.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    assert len(members) > 20
+    assert [member for member in members if member.rsplit(".", 1)[1] not in read] == []

@@ -1,11 +1,12 @@
 """Whole runs of drawn documents end in a report or a named input error.
 
-Each example takes a bundled document, shrunk so that a run takes a few
-milliseconds: every integer leaf (a count, ``samples``, ``steps``) is
-drawn from 2 to 5, and every ``t_end`` is 2 to 5 integrator steps. One to
-three of its other float leaves are drawn: a log-uniform double of either
-sign over the whole float range, or one of a few values at its edges.
-The document runs through ``main``. It must end in exit 0 or 2 with
+Each example takes a bundled document, or ``CHARGED``, which carries the
+leaves none of them has, shrunk so that a run takes a few milliseconds:
+every integer leaf (a count, ``samples``, ``steps``) is drawn from 2 to 5,
+and every ``t_end`` is 2 to 5 integrator steps. One to three of its other
+float leaves are drawn: a log-uniform double of either sign over the
+whole float range, or one of a few values at its edges. The document runs
+through ``main``. It must end in exit 0 or 2 with
 ``report.json`` written, or in exit 1 with one ``error:`` line on
 stderr; an exception out of ``main`` is a traceback and fails the test.
 """
@@ -22,6 +23,31 @@ from hypothesis import strategies as st
 from invarlab.cli import main, resolve_scenario_path
 
 BUNDLED = ["addition.json", "kepler.json", "perp-demo.json", "spring.json"]
+
+# perp-demo.json's pair under the laws no bundled document runs, with a
+# softening and a charge on each body.
+CHARGED = {
+    "schema": "v1",
+    "name": "charged",
+    "bodies": [
+        {"id": "A", "mass": 1.0, "position": [0.5, 0.0, 0.0], "velocity": [0.0, 0.4, 0.0],
+         "properties": {"charge": 1.0}},
+        {"id": "B", "mass": 2.0, "position": [-0.5, 0.0, 0.0], "velocity": [0.0, -0.2, 0.0],
+         "properties": {"charge": -0.5}},
+    ],
+    "laws": [
+        {"preset": "coulomb", "params": {"k": 1.0}},
+        {"preset": "linear-drag", "params": {"gamma": 0.1}},
+        {"preset": "charge-squared", "params": {"k": 0.5}},
+    ],
+    "softening": 0.01,
+    "integrator": {"method": "rk4", "step": 0.002, "t_end": 2.0},
+    "audits": ["exchange", "momentum", "momentum-rate", "superposition", "additivity"],
+    "audit_params": {"additivity": {"property": "charge"}},
+}
+
+DOCUMENTS = {name: resolve_scenario_path(name).read_text() for name in BUNDLED}
+DOCUMENTS["charged"] = json.dumps(CHARGED)
 
 EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e308, sys.float_info.max]
 
@@ -53,7 +79,7 @@ def put(doc, path, value):
 
 
 def shrunk_document(draw, name):
-    doc = json.loads(resolve_scenario_path(name).read_text())
+    doc = json.loads(DOCUMENTS[name])
     numbers = list(leaves(doc))
     for path, value in numbers:
         if isinstance(value, int):
@@ -70,7 +96,7 @@ def shrunk_document(draw, name):
     return doc
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", DOCUMENTS)
 @settings(
     max_examples=40, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

@@ -1116,16 +1116,30 @@ def set_field(block, key, value):
 
 
 EXTREME_FRAME = {"translation": [1e308, 1e308, 1e308], "boost": [1e308, 0, 0], "time_offset": 1e308}
+# An exit-2 row names the audit, its verdict and how its detail starts.
+SWEEP_ERROR = ("objectivity-sweep", "ERROR", "non-finite vector component in (")
+
+
+def coincident_softened(softening):
+    """Both kepler bodies at one point, under gravity softened by ``softening``."""
+    def change(doc):
+        doc["softening"] = softening
+        doc["bodies"][1]["position"] = doc["bodies"][0]["position"]
+    return change
 
 
 @pytest.mark.parametrize(
     "name, change, code, where",
     [
         # Each vector that leaves the float range is an ERROR verdict.
-        ("kepler.json", set_bodies("position", 1e308), 2, "objectivity-sweep"),
-        ("kepler.json", set_bodies("velocity", 1e308), 2, "objectivity-sweep"),
-        ("kepler.json", lambda doc: doc.__setitem__("frames", [EXTREME_FRAME]), 2,
-         "objectivity-sweep"),
+        ("kepler.json", set_bodies("position", 1e308), 2, SWEEP_ERROR),
+        ("kepler.json", set_bodies("velocity", 1e308), 2, SWEEP_ERROR),
+        ("kepler.json", lambda doc: doc.__setitem__("frames", [EXTREME_FRAME]), 2, SWEEP_ERROR),
+        # Below the cube root of the smallest normal float the softened radius
+        # cubes to zero; at 1e-102 it does not, and the run ends in a report.
+        ("kepler.json", coincident_softened(1e-120), 1, "softening"),
+        ("kepler.json", coincident_softened(1e-102), 2,
+         ("energy", "FAIL", "relative drift; ")),
         # A number the sweeps cannot carry is an input error naming its field.
         ("kepler.json", set_field("frames", "translation", 1e308), 1, "frames.translation"),
         ("kepler.json", set_field("frames", "boost", 1e308), 1, "frames.boost"),
@@ -1137,8 +1151,9 @@ EXTREME_FRAME = {"translation": [1e308, 1e308, 1e308], "boost": [1e308, 0, 0], "
         ("addition.json", set_field("velocity_addition", "g", "classical"), 1,
          "velocity_addition.c"),
     ],
-    ids=["positions", "velocities", "explicit-frame", "translation", "boost", "time-offset",
-         "c-1e308", "c-1e-170", "c-1e-300", "classical-with-c"],
+    ids=["positions", "velocities", "explicit-frame", "softening-1e-120", "softening-1e-102",
+         "translation", "boost", "time-offset", "c-1e308", "c-1e-170", "c-1e-300",
+         "classical-with-c"],
 )
 def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
     tmp_path, capsys, name, change, code, where
@@ -1152,8 +1167,9 @@ def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
         return
     assert err == ""
     verdicts = {entry["audit"]: entry for entry in json.loads((out / "report.json").read_text())["audits"]}
-    assert verdicts[where]["verdict"] == "ERROR"
-    assert verdicts[where]["detail"].startswith("non-finite vector component in (")
+    audit, verdict, detail = where
+    assert verdicts[audit]["verdict"] == verdict
+    assert verdicts[audit]["detail"].startswith(detail)
 
 
 @pytest.mark.parametrize("profile", ["lorentz", "rational"])
