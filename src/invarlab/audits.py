@@ -11,12 +11,13 @@ lemma, description, default tolerance and typed ``audit_params`` schema.
 Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 
-When a scenario requests more than one audit, ``run_audits`` hands one
-to a worker beside this process (``forking.beside``, which decides whether
-it forks and runs it here if its child did not start or failed) and runs
-the others here. The worker's audit is the first requested one, in catalog
-order, with the most ``own_steps``; with an integrator it must have at
-least ``_WORKER_MIN_STEPS`` of them (fewer cost less than the fork).
+``run_audits`` may hand audits to a worker beside this process
+(``forking.beside``, which decides whether it forks and runs them here if
+its child did not start or failed). With an integrator the worker takes,
+before the integration, every requested audit that does not read the
+trajectory, if their ``own_steps`` reach ``_WORKER_MIN_STEPS`` (fewer cost
+less than the fork); without one, of two or more requested audits, the
+first in catalog order with the most ``own_steps``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class AuditSpec:
     ``tolerances`` may override, or ``None`` for an audit that sets its own
     (``run`` then returns it in its ``Measurement``). ``own_steps`` counts
     the integration steps the audit always runs beyond the scenario
-    trajectory it shares (a rerun it makes only sometimes is not counted)."""
+    trajectory it shares (a rerun it makes only sometimes is not counted);
+    ``reads_trajectory`` tells whether it calls ``ctx.trajectory()``."""
 
     name: str
     lemma: str
@@ -97,18 +99,21 @@ class AuditSpec:
     tolerance: float | None
     params: tuple[Param, ...]
     own_steps: Callable[[Scenario], int]
+    reads_trajectory: Callable[[Scenario], bool]
 
 
 _DECLARED: list[AuditSpec] = []
 
 
 def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Param,
-             own_steps: Callable[[Scenario], int] = lambda scenario: 0):
+             own_steps: Callable[[Scenario], int] = lambda scenario: 0,
+             reads_trajectory: Callable[[Scenario], bool] = lambda scenario: False):
     """Decorator: declare ``run`` as the catalog audit ``name``. The
     catalog lists and runs the audits in declaration order."""
 
     def declare(run: Callable[[AuditContext], Measurement]):
-        _DECLARED.append(AuditSpec(name, lemma, description, run, tolerance, params, own_steps))
+        _DECLARED.append(AuditSpec(name, lemma, description, run, tolerance, params, own_steps,
+                                   reads_trajectory))
         return run
 
     return declare
@@ -371,8 +376,8 @@ def _audit_conserved(ctx: AuditContext, observable: str) -> Measurement:
 
 
 _declare("momentum", "momentum-iff-no-normal-channel",
-         "total momentum constant along the trajectory",
-         1e-9)(partial(_audit_conserved, observable="total_momentum"))
+         "total momentum constant along the trajectory", 1e-9,
+         reads_trajectory=lambda sc: True)(partial(_audit_conserved, observable="total_momentum"))
 
 
 def _order_check_audit(
@@ -393,23 +398,24 @@ def _order_check_audit(
 
 _declare("momentum-rate", "generalized-action-reaction",
          "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
-         Param("floor", float, 1e-10))(
+         Param("floor", float, 1e-10), reads_trajectory=lambda sc: True)(
     partial(_order_check_audit, name="momentum-rate", series=_momentum, rate=_exact_momentum_rate))
 
 
 _declare("angular-momentum", "torque-iff-central-channels",
-         "angular momentum constant along the trajectory",
-         1e-9)(partial(_audit_conserved, observable="angular_momentum"))
+         "angular momentum constant along the trajectory", 1e-9,
+         reads_trajectory=lambda sc: True)(partial(_audit_conserved, observable="angular_momentum"))
 
 
 _declare("torque-rate", "internal-torque-rate",
          "measured dL/dt matches the internal-torque formula at second order in the step", None,
-         Param("floor", float, 1e-10))(
+         Param("floor", float, 1e-10), reads_trajectory=lambda sc: True)(
     partial(_order_check_audit, name="torque-rate", series=_angular_momentum, rate=_exact_torque))
 
 
 @_declare("energy", "internal-energy-conservation",
-          "internal energy of a central law constant along the trajectory", 1e-9)
+          "internal energy of a central law constant along the trajectory", 1e-9,
+          reads_trajectory=lambda sc: True)
 def _audit_energy(ctx: AuditContext) -> Measurement:
     if not bind(ctx.law, *ctx.scenario.bodies).central:
         law = ctx.law.name
@@ -445,15 +451,21 @@ def _boost_residuals(
         yield math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def _boost_same_run(scenario: Scenario) -> bool:
+    """Whether boost-covariance's base run is the scenario trajectory."""
+    cfg = scenario.integrator
+    p = _resolve_params(scenario, "boost-covariance")
+    return cfg is not None and p["t_end"] == cfg.t_end and p["step"] == cfg.step
+
+
 def _boost_own_steps(scenario: Scenario) -> int:
     """Steps of the boosted runs, and of the base run unless it is the
     scenario trajectory; none without an integrator (the audit is an ERROR)."""
-    cfg = scenario.integrator
-    if cfg is None:
+    if scenario.integrator is None:
         return 0
     p = _resolve_params(scenario, "boost-covariance")
-    same_run = p["t_end"] == cfg.t_end and p["step"] == cfg.step
-    return (p["count"] if same_run else p["count"] + 1) * max(1, round(p["t_end"] / p["step"]))
+    runs = p["count"] if _boost_same_run(scenario) else p["count"] + 1
+    return runs * max(1, round(p["t_end"] / p["step"]))
 
 
 @_declare("boost-covariance", "galilean-covariance",
@@ -462,7 +474,7 @@ def _boost_own_steps(scenario: Scenario) -> int:
           Param("t_end", float, lambda sc: sc.integrator and sc.integrator.t_end,
                 "integrator.t_end"),
           Param("step", float, lambda sc: sc.integrator and sc.integrator.step, "integrator.step"),
-          own_steps=_boost_own_steps)
+          own_steps=_boost_own_steps, reads_trajectory=_boost_same_run)
 def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("boost-covariance")
     cfg = ctx.scenario.integrator
@@ -471,7 +483,7 @@ def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     p = ctx.params("boost-covariance")
     t_end, step = p["t_end"], p["step"]
     a0, b0 = ctx.scenario.bodies
-    same_run = t_end == cfg.t_end and step == cfg.step
+    same_run = _boost_same_run(ctx.scenario)
     base = ctx.trajectory() if same_run else integrate(a0, b0, ctx.law, t_end, step, cfg.method)
     worst = 0.0
     for _ in range(p["count"]):
@@ -736,40 +748,38 @@ def _verdict(spec: AuditSpec, ctx: AuditContext) -> AuditResult:
 _WORKER_MIN_STEPS = 1000
 
 
-def _worker_audit(scenario: Scenario, requested: list[AuditSpec]) -> AuditSpec | None:
-    """The requested audit to run in a forked worker, if any (see the
-    module notes)."""
-    if len(requested) < 2:
-        return None
-    chosen = max(requested, key=lambda spec: spec.own_steps(scenario))
-    if scenario.integrator is None or chosen.own_steps(scenario) >= _WORKER_MIN_STEPS:
-        return chosen
-    return None
+def _worker_audits(scenario: Scenario, requested: list[AuditSpec]) -> list[AuditSpec]:
+    """The requested audits to run in a forked worker (see the module notes)."""
+    if scenario.integrator is not None:
+        away = [spec for spec in requested if not spec.reads_trajectory(scenario)]
+        return away if sum(spec.own_steps(scenario) for spec in away) >= _WORKER_MIN_STEPS else []
+    return [max(requested, key=lambda s: s.own_steps(scenario))] if len(requested) > 1 else []
 
 
-def run_audits(ctx: AuditContext) -> AuditReport:
+def run_audits(ctx: AuditContext, around: Callable = lambda here: here()) -> AuditReport:
     """Run the context's requested audits in catalog order.
 
     Invalid audit inputs, checked when the context is built, are a
     scenario error (input problem, not a FAIL). A singular encounter, a
     diverging integration, a force that overflows or a missing scenario
-    block turns into an ERROR verdict for that audit alone. The context's
-    cached trajectories and failures are reused. A nan residual compares
-    false against every tolerance, so it is a FAIL. One audit may run in
-    a forked worker (see the module notes); no worker outlives this call.
+    block is an ERROR for that audit alone, and a nan residual a FAIL.
+    The context's cached trajectories and failures are reused. The audits
+    kept here run as ``around(here)``, after the worker (see the module
+    notes) has started; no worker outlives this call.
     """
     scenario = ctx.scenario
     requested = [spec for spec in CATALOG if spec.name in set(scenario.audits)]
-    chosen = _worker_audit(scenario, requested)
+    away = _worker_audits(scenario, requested)
 
     def here() -> dict[str, AuditResult]:
-        return {spec.name: _verdict(spec, ctx) for spec in requested if spec is not chosen}
+        return {spec.name: _verdict(spec, ctx) for spec in requested if spec not in away}
 
-    if chosen is None:
-        verdicts = here()
+    if away:
+        sent, verdicts = beside(lambda: [tuple(_verdict(spec, ctx)) for spec in away],
+                                lambda: around(here))
+        verdicts.update((result[0], AuditResult(*result)) for result in sent)
     else:
-        sent, verdicts = beside(lambda: tuple(_verdict(chosen, ctx)), here)
-        verdicts[chosen.name] = AuditResult(*sent)
+        verdicts = around(here)
     results = [verdicts[spec.name] for spec in requested]
     integrator = scenario.integrator.meta() if scenario.integrator else None
     return AuditReport(scenario.name, ctx.seed, tuple(results), integrator)

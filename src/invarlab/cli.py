@@ -5,13 +5,13 @@ Outputs land in the chosen directory: trajectory.csv and drift.csv when
 the scenario integrates without error, report.json always. Identical scenario and flags
 give byte-identical outputs; wall-clock timing goes to stdout only.
 
-The trajectory and its P, L and E are computed first; an integration that
-fails there removes any trajectory.csv and drift.csv and is reported as the
-``trajectory`` ERROR, before any output is opened. Otherwise trajectory.csv
-is written beside this process (``forking.beside``) while drift.csv is
-written and the audits run here, which may hand one audit to a worker (see
-``audits``). Lines printed to stdout escape what its encoding cannot hold;
-report.json is the record.
+The audit worker starts first (see ``audits``). Then the trajectory and
+its P, L and E are computed here; an integration that fails removes any
+trajectory.csv and drift.csv and is reported as the ``trajectory`` ERROR,
+before any output is opened. Otherwise trajectory.csv is written beside
+this process (``forking.beside``) while drift.csv is written and the
+other audits run here. Lines printed to stdout escape what its encoding
+cannot hold; report.json is the record.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .audits import AuditContext, format_catalog, run_audits
@@ -28,7 +29,7 @@ from .core import distance
 from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
 from .forking import beside
-from .report import AuditReport, AuditResult, ERROR
+from .report import AuditResult, ERROR
 from .scenario import IntegratorConfig, Scenario, ScenarioError, _number, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
@@ -82,29 +83,27 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int) -> int:
     ctx = AuditContext(scenario, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    trajectory: Trajectory | None = None
-    trajectory_failure: AuditResult | None = None
-    if scenario.integrator is not None:
+    failed: list[AuditResult] = []
+
+    def integrated(audits_here: Callable[[], dict]) -> dict:
+        """Integrate, then run ``audits_here`` beside the text child."""
         try:
             trajectory = ctx.trajectory()
             trajectory.conserved()
         except (SingularityError, DivergenceError) as exc:
             for name in ("trajectory.csv", "drift.csv"):
                 (out_dir / name).unlink(missing_ok=True)
-            trajectory = None
-            trajectory_failure = AuditResult(
-                "trajectory", "equations-of-motion", ERROR, detail=str(exc)
-            )
-    if trajectory is None:
-        report = run_audits(ctx)
-    else:
-        def here() -> AuditReport:
-            _write_drift_csv(ctx, out_dir)
-            return run_audits(ctx)
+            failed.append(AuditResult("trajectory", "equations-of-motion", ERROR, detail=str(exc)))
+            return audits_here()
 
-        _, report = beside(lambda: _write_trajectory_csv(trajectory, out_dir), here)
-    if trajectory_failure is not None:
-        report = report._replace(results=(trajectory_failure,) + report.results)
+        def here() -> dict:
+            _write_drift_csv(ctx, out_dir)
+            return audits_here()
+
+        return beside(lambda: _write_trajectory_csv(trajectory, out_dir), here)[1]
+
+    report = run_audits(ctx, integrated) if scenario.integrator else run_audits(ctx)
+    report = report._replace(results=(*failed, *report.results))
     (out_dir / "report.json").write_text(report.to_json())
 
     for line in report.summary_lines():

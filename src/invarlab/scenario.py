@@ -385,13 +385,22 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
     )
 
 
+def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a name given twice in it is an input error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(name for i, (name, _) in enumerate(pairs) if name in dict(pairs[:i]))
+        raise ScenarioError(f"{twice}: name given twice in one JSON object")
+    return obj
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises:
         ScenarioError: unreadable or non-UTF-8 file, malformed JSON (with
-            line/column), JSON the parser refuses, or a schema violation
-            (with the field path).
+            line/column), JSON the parser refuses, a name given twice in
+            one object, or a schema violation (with the field path).
     """
     path = Path(path)
     try:
@@ -399,9 +408,11 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_names)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    except ScenarioError:
+        raise
     except (RecursionError, ValueError) as exc:
         # Well-formed JSON beyond Python's limits: nesting deeper than the
         # recursion limit, or an integer literal over the digit limit.

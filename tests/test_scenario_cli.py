@@ -36,8 +36,9 @@ def minimal_doc(**overrides):
 
 
 def write(tmp_path, doc, name="scenario.json"):
+    """Write ``doc``, a document or its JSON text, to ``tmp_path / name``."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return path
 
 
@@ -770,7 +771,7 @@ def test_the_child_and_this_process_write_the_same_bytes(tmp_path, capsys, monke
         pids = count_forks(monkeypatch, fork)
         out = tmp_path / f"fork-{fork}"
         assert run_scenario(scenario, out, seed=42) == 0
-        # kepler's boost-covariance also runs in a worker.
+        # kepler's audits that do not read the trajectory also run in a worker.
         assert len(pids) == fork * {"spring.json": 1, "kepler.json": 2}[name]
         outputs[fork] = {path.name: path.read_bytes() for path in out.iterdir()}
     assert outputs[True] == outputs[False]
@@ -840,10 +841,12 @@ def test_a_divergence_leaves_no_csv(tmp_path, capsys, monkeypatch, fork):
     assert trajectory["detail"] == "trajectory diverged at sample 7 (t = 0.07): injected"
 
 
-# The audit worker: where a child may be forked and more than one audit is
-# requested, one audit runs in a forked worker, on one CPU as on two. It is
-# the first requested audit with the most own integration steps; with an
-# integrator it must have at least audits._WORKER_MIN_STEPS of them.
+# The audit worker: where a child may be forked, audits run in a forked
+# worker, on one CPU as on two. With an integrator it takes every requested
+# audit that does not read the scenario trajectory, started before the
+# integration, if their own integration steps sum to at least
+# audits._WORKER_MIN_STEPS. Without one, and with more than one audit
+# requested, it takes the first requested audit with the most own steps.
 
 # PASS, FAIL (frame-group's tolerance is below its rounding) and ERROR
 # (light-quotient needs a finite c, which the classical profile lacks).
@@ -995,6 +998,11 @@ RK4_DOC = minimal_doc(
 )
 
 
+# RK4_DOC with boost-covariance on its own run (a step of its own): 10
+# boosted runs and a base run of 200 steps, all in the worker.
+RK4_AWAY = dict(RK4_DOC, audit_params={"boost-covariance": {"count": 10, "step": 0.005}})
+
+
 def own_steps(doc):
     scenario = parse_scenario(doc)
     return {spec.name: spec.own_steps(scenario) for spec in audits.CATALOG}
@@ -1008,6 +1016,7 @@ def test_own_steps_count_the_steps_an_audit_integrates_beyond_the_trajectory():
         "inertia": 10_000, "boost-covariance": 22_000,
     }
     assert own_steps(RK4_DOC)["boost-covariance"] == 1_000
+    assert own_steps(RK4_AWAY)["boost-covariance"] == 2_200
     assert own_steps(minimal_doc(laws=[], velocity_addition={}))["boost-covariance"] == 0
 
 
@@ -1018,7 +1027,7 @@ def test_kepler_writes_the_same_bytes_with_its_audit_in_a_worker(
     scenario = load_scenario(resolve_scenario_path("kepler.json"))
     pids = count_forks(monkeypatch)
     assert run_scenario(scenario, tmp_path / "worker", seed=42) == 0
-    assert len(pids) == 2  # the text child and the boost-covariance worker
+    assert len(pids) == 2  # the text child and the audit worker
     if second_run == "without os.fork":
         count_forks(monkeypatch, fork=False)
     else:
@@ -1033,7 +1042,7 @@ def test_kepler_writes_the_same_bytes_with_its_audit_in_a_worker(
 
 @pytest.mark.parametrize("how", ["exit 3", "short payload", "fork raises"])
 def test_a_failed_worker_on_an_integrator_scenario_has_its_audit_run_here(monkeypatch, how):
-    scenario = parse_scenario(RK4_DOC)
+    scenario = parse_scenario(RK4_AWAY)
     with monkeypatch.context() as patch:
         count_forks(patch, fork=False)
         expected = run_audits(AuditContext(scenario, 7)).to_json()
@@ -1056,7 +1065,7 @@ def test_an_exception_in_the_worker_on_an_integrator_scenario_is_raised_here(mon
     monkeypatch.setattr(audits, "CATALOG", catalog)
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="boost-covariance broke"):
-        run_audits(AuditContext(parse_scenario(RK4_DOC), 1))
+        run_audits(AuditContext(parse_scenario(RK4_AWAY), 1))
     assert len(pids) == 1
     assert_no_child_left()
 
@@ -1080,28 +1089,108 @@ def with_inertia_steps(doc, steps):
     return dict(doc, audit_params={**doc.get("audit_params", {}), "inertia": {"steps": steps}})
 
 
-RK4_THREE = dict(RK4_DOC, audits=["momentum", "inertia", "boost-covariance"])
+RK4_THREE = dict(RK4_DOC, audits=["frame-group", "inertia", "momentum", "boost-covariance"])
 NO_INTEGRATOR = minimal_doc(audits=["frame-group", "inertia", "momentum"])
 
 
-def test_the_worker_takes_the_first_audit_with_the_most_own_steps():
+def test_the_worker_takes_the_audits_that_do_not_read_the_trajectory():
     for doc, chosen in [
-        (with_inertia_steps(RK4_THREE, 999), "boost-covariance"),
-        (with_inertia_steps(RK4_THREE, 1000), "inertia"),
-        (with_inertia_steps(RK4_THREE, 1001), "inertia"),
+        # The same-run boost-covariance reads the trajectory and stays here;
+        # frame-group and inertia go together once inertia reaches the floor.
+        (with_inertia_steps(RK4_THREE, 999), []),
+        (with_inertia_steps(RK4_THREE, 1000), ["frame-group", "inertia"]),
+        (with_inertia_steps(RK4_AWAY, 10), ["boost-covariance"]),
+        (with_inertia_steps(dict(RK4_AWAY, audits=RK4_THREE["audits"]), 10),
+         ["frame-group", "inertia", "boost-covariance"]),
         # Without an integrator no floor applies: inertia's 10 steps win.
-        (with_inertia_steps(NO_INTEGRATOR, 10), "inertia"),
-        (MIXED_DOC, "frame-group"),  # nothing integrates: the first requested
+        (with_inertia_steps(NO_INTEGRATOR, 10), ["inertia"]),
+        (MIXED_DOC, ["frame-group"]),  # nothing integrates: the first requested
+        (dict(MIXED_DOC, audits=["frame-group"]), []),  # one audit
     ]:
         scenario = parse_scenario(doc)
         requested = [spec for spec in audits.CATALOG if spec.name in scenario.audits]
-        assert audits._worker_audit(scenario, requested).name == chosen
+        assert [spec.name for spec in audits._worker_audits(scenario, requested)] == chosen
+
+
+def everything(doc):
+    """``doc`` requesting every catalog audit."""
+    return dict(doc, audits=audits.audit_names())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [*(everything(json.loads(resolve_scenario_path(name).read_text()))
+       for name in ("kepler.json", "spring.json", "perp-demo.json", "addition.json")),
+     everything(RK4_DOC), everything(RK4_AWAY)],
+    ids=["kepler", "spring", "perp-demo", "addition", "same-run", "own-run"],
+)
+def test_an_audit_declared_not_to_read_the_trajectory_does_not(monkeypatch, doc):
+    # A wrong declaration would integrate the trajectory again in the worker.
+    scenario = parse_scenario(doc)
+    away = [spec for spec in audits.CATALOG if not spec.reads_trajectory(scenario)]
+    assert "frame-group" in [spec.name for spec in away]
+    expected = [audits._verdict(spec, AuditContext(scenario, 3)) for spec in away]
+
+    def refuse(self, step_scale=1.0):
+        raise AssertionError("the scenario trajectory was read")
+
+    monkeypatch.setattr(AuditContext, "trajectory", refuse)
+    assert [audits._verdict(spec, AuditContext(scenario, 3)) for spec in away] == expected
+
+
+def test_kepler_forks_its_worker_before_it_integrates(tmp_path, capsys, monkeypatch):
+    events = []
+    real_fork, real_integrate = os.fork, audits.integrate
+
+    def fork():
+        events.append("fork")
+        return real_fork()
+
+    def integrate(*args):
+        events.append("integrate")
+        return real_integrate(*args)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(audits, "integrate", integrate)
+    assert run_scenario(load_scenario(resolve_scenario_path("kepler.json")), tmp_path, 42) == 0
+    assert_no_child_left()
+    # The worker, the scenario trajectory, then the text child; the worker's
+    # own integrations happen in the worker.
+    assert events == ["fork", "integrate", "fork"]
+
+
+def test_a_singular_encounter_reads_the_same_beside_a_worker(tmp_path, capsys, monkeypatch):
+    def coincident(doc):
+        doc["bodies"][1]["position"] = doc["bodies"][0]["position"]
+
+    scenario = parse_scenario(bundled_doc("kepler.json", coincident))
+    reports = []
+    for fork in (True, False):
+        pids = count_forks(monkeypatch, fork)
+        out = tmp_path / f"fork-{fork}"
+        assert run_scenario(scenario, out, seed=42) == 2
+        assert len(pids) == fork  # the worker; a failed integration has no text child
+        assert_no_child_left()
+        assert [path.name for path in out.iterdir()] == ["report.json"]
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    verdicts = {entry["audit"]: entry["verdict"] for entry in json.loads(reports[0])["audits"]}
+    assert verdicts["trajectory"] == verdicts["momentum"] == verdicts["boost-covariance"] == "ERROR"
+    assert verdicts["inertia"] == verdicts["frame-group"] == "PASS"
 
 
 def bundled_doc(name, change):
+    """The bundled document as ``change`` leaves it, or the JSON text
+    ``change`` returns."""
     doc = json.loads(resolve_scenario_path(name).read_text())
-    change(doc)
-    return doc
+    return change(doc) or doc
+
+
+def duplicated_mass(doc):
+    """Body A's mass given twice, 1.0 and then 1e-3, in the JSON text."""
+    text = json.dumps(doc)
+    assert text.count('"mass": 1.0,') == 1
+    return text.replace('"mass": 1.0,', '"mass": 1.0, "mass": 1e-3,')
 
 
 def set_bodies(key, value):
@@ -1150,10 +1239,12 @@ def coincident_softened(softening):
         # The classical profile has no bound, so a c given with it would go unread.
         ("addition.json", set_field("velocity_addition", "g", "classical"), 1,
          "velocity_addition.c"),
+        # A name given twice in one object would keep its last value.
+        ("kepler.json", duplicated_mass, 1, "mass"),
     ],
     ids=["positions", "velocities", "explicit-frame", "softening-1e-120", "softening-1e-102",
          "translation", "boost", "time-offset", "c-1e308", "c-1e-170", "c-1e-300",
-         "classical-with-c"],
+         "classical-with-c", "duplicated-name"],
 )
 def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
     tmp_path, capsys, name, change, code, where
