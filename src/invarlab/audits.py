@@ -249,14 +249,15 @@ def _audit_frame_group(ctx: AuditContext) -> Measurement:
     worst = 0.0
     for _ in range(count):
         t1, t2, t3 = (random_transform(rng) for _ in range(3))
+        t1_inverse = inverse(t1)
         left = compose(compose(t1, t2), t3)
         right = compose(t1, compose(t2, t3))
         residuals = (
             transform_residual(left, right),
             transform_residual(compose(t1, ident), t1),
             transform_residual(compose(ident, t1), t1),
-            transform_residual(compose(t1, inverse(t1)), ident),
-            transform_residual(compose(inverse(t1), t1), ident),
+            transform_residual(compose(t1, t1_inverse), ident),
+            transform_residual(compose(t1_inverse, t1), ident),
             orthogonality_defect(left.rotation),
         )
         worst = _worst(residuals, worst)

@@ -31,9 +31,12 @@ lists, with each audit's params, types and defaults: numeric params must
 be finite and positive, and no run, the audits' own integrations
 included, may take more than ``MAX_STEPS`` steps. A body's mass may not
 be below the smallest normal float, nor a softening that a singular law
-takes below its cube root. c must square to a finite normal float (the
-classical profile, which has no bound, takes no c), and the light time
-baseline / c and baseline * c to a normal one.
+takes below its cube root; a positive softening needs a singular law to
+take it. c must square to a finite normal float (the classical profile,
+which has no bound, takes no c), and the light time baseline / c and
+baseline * c to a normal one. Each section's module is imported where
+that section is parsed: forces for "laws", frames for an explicit "frames"
+list, velocity_addition (with rootfind) for "velocity_addition".
 """
 
 from __future__ import annotations
@@ -44,12 +47,16 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .core import Body, Vec3, _Value
-from .forces import ForceLaw, make_preset, soften
-from .frames import IDENTITY_ROTATION, FrameTransform
-from .velocity_addition import GFUNCTIONS, GFunction
+
+# Each section's module is imported in the branch that parses it, so that a
+# document loads only what it needs (setup_s: import invarlab + load_scenario).
+if TYPE_CHECKING:
+    from .forces import ForceLaw
+    from .frames import FrameTransform
+    from .velocity_addition import GFunction
 
 __all__ = [
     "ScenarioError",
@@ -133,6 +140,7 @@ class AdditionConfig(NamedTuple):
     baseline: float = 1.0
 
     def gfunction(self) -> GFunction:
+        from .velocity_addition import GFUNCTIONS
         factory = GFUNCTIONS[self.g_name]
         return factory() if self.g_name == "classical" else factory(self.c)
 
@@ -216,7 +224,8 @@ def _body(doc: Any, path: str) -> Body:
     )
 
 
-def _law(doc: Any, path: str, softening: float) -> ForceLaw:
+def _law(doc: Any, path: str) -> ForceLaw:
+    from .forces import make_preset
     doc = _mapping(doc, path)
     preset = doc.get("preset")
     if not isinstance(preset, str):
@@ -225,19 +234,14 @@ def _law(doc: Any, path: str, softening: float) -> ForceLaw:
     for key, value in params.items():
         _number(value, f"{path}.params.{key}")
     try:
-        law = make_preset(preset, **{str(k): float(v) for k, v in params.items()})
+        return make_preset(preset, **{str(k): float(v) for k, v in params.items()})
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
-    if softening > 0.0 and law.singular:
-        try:
-            law = soften(law, softening)
-        except ValueError as exc:
-            raise _fail("softening", str(exc)) from None
-    return law
 
 
 def _frames(doc: Any, path: str) -> FrameSweepConfig:
     if isinstance(doc, list):
+        from .frames import IDENTITY_ROTATION, FrameTransform
         if not doc:
             raise _fail(path, "expected at least one transform")
         explicit = []
@@ -311,7 +315,15 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
     laws_doc = doc.get("laws", [])
     if not isinstance(laws_doc, list):
         raise _fail("laws", "expected a list")
-    laws = tuple(_law(l, f"laws[{i}]", softening) for i, l in enumerate(laws_doc))
+    laws = tuple(_law(l, f"laws[{i}]") for i, l in enumerate(laws_doc))
+    if softening > 0.0:
+        if not any(law.singular for law in laws):
+            raise _fail("softening", "no law in laws is singular, so none reads it; drop softening")
+        from .forces import soften
+        try:
+            laws = tuple(soften(law, softening) if law.singular else law for law in laws)
+        except ValueError as exc:
+            raise _fail("softening", str(exc)) from None
 
     integrator = None
     if "integrator" in doc:
@@ -329,6 +341,7 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
 
     addition = None
     if "velocity_addition" in doc:
+        from .velocity_addition import GFUNCTIONS
         adoc = _mapping(doc["velocity_addition"], "velocity_addition")
         g_name = adoc.get("g", "lorentz")
         if not isinstance(g_name, str) or g_name not in GFUNCTIONS:

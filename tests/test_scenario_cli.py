@@ -1229,6 +1229,10 @@ def coincident_softened(softening):
         ("kepler.json", coincident_softened(1e-120), 1, "softening"),
         ("kepler.json", coincident_softened(1e-102), 2,
          ("energy", "FAIL", "relative drift; ")),
+        # A positive softening that no singular law takes would go unread.
+        ("spring.json", lambda doc: doc.__setitem__("softening", 1e-120), 1, "softening"),
+        ("spring.json", lambda doc: doc.__setitem__("softening", 5e-324), 1, "softening"),
+        ("addition.json", lambda doc: doc.__setitem__("softening", 0.05), 1, "softening"),
         # A number the sweeps cannot carry is an input error naming its field.
         ("kepler.json", set_field("frames", "translation", 1e308), 1, "frames.translation"),
         ("kepler.json", set_field("frames", "boost", 1e308), 1, "frames.boost"),
@@ -1243,6 +1247,7 @@ def coincident_softened(softening):
         ("kepler.json", duplicated_mass, 1, "mass"),
     ],
     ids=["positions", "velocities", "explicit-frame", "softening-1e-120", "softening-1e-102",
+         "unread-softening-1e-120", "unread-softening-5e-324", "softening-without-laws",
          "translation", "boost", "time-offset", "c-1e308", "c-1e-170", "c-1e-300",
          "classical-with-c", "duplicated-name"],
 )
