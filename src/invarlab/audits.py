@@ -636,9 +636,11 @@ def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     count = ctx.params("light-quotient")["count"]
     worst = 0.0
     deviations = []
+    # Boost speeds from 0.1 c up to max_speed c; all at max_speed c below 0.1.
+    low = min(0.1, cfg.max_speed)
     for _ in range(count):
         direction = _unit_vector(rng)
-        boost = BoundedVelocity(direction * (rng.uniform(0.1, cfg.max_speed) * gfun.c), gfun)
+        boost = BoundedVelocity(direction * (rng.uniform(low, cfg.max_speed) * gfun.c), gfun)
         worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c) / gfun.c,), worst)
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
         deviations.append(abs(plain - gfun.c) / gfun.c)

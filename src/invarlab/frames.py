@@ -50,25 +50,25 @@ def orthogonality_defect(m: Mat3) -> float:
     """Largest entry of |m^T m - I|; nan when an entry of m is nan."""
     (a, b, c), (d, e, f), (g, h, k) = m
     # m^T m is symmetric, so its upper triangle holds every distinct entry.
-    devs = (
-        abs(a * a + d * d + g * g - 1.0),
-        abs(a * b + d * e + g * h),
-        abs(a * c + d * f + g * k),
-        abs(b * b + e * e + h * h - 1.0),
-        abs(b * c + e * f + h * k),
-        abs(c * c + f * f + k * k - 1.0),
-    )
+    d0 = abs(a * a + d * d + g * g - 1.0)
+    d1 = abs(a * b + d * e + g * h)
+    d2 = abs(a * c + d * f + g * k)
+    d3 = abs(b * b + e * e + h * h - 1.0)
+    d4 = abs(b * c + e * f + h * k)
+    d5 = abs(c * c + f * f + k * k - 1.0)
     # max() drops a nan that is not its first argument; the sum keeps it.
-    total = sum(devs)
-    return total if total != total else max(devs)
+    total = d0 + d1 + d2 + d3 + d4 + d5
+    return total if total != total else max(d0, d1, d2, d3, d4, d5)
 
 
 class FrameTransform(_Value):
     """One observer choice: rotation/reflection, origin shift, boost, clock offset.
 
-    The rotation must be finite and orthogonal and the clock offset finite,
-    checked at construction, which ``compose`` and ``inverse`` go through
-    too; det -1 is allowed, so reflections are in the group.
+    Stores the rotation as a 3x3 tuple of floats, which must be finite and
+    orthogonal (det -1 is allowed, so reflections are in the group), and a
+    finite clock offset. Every build path ends in one checked store,
+    ``_store``: the constructor after converting the rotation to floats,
+    and ``compose``, ``inverse`` and ``random_transform``, given floats.
     """
 
     __slots__ = ("rotation", "translation", "boost", "time_offset")
@@ -89,22 +89,29 @@ class FrameTransform(_Value):
             )
         except (TypeError, ValueError):
             raise ValueError("rotation must be a 3x3 matrix of numbers") from None
-        defect = orthogonality_defect(rot)
-        if not defect <= ORTHOGONALITY_TOL:
-            if not all(map(math.isfinite, (*rot[0], *rot[1], *rot[2]))):
-                raise ValueError(f"rotation entries must be finite, got {rot}")
-            raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
-        if not math.isfinite(time_offset):
-            raise ValueError("time_offset must be finite")
-        _set_rotation(self, rot)
-        _set_translation(self, translation)
-        _set_boost(self, boost)
-        _set_time_offset(self, time_offset)
+        _store(self, rot, translation, boost, time_offset)
 
 
 _set_rotation, _set_translation, _set_boost, _set_time_offset = (
     FrameTransform.__dict__[name].__set__ for name in FrameTransform.__slots__
 )
+_new = object.__new__
+
+
+def _store(t: FrameTransform, rot: Mat3, d: Vec3, w: Vec3, s: float) -> FrameTransform:
+    """Check the fields of ``t`` and store them through the slot descriptors."""
+    defect = orthogonality_defect(rot)
+    if not defect <= ORTHOGONALITY_TOL:
+        if not all(map(math.isfinite, (*rot[0], *rot[1], *rot[2]))):
+            raise ValueError(f"rotation entries must be finite, got {rot}")
+        raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
+    if not math.isfinite(s):
+        raise ValueError("time_offset must be finite")
+    _set_rotation(t, rot)
+    _set_translation(t, d)
+    _set_boost(t, w)
+    _set_time_offset(t, s)
+    return t
 
 
 def identity() -> FrameTransform:
@@ -190,7 +197,7 @@ def compose(t1: FrameTransform, t2: FrameTransform) -> FrameTransform:
         rdz + d1.z - rwz * s1 - w1.z * s2,
     )
     boost = Vec3(rwx + w1.x, rwy + w1.y, rwz + w1.z)
-    return FrameTransform(rot, translation, boost, s1 + s2)
+    return _store(_new(FrameTransform), rot, translation, boost, s1 + s2)
 
 
 def inverse(t: FrameTransform) -> FrameTransform:
@@ -209,7 +216,7 @@ def inverse(t: FrameTransform) -> FrameTransform:
         -(r02 * ux + r12 * uy + r22 * uz),
     )
     rot_t = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
-    return FrameTransform(rot_t, translation, boost, -s)
+    return _store(_new(FrameTransform), rot_t, translation, boost, -s)
 
 
 def transform_residual(t1: FrameTransform, t2: FrameTransform) -> float:
@@ -263,12 +270,9 @@ def random_transform(
             rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale)
         )
 
-    return FrameTransform(
-        rotation=random_rotation(rng, reflections=reflections),
-        translation=vec(translation),
-        boost=vec(boost),
-        time_offset=rng.uniform(-time_offset, time_offset),
-    )
+    rot = random_rotation(rng, reflections=reflections)
+    d, w = vec(translation), vec(boost)
+    return _store(_new(FrameTransform), rot, d, w, rng.uniform(-time_offset, time_offset))
 
 
 T = TypeVar("T")

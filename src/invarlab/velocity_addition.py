@@ -102,17 +102,15 @@ class GFunction(_Value):
             return 0.0
         # G >= 1 puts the root at or below `weighted`; cap just under c.
         hi = min(weighted, self.c * (1.0 - 1e-15))
-
-        def f(a: float) -> float:
-            return a * self.g(a) - weighted
-
-        if f(hi) < 0.0:
+        g = self.g
+        if hi * g(hi) - weighted < 0.0:
             raise ConvergenceError(
                 f"{self.name}: weighted norm {weighted:.6g} not reachable below the bound"
             )
         if self.inverse is not None:
             return min(self.inverse(weighted), hi)
-        return solve_increasing(f, 0.0, hi, ftol=1e-14 * (1.0 + weighted))
+        ftol = 1e-14 * (1.0 + weighted)
+        return solve_increasing(lambda a: a * g(a) - weighted, 0.0, hi, ftol=ftol)
 
     def compatible(self, other: "GFunction") -> bool:
         return self is other or (self.name == other.name and self.c == other.c)
@@ -165,36 +163,52 @@ GFUNCTIONS: dict[str, Callable[..., GFunction]] = {
 }
 
 
-class BoundedVelocity(_Value):
+class _Derived(_Value):
+    """What ``BoundedVelocity`` derives from its fields, in slots kept out of
+    its own ``__slots__``, which name only the fields (see ``core._Value``)."""
+
+    __slots__ = ("speed", "_weight")
+
+
+class BoundedVelocity(_Derived):
     """Velocity vector strictly inside the bound of its weight profile.
 
-    Like ``Vec3``, the constructor stores its arguments through the slot
-    descriptors, and raises before it returns unless the speed is in bound.
+    Its fields are ``v`` and ``gfun``. It also stores ``speed``, |v| (by
+    ``_wide_norm`` where the sum of squares overflows), and the weight
+    G(speed) that ``weight()`` returns. Every build path ends in one store,
+    ``_store``: the constructor once the speed is checked below the bound,
+    and negation, which copies both values, as |-v| = |v| bit for bit.
     """
 
     __slots__ = ("v", "gfun")
 
     def __init__(self, v: Vec3, gfun: GFunction) -> None:
-        _set_v(self, v)
-        s = self.speed
+        x, y, z = v.x, v.y, v.z
+        s = math.sqrt(x * x + y * y + z * z)
+        if not s < math.inf:
+            s = _wide_norm(x, y, z)
         if not s < gfun.c:
             raise ValueError(f"speed {s} must be strictly below the bound {gfun.c}")
-        _set_gfun(self, gfun)
-
-    @property
-    def speed(self) -> float:
-        """|v|, by ``_wide_norm`` where the sum of squares overflows."""
-        s = self.v.norm()
-        return s if s < math.inf else _wide_norm(self.v.x, self.v.y, self.v.z)
+        _store(self, v, gfun, s, gfun.g(s))
 
     def weight(self) -> float:
-        return self.gfun(self.speed)
+        return self._weight
 
     def __neg__(self) -> "BoundedVelocity":
-        return BoundedVelocity(-self.v, self.gfun)
+        return _store(_new(BoundedVelocity), -self.v, self.gfun, self.speed, self._weight)
 
 
-_set_v, _set_gfun = (BoundedVelocity.__dict__[name].__set__ for name in ("v", "gfun"))
+_set_v, _set_gfun = (BoundedVelocity.__dict__[name].__set__ for name in BoundedVelocity.__slots__)
+_set_speed, _set_weight = (_Derived.__dict__[name].__set__ for name in _Derived.__slots__)
+_new = object.__new__
+
+
+def _store(u: BoundedVelocity, v: Vec3, g: GFunction, s: float, w: float) -> BoundedVelocity:
+    _set_v(u, v)
+    _set_gfun(u, g)
+    _set_speed(u, s)
+    _set_weight(u, w)
+    return u
 
 
 def zero_velocity(gfun: GFunction) -> BoundedVelocity:
@@ -221,7 +235,7 @@ def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
             f"({gfun.name}, c={gfun.c}) vs ({v.gfun.name}, c={v.gfun.c})"
         )
     a, b = u.v, v.v
-    ga, gb = u.weight(), v.weight()
+    ga, gb = u._weight, v._weight
     x, y, z = a.x * ga + b.x * gb, a.y * ga + b.y * gb, a.z * ga + b.z * gb
     r = math.sqrt(x * x + y * y + z * z)
     if not r < math.inf:
@@ -257,9 +271,9 @@ def check_invariance_theorem(
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     v1 = oplus(v2, v3)
-    dt1 = duration * v1.weight()
-    dt2 = duration * v2.weight()
-    dt3 = duration * v3.weight()
+    dt1 = duration * v1._weight
+    dt2 = duration * v2._weight
+    dt3 = duration * v3._weight
     # Components, in the operation order of the vector expressions
     # |v1 dt1 - (v2 dt2 + v3 dt3)| and |v1 dt1 - v2 (dt2 (1 + stretch)) - v3 dt3|.
     a, b, c = v1.v, v2.v, v3.v

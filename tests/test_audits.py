@@ -318,6 +318,27 @@ def test_oplus_group_keeps_a_nan_residual(monkeypatch):
     assert result.verdict == "FAIL" and math.isnan(result.residual)
 
 
+@pytest.mark.parametrize("max_speed", [0.05, 0.5])
+def test_light_quotient_boosts_stay_at_or_below_max_speed(monkeypatch, max_speed):
+    # Boost speeds are drawn from 0.1 c up to max_speed c; below 0.1 every
+    # boost is at max_speed c, never above it.
+    speeds = []
+    original = audits.light_quotient
+
+    def recording(boost, baseline):
+        speeds.append(boost.speed)
+        return original(boost, baseline)
+
+    monkeypatch.setattr(audits, "light_quotient", recording)
+    addition = AdditionConfig(samples=5, max_speed=max_speed)
+    sc = scenario_with(audits=("light-quotient",), addition=addition)
+    (result,) = run_audits(AuditContext(sc, 1)).results
+    assert result.verdict == "PASS" and len(speeds) == 20
+    # The unit direction's norm is 1 to within an ulp or two.
+    assert max(speeds) <= max_speed * (1.0 + 1e-15)
+    assert min(speeds) >= min(0.1, max_speed) * (1.0 - 1e-15)
+
+
 def test_light_quotient_keeps_a_nan_plain_quotient_after_a_finite_one(monkeypatch):
     patched = nan_on_second_call(audits.classical_light_quotient, math.nan)
     monkeypatch.setattr(audits, "classical_light_quotient", patched)

@@ -6,6 +6,7 @@ import pytest
 from invarlab import (
     Body,
     FrameTransform,
+    NonFiniteError,
     Vec3,
     apply,
     check_objectivity,
@@ -86,6 +87,29 @@ def test_orthogonality_defect_propagates_nan():
 def test_malformed_rotation_rejected(rotation):
     with pytest.raises(ValueError, match="3x3"):
         FrameTransform(rotation=rotation)
+
+
+def _raised(build):
+    """The type and text of the ValueError that ``build()`` raises."""
+    with pytest.raises(ValueError) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
+def test_every_build_path_raises_what_the_constructor_raises():
+    # compose and random_transform hand their floats to the constructor's
+    # checked store: a field out of range raises the constructor's error.
+    late = FrameTransform(time_offset=1e308)
+    assert _raised(lambda: compose(late, late)) == _raised(
+        lambda: FrameTransform(time_offset=1e308 + 1e308)
+    ) == (ValueError, "time_offset must be finite")
+    far = FrameTransform(translation=Vec3(1e308, 0.0, 0.0))
+    assert _raised(lambda: compose(far, far)) == _raised(
+        lambda: FrameTransform(translation=Vec3(1e308 + 1e308, 0.0, 0.0))
+    ) == (NonFiniteError, "non-finite vector component in (inf, 0.0, 0.0)")
+    assert _raised(lambda: random_transform(random.Random(1), time_offset=math.inf)) == _raised(
+        lambda: FrameTransform(time_offset=math.nan)
+    )
 
 
 def test_reflections_are_allowed():

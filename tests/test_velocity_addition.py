@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -242,6 +243,56 @@ def test_only_profiles_without_a_closed_form_use_the_solver(monkeypatch):
         assert len(calls) == expected, gfun.name
     assert custom.inverse is None and all(gfun.inverse is not None for gfun in shipped)
     assert classical_g().solve_speed(0.75) == 0.75
+
+
+def _reference_speed(v):
+    """|v| as a sum of squares, or by hypot where that overflows."""
+    s = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+    return s if s < math.inf else math.hypot(v.x, v.y, v.z)
+
+
+def _row_vectors(scale, rng):
+    """Random vectors below ``scale``, ``nextafter(scale, 0)`` along each
+    axis, and components near 1e154, whose squares overflow together."""
+    yield from (random_unit(rng) * rng.uniform(0.0, 0.99) * scale for _ in range(8))
+    edge = math.nextafter(scale, 0.0)
+    yield from (Vec3(edge, 0.0, 0.0), Vec3(0.0, -edge, 0.0), Vec3(0.0, 0.0, edge))
+    yield from (Vec3(1.2e154, 0.0, 0.0), Vec3(9e153, -9e153, 9e153), Vec3(1e154, 1e154, 0.0))
+
+
+@pytest.mark.parametrize("profile", ["lorentz", "rational", "classical"])
+@pytest.mark.parametrize("c", [1e-150, 1.0, 3e8, 1e150, math.sqrt(sys.float_info.max)])
+def test_stored_speed_and_weight_are_exact_on_every_build_path(profile, c):
+    # The constructor stores |v| and G(|v|) once; every velocity built from
+    # one, by negation, composition or copying, must hold the values
+    # recomputed from its vector, bit for bit. (Copies rebuild through the
+    # constructor, as unpickling does; the shipped profiles' closures do
+    # not pickle.)
+    gfun = classical_g() if profile == "classical" else GFUNCTIONS[profile](c)
+    rng = random.Random(f"{profile}:{c}")
+
+    def exact(w):
+        speed = _reference_speed(w.v)
+        assert w.speed.hex() == speed.hex()
+        assert w.weight().hex() == gfun(speed).hex()
+
+    built = []
+    for vector in _row_vectors(c, rng):
+        if not _reference_speed(vector) < gfun.c:
+            with pytest.raises(ValueError, match="must be strictly below the bound"):
+                BoundedVelocity(vector, gfun)
+            continue
+        v = BoundedVelocity(vector, gfun)
+        built.append(v)
+        for w in (v, -v, copy.copy(v), copy.deepcopy(v)):
+            exact(w)
+    assert len(built) >= 11
+    # Near c, the weighted sums are not reachable below the bound.
+    composable = [v for v in built if v.speed <= 0.99 * gfun.c]
+    assert len(composable) >= 8
+    for u, v in zip(composable, composable[1:] + composable[:1]):
+        exact(oplus(u, v))
+        exact(oplus(v, v))
 
 
 def test_closure_survives_extreme_operands():
