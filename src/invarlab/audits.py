@@ -7,7 +7,7 @@ so the report is deterministic for a given scenario and seed and does not
 depend on which other audits run.
 
 Each audit is declared once, as an ``AuditSpec`` in ``CATALOG``: name,
-lemma, description, default tolerance and typed ``audit_params`` schema.
+lemma, description, default tolerance and its ``audit_params`` fields.
 Its body returns only a ``Measurement``; one function resolves the
 tolerance, decides PASS/FAIL and builds the ``AuditResult``.
 
@@ -44,32 +44,22 @@ from .frames import (
 )
 from .report import AuditReport, AuditResult, ERROR, FAIL, PASS
 from .rootfind import ConvergenceError
-from .scenario import Scenario, ScenarioError, _number, check_steps
+from .scenario import (
+    COUNT, POSITIVE, TEXT, Field, Scenario, ScenarioError, check_steps, read_section,
+)
 from .velocity_addition import (
     BoundedVelocity, GFunction, check_invariance_theorem, classical_light_quotient,
     light_quotient, oplus, zero_velocity,
 )
 
 __all__ = [
-    "AuditSpec", "AuditContext", "CATALOG", "Measurement", "Param", "audit_names",
+    "AuditSpec", "AuditContext", "CATALOG", "Measurement", "audit_names",
     "check_audit_inputs", "format_catalog", "run_audits",
 ]
 
 
 class AuditConfigError(ValueError):
     """The scenario lacks something this audit needs."""
-
-
-class Param(NamedTuple):
-    """One key of an audit's ``audit_params``: its name, JSON type and
-    default. A default the scenario decides is a function of the scenario
-    (``None`` when the block it reads is missing), and ``shown`` describes
-    it in the catalog listing."""
-
-    name: str
-    kind: type
-    default: Any
-    shown: str = ""
 
 
 class Measurement(NamedTuple):
@@ -97,7 +87,7 @@ class AuditSpec:
     description: str
     run: Callable[[AuditContext], Measurement]
     tolerance: float | None
-    params: tuple[Param, ...]
+    params: tuple[Field, ...]
     own_steps: Callable[[Scenario], int]
     reads_trajectory: Callable[[Scenario], bool]
 
@@ -105,7 +95,7 @@ class AuditSpec:
 _DECLARED: list[AuditSpec] = []
 
 
-def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Param,
+def _declare(name: str, lemma: str, description: str, tolerance: float | None, *params: Field,
              own_steps: Callable[[Scenario], int] = lambda scenario: 0,
              reads_trajectory: Callable[[Scenario], bool] = lambda scenario: False):
     """Decorator: declare ``run`` as the catalog audit ``name``. The
@@ -120,14 +110,11 @@ def _declare(name: str, lemma: str, description: str, tolerance: float | None, *
 
 
 def _resolve_params(scenario: Scenario, audit: str) -> dict[str, Any]:
-    """The audit's params: the scenario's values where given, else the
-    schema defaults. Assumes ``check_audit_inputs`` accepted the scenario."""
-    out = {}
-    for p in _BY_NAME[audit].params:
-        value = scenario.audit_params.get(audit, {}).get(p.name, p.default)
-        value = value(scenario) if callable(value) else value
-        out[p.name] = value if value is None else p.kind(value)
-    return out
+    """The audit's params: the scenario's values where given, else its fields'
+    defaults. Assumes ``check_audit_inputs`` accepted the scenario."""
+    given = scenario.audit_params.get(audit, {})
+    values = read_section(given, f"audit_params.{audit}", _BY_NAME[audit].params)
+    return {name: value(scenario) if callable(value) else value for name, value in values.items()}
 
 
 class AuditContext:
@@ -241,7 +228,7 @@ def _worst(residuals: Iterable[float], worst: float = 0.0) -> float:
 
 @_declare("frame-group", "observer-choice-group",
           "composition, identity, inverse and associativity of frame transforms", 1e-12,
-          Param("count", int, 200))
+          Field("count", COUNT, 200))
 def _audit_frame_group(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("frame-group")
     count = ctx.params("frame-group")["count"]
@@ -293,7 +280,7 @@ def _audit_objectivity(ctx: AuditContext) -> Measurement:
 
 
 @_declare("event-order", "event-order-preservation",
-          "monotone clock changes keep the order of events", None, Param("count", int, 100))
+          "monotone clock changes keep the order of events", None, Field("count", COUNT, 100))
 def _audit_event_order(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("event-order")
     count = ctx.params("event-order")["count"]
@@ -327,8 +314,8 @@ def _inertia_residuals(traj: Trajectory, x0: Vec3, v0: Vec3) -> Iterator[float]:
 
 
 @_declare("inertia", "law-of-inertia", "isolated pair keeps constant relative velocity", 1e-12,
-          Param("steps", int, 10_000),
-          Param("step", float, lambda sc: sc.integrator.step if sc.integrator else 1e-3,
+          Field("steps", COUNT, 10_000),
+          Field("step", POSITIVE, lambda sc: sc.integrator.step if sc.integrator else 1e-3,
                 "integrator.step, else 0.001"),
           own_steps=lambda sc: _resolve_params(sc, "inertia")["steps"])
 def _audit_inertia(ctx: AuditContext) -> Measurement:
@@ -342,7 +329,7 @@ def _audit_inertia(ctx: AuditContext) -> Measurement:
 
 @_declare("exchange", "exchange-symmetry",
           "swapping the bodies swaps the force pair; f + k closes through the normal channel",
-          1e-12, Param("count", int, 50))
+          1e-12, Field("count", COUNT, 50))
 def _audit_exchange(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("exchange")
     count = ctx.params("exchange")["count"]
@@ -399,7 +386,7 @@ def _order_check_audit(
 
 _declare("momentum-rate", "generalized-action-reaction",
          "measured dP/dt matches 2 (x_ab x v_ab) phi_perp at second order in the step", None,
-         Param("floor", float, 1e-10), reads_trajectory=lambda sc: True)(
+         Field("floor", POSITIVE, 1e-10), reads_trajectory=lambda sc: True)(
     partial(_order_check_audit, name="momentum-rate", series=_momentum, rate=_exact_momentum_rate))
 
 
@@ -410,7 +397,7 @@ _declare("angular-momentum", "torque-iff-central-channels",
 
 _declare("torque-rate", "internal-torque-rate",
          "measured dL/dt matches the internal-torque formula at second order in the step", None,
-         Param("floor", float, 1e-10), reads_trajectory=lambda sc: True)(
+         Field("floor", POSITIVE, 1e-10), reads_trajectory=lambda sc: True)(
     partial(_order_check_audit, name="torque-rate", series=_angular_momentum, rate=_exact_torque))
 
 
@@ -471,10 +458,11 @@ def _boost_own_steps(scenario: Scenario) -> int:
 
 @_declare("boost-covariance", "galilean-covariance",
           "integrate-then-boost equals boost-then-integrate in relative state", 1e-9,
-          Param("count", int, 10), Param("boost", float, 1.0),
-          Param("t_end", float, lambda sc: sc.integrator and sc.integrator.t_end,
+          Field("count", COUNT, 10), Field("boost", POSITIVE, 1.0),
+          Field("t_end", POSITIVE, lambda sc: sc.integrator and sc.integrator.t_end,
                 "integrator.t_end"),
-          Param("step", float, lambda sc: sc.integrator and sc.integrator.step, "integrator.step"),
+          Field("step", POSITIVE, lambda sc: sc.integrator and sc.integrator.step,
+                "integrator.step"),
           own_steps=_boost_own_steps, reads_trajectory=_boost_same_run)
 def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("boost-covariance")
@@ -495,7 +483,7 @@ def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
 
 
 @_declare("superposition", "acceleration-additivity",
-          "forces of stacked laws sum to the merged law's force", 1e-12, Param("count", int, 50))
+          "forces of stacked laws sum to the merged law's force", 1e-12, Field("count", COUNT, 50))
 def _audit_superposition(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("superposition")
     count = ctx.params("superposition")["count"]
@@ -544,7 +532,7 @@ def _default_property(scenario: Scenario) -> str:
 
 @_declare("additivity", "property-additivity",
           "merging a coupling property adds the forces (linear laws pass, quadratic fail)", 1e-9,
-          Param("property", str, _default_property,
+          Field("property", TEXT, _default_property,
                 "mass if a law reads it or there is none, else charge"))
 def _audit_additivity(ctx: AuditContext) -> Measurement:
     tol = ctx.tolerance("additivity")
@@ -626,7 +614,7 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
 
 @_declare("light-quotient", "echo-quotient-invariance",
           "echo speed quotient is frame independent under the bounded group, "
-          "not under plain addition", 1e-12, Param("count", int, 20))
+          "not under plain addition", 1e-12, Field("count", COUNT, 20))
 def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     rng = ctx.rng("light-quotient")
     cfg = ctx.addition()
@@ -667,21 +655,18 @@ def format_catalog() -> list[str]:
     for spec in CATALOG:
         tol = "set by the audit" if spec.tolerance is None else f"{spec.tolerance:g}"
         params = "; ".join(
-            f"{p.name} ({p.kind.__name__}) = {p.shown or repr(p.default)}" for p in spec.params
+            f"{p.name} ({p.kind.name}) = {p.shown or repr(p.default)}" for p in spec.params
         )
         entries.append(f"{spec.name:<{width}}  {spec.description}  [{spec.lemma}]\n{'':<{width}}"
                        f"  tolerance {tol}; params: {params or 'none'}")
     return entries
 
 
-_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
-
-
 def check_audit_inputs(scenario: Scenario) -> None:
     """Validate the audit fields against the catalog before anything runs:
     names and keys are catalog audits, no ``tolerances`` key names an audit
-    that sets its own, ``audit_params`` match their schema (numbers finite
-    and positive), the audits' own integrations (``inertia.steps``,
+    that sets its own, ``audit_params`` are read by the audit's fields
+    (``scenario.read_section``), the audits' own integrations (``inertia.steps``,
     ``boost-covariance`` ``t_end / step``) are at most ``MAX_STEPS`` steps,
     each law, and their merge, binds to the bodies (``forces.bind``), and
     a verlet integrator has a central merged law.
@@ -703,17 +688,7 @@ def check_audit_inputs(scenario: Scenario) -> None:
         if _BY_NAME[key].tolerance is None:
             raise ScenarioError(f"tolerances.{key}: {key} sets its own tolerance")
     for audit, given in scenario.audit_params.items():
-        schema = {p.name: p for p in _BY_NAME[audit].params}
-        for key, value in given.items():
-            path = f"audit_params.{audit}.{key}"
-            if key not in schema:
-                names = ", ".join(schema) or "none"
-                raise ScenarioError(f"{path}: unknown parameter; known: {names}")
-            accepted, expected = _JSON_TYPES[schema[key].kind]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ScenarioError(f"{path}: expected {expected}, got {value!r}")
-            if schema[key].kind is not str:
-                _number(value, path, positive=True)
+        read_section(given, f"audit_params.{audit}", _BY_NAME[audit].params)
     inertia = _resolve_params(scenario, "inertia")
     check_steps("audit_params.inertia.steps", inertia["steps"])
     if not inertia["steps"] * inertia["step"] < math.inf:

@@ -30,7 +30,7 @@ from .dynamics import DivergenceError, Trajectory
 from .forces import SingularityError
 from .forking import beside
 from .report import AuditResult, ERROR
-from .scenario import IntegratorConfig, Scenario, ScenarioError, _number, load_scenario
+from .scenario import SECTIONS, IntegratorConfig, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run_scenario", "resolve_scenario_path"]
 
@@ -142,8 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.step is not None:  # the rule of the document's integrator.step
-            _number(args.step, "--step", positive=True)
+        if args.step is not None:  # read as the document's integrator.step
+            step = next(field for field in SECTIONS["integrator"] if field.name == "step")
+            step.kind.read(args.step, "--step")
         scenario = load_scenario(resolve_scenario_path(args.scenario))
         if args.step is not None or args.method is not None:
             if scenario.integrator is None:

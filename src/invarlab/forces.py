@@ -497,8 +497,9 @@ PRESETS: dict[str, Callable[..., ForceLaw]] = {
 }
 
 
-def make_preset(name: str, **params: float) -> ForceLaw:
-    """Instantiate a preset by name; unknown names and parameters raise."""
+def make_preset(name: str, /, **params: float) -> ForceLaw:
+    """Instantiate a preset by name; unknown names and parameters (a
+    parameter called ``name`` too) raise."""
     try:
         factory = PRESETS[name]
     except KeyError:

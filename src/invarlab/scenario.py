@@ -1,42 +1,25 @@
 """Scenario files: one JSON document drives a whole run.
 
-Schema (version "v1"):
+Each object of a document is read by its section's field table in
+``SECTIONS``, each field with a kind and a default or required (*); a key
+that is not in its table is an input error naming its path and the
+nearest known key. ``bodies[i]`` is each of the two bodies, ``laws[i]``
+each law, ``frames[i]`` each transform of an explicit ``frames`` list:
 
-    {
-      "schema": "v1",
-      "name": "kepler",
-      "bodies": [
-        {"id": "A", "mass": 1.0, "position": [x, y, z],
-         "velocity": [x, y, z], "properties": {"charge": 0.0}},
-        { ... exactly two ... }
-      ],
-      "laws": [{"preset": "gravity", "params": {"g": 1.0}}],
-      "softening": 0.0,
-      "integrator": {"method": "rk4", "step": 0.01, "t_end": 10.0},
-      "frames": {"count": 50, "translation": 5.0, "boost": 2.0,
-                 "time_offset": 1.0, "reflections": true},
-      "velocity_addition": {"g": "lorentz", "c": 1.0, "samples": 200,
-                            "max_speed": 0.95, "baseline": 1.0},
-      "audits": ["momentum", "energy"],
-      "tolerances": {"momentum": 1e-9},
-      "audit_params": {"boost-covariance": {"count": 10}}
-    }
+    (document)         schema* ("v1"), name, bodies*, laws, softening, integrator,
+                       frames, velocity_addition, audits, tolerances, audit_params
+    bodies[i]          id*, mass*, position*, velocity*, properties
+    laws[i]            preset*, params
+    integrator         method ("rk4" or "verlet"), step*, t_end*
+    frames             count, translation, boost, time_offset, reflections
+    frames[i]          rotation, translation, boost, time_offset
+    velocity_addition  g, c, samples, max_speed, baseline
 
-Everything after "bodies" is optional. "frames" may instead be a non-empty
-list of explicit transforms ({"rotation": 3x3, "translation": [..], "boost":
-[..], "time_offset": s}). Validation reports the offending field by path before
-any computation runs. The audit fields ("audits", "tolerances",
-"audit_params") are checked against the catalog that ``invarlab audits``
-lists, with each audit's params, types and defaults: numeric params must
-be finite and positive, and no run, the audits' own integrations
-included, may take more than ``MAX_STEPS`` steps. A body's mass may not
-be below the smallest normal float, nor a softening that a singular law
-takes below its cube root; a positive softening needs a singular law to
-take it. c must square to a finite normal float (the classical profile,
-which has no bound, takes no c), and the light time baseline / c and
-baseline * c to a normal one. Each section's module is imported where
-that section is parsed: forces for "laws", frames for an explicit "frames"
-list, velocity_addition (with rootfind) for "velocity_addition".
+Each audit's ``audit_params`` are read by its own table in the catalog
+(``invarlab audits``). The rules that tie fields together (README's
+"Scenario files" gives their reasons) follow the tables; ``MAX_STEPS``
+caps every run. A section's module is imported where it is read: forces
+for a law, frames for an explicit transform, velocity_addition for "g".
 """
 
 from __future__ import annotations
@@ -45,14 +28,15 @@ import json
 import math
 import sys
 from collections.abc import Mapping
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .core import Body, Vec3, _Value
 
-# Each section's module is imported in the branch that parses it, so that a
-# document loads only what it needs (setup_s: import invarlab + load_scenario).
+# Each section's module is imported in the reader of that section, so that
+# a document loads only what it needs (setup_s: import invarlab + load_scenario).
 if TYPE_CHECKING:
     from .forces import ForceLaw
     from .frames import FrameTransform
@@ -66,6 +50,7 @@ __all__ = [
     "FrameSweepConfig",
     "AdditionConfig",
     "Scenario",
+    "Field", "read_section", "SECTIONS", "COUNT", "POSITIVE", "TEXT",
     "parse_scenario",
     "load_scenario",
 ]
@@ -171,6 +156,60 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
+# Slot classes: building a NamedTuple class would add about 90 us to setup_s.
+class Kind:
+    """A JSON kind: its name in listings, and ``read(value, path)``, which
+    checks a value found at ``path`` and returns what the program reads."""
+
+    __slots__ = ("name", "read")
+
+    def __init__(self, name: str, read: Callable[[Any, str], Any]) -> None:
+        self.name, self.read = name, read
+
+
+REQUIRED: Any = object()  # the default of a field that must be given
+_OMITTED: Any = object()  # the default of a field left to the built value's own default
+
+
+class Field:
+    """A key of a document object or an audit's ``audit_params``: name, kind, and
+    value when absent (``REQUIRED`` if it must be given; may be a function of the scenario)."""
+
+    __slots__ = ("name", "kind", "default", "shown")
+
+    def __init__(self, name: str, kind: Kind, default: Any = REQUIRED, shown: str = "") -> None:
+        self.name, self.kind, self.default, self.shown = name, kind, default, shown
+
+
+def read_section(doc: Any, path: str, table: tuple[Field, ...]) -> dict[str, Any]:
+    """The values of the object ``doc`` at ``path`` ("" for the document)
+    by ``table``: each field read by its kind, or its default when absent.
+
+    Raises:
+        ScenarioError: ``doc`` is not an object, a required field is
+            missing or a value not of its kind, or a key is not in ``table``.
+    """
+    doc = _mapping(doc, path or "scenario")
+    prefix = f"{path}." if path else ""
+    values = {}
+    for field in table:
+        if field.name in doc:
+            values[field.name] = field.kind.read(doc[field.name], prefix + field.name)
+        elif field.default is REQUIRED:
+            raise _fail(prefix + field.name, "missing required field")
+        elif field.default is not _OMITTED:
+            values[field.name] = field.default
+    # Every key of the table that the document gives now has a value.
+    for key in doc:
+        if key not in values:
+            import difflib  # only on this error path: a valid document does not load it
+            names = [field.name for field in table]
+            nearest = difflib.get_close_matches(str(key), names, n=1, cutoff=0.0)
+            hint = f"the nearest known key is {nearest[0]!r}; " if nearest else ""
+            raise _fail(f"{prefix}{key}", f"unknown key; {hint}known: {', '.join(names) or 'none'}")
+    return values
+
+
 def _mapping(doc: Any, path: str) -> dict:
     if not isinstance(doc, dict):
         raise _fail(path, f"expected an object, got {type(doc).__name__}")
@@ -193,129 +232,181 @@ def _number(value: Any, path: str, *, positive: bool = False, nonnegative: bool 
     return out
 
 
-def _vector(value: Any, path: str) -> Vec3:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise _fail(path, f"expected a 3-component list, got {value!r}")
-    return Vec3(*(_number(v, f"{path}[{i}]") for i, v in enumerate(value)))
+def _kind(name: str, test: Callable[[Any], bool]) -> Kind:
+    """The kind of the values that pass ``test``, read as they are."""
+
+    def read(value: Any, path: str) -> Any:
+        if not test(value):
+            raise _fail(path, f"expected {name}, got {value!r}")
+        return value
+
+    return Kind(name, read)
+
+
+def _map_of(kind: Kind) -> Kind:
+    def read(value: Any, path: str) -> dict[str, Any]:
+        return {str(k): kind.read(v, f"{path}.{k}") for k, v in _mapping(value, path).items()}
+
+    return Kind("an object", read)
+
+
+def _list_of(read: Callable[[Any, str], Any], value: Any, path: str, length: int = 0) -> tuple:
+    """The items of list ``value`` (``length`` of them if given), each read by ``read``."""
+    if not isinstance(value, (list, tuple)) or length and len(value) != length:
+        raise _fail(path, f"expected a list{f' of {length}' if length else ''}, got {value!r}")
+    return tuple([read(item, f"{path}[{i}]") for i, item in enumerate(value)])
+
+
+NUMBER = Kind("a number", _number)
+POSITIVE = Kind("a positive number", partial(_number, positive=True))
+NONNEGATIVE = Kind("a nonnegative number", partial(_number, nonnegative=True))
+# A count is at most the largest float, so that it converts to one.
+COUNT = _kind("a positive integer", lambda value: isinstance(value, int)
+              and not isinstance(value, bool) and 1 <= value <= sys.float_info.max)
+FLAG = _kind("true or false", lambda value: isinstance(value, bool))
+TEXT = _kind("a nonempty string", lambda value: isinstance(value, str) and value != "")
+VECTOR = Kind("a 3-vector", lambda value, path: Vec3(*_list_of(_number, value, path, 3)))
+_ROW = partial(_list_of, _number, length=3)
+MATRIX = Kind("a 3x3 matrix", lambda value, path: _list_of(_ROW, value, path, 3))
+
+
+def _profile(value: Any, path: str) -> str:
+    from .velocity_addition import GFUNCTIONS
+    if not isinstance(value, str) or value not in GFUNCTIONS:
+        raise _fail(path, f"unknown profile {value!r} (known: {', '.join(sorted(GFUNCTIONS))})")
+    return value
+
+
+# The field tables; the rules that tie a section's fields together are in its reader.
+_SWEPT, _ADDED, _SCENARIO = (
+    cls._field_defaults for cls in (FrameSweepConfig, AdditionConfig, Scenario)
+)
+_SCALES = ("translation", "boost", "time_offset")
+
+_BODY = (
+    Field("id", TEXT), Field("mass", POSITIVE), Field("position", VECTOR),
+    Field("velocity", VECTOR), Field("properties", _map_of(NUMBER), _OMITTED),
+)
+_LAW = (Field("preset", _kind("a string", lambda value: isinstance(value, str))),
+        Field("params", _map_of(NUMBER), {}))
+_INTEGRATOR = (
+    Field("method", _kind('"rk4" or "verlet"', lambda value: value in ("rk4", "verlet")), "rk4"),
+    Field("step", POSITIVE), Field("t_end", POSITIVE),
+)
+_SWEEP = (
+    Field("count", COUNT, _SWEPT["count"]),
+    *(Field(name, NONNEGATIVE, _SWEPT[name]) for name in _SCALES),
+    Field("reflections", FLAG, _SWEPT["reflections"]),
+)
+_TRANSFORM = (
+    Field("rotation", MATRIX, _OMITTED), Field("translation", VECTOR, _OMITTED),
+    Field("boost", VECTOR, _OMITTED), Field("time_offset", NUMBER, _OMITTED),
+)
+_ADDITION = (
+    Field("g", Kind("a profile name", _profile), _ADDED["g_name"]),
+    Field("samples", COUNT, _ADDED["samples"]),
+    Field("max_speed", POSITIVE, _ADDED["max_speed"]),
+    Field("c", POSITIVE, _ADDED["c"]),
+    Field("baseline", POSITIVE, _ADDED["baseline"]),
+)
+
+
+def _bodies(value: Any, path: str) -> tuple[Body, Body]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise _fail(path, "exactly two bodies are required")
+    bodies = tuple(_body(doc, f"{path}[{i}]") for i, doc in enumerate(value))
+    if bodies[0].id == bodies[1].id:
+        raise _fail(path, "body ids must differ")
+    return bodies  # type: ignore[return-value]
 
 
 def _body(doc: Any, path: str) -> Body:
-    doc = _mapping(doc, path)
-    for key in ("id", "mass", "position", "velocity"):
-        if key not in doc:
-            raise _fail(f"{path}.{key}", "missing required field")
-    if not isinstance(doc["id"], str) or not doc["id"]:
-        raise _fail(f"{path}.id", "must be a nonempty string")
-    props_doc = doc.get("properties", {})
-    props_doc = _mapping(props_doc, f"{path}.properties")
-    properties = {
-        str(k): _number(v, f"{path}.properties.{k}") for k, v in props_doc.items()
-    }
-    mass = _number(doc["mass"], f"{path}.mass", positive=True)
+    values = read_section(doc, path, _BODY)
     # The additivity audit splits a mass into parts, which must stay positive.
-    if mass < _MIN_NORMAL:
-        raise _fail(f"{path}.mass", f"must be at least {_MIN_NORMAL:.5g}, got {mass}")
-    return Body(
-        id=doc["id"],
-        mass=mass,
-        position=_vector(doc["position"], f"{path}.position"),
-        velocity=_vector(doc["velocity"], f"{path}.velocity"),
-        properties=properties,
-    )
+    if values["mass"] < _MIN_NORMAL:
+        raise _fail(f"{path}.mass", f"must be at least {_MIN_NORMAL:.5g}, got {values['mass']}")
+    return Body(**values)
 
 
 def _law(doc: Any, path: str) -> ForceLaw:
     from .forces import make_preset
-    doc = _mapping(doc, path)
-    preset = doc.get("preset")
-    if not isinstance(preset, str):
-        raise _fail(f"{path}.preset", "missing or not a string")
-    params = _mapping(doc.get("params", {}), f"{path}.params")
-    for key, value in params.items():
-        _number(value, f"{path}.params.{key}")
+    values = read_section(doc, path, _LAW)
     try:
-        return make_preset(preset, **{str(k): float(v) for k, v in params.items()})
+        return make_preset(values["preset"], **values["params"])
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
 
 
-def _frames(doc: Any, path: str) -> FrameSweepConfig:
-    if isinstance(doc, list):
-        from .frames import IDENTITY_ROTATION, FrameTransform
-        if not doc:
-            raise _fail(path, "expected at least one transform")
-        explicit = []
-        for i, item in enumerate(doc):
-            item = _mapping(item, f"{path}[{i}]")
-            rotation = item.get("rotation")
-            if rotation is None:
-                rot = IDENTITY_ROTATION
-            else:
-                if not isinstance(rotation, list) or len(rotation) != 3:
-                    raise _fail(f"{path}[{i}].rotation", "expected a 3x3 matrix")
-                for r, row in enumerate(rotation):
-                    if not isinstance(row, list) or len(row) != 3:
-                        raise _fail(
-                            f"{path}[{i}].rotation[{r}]", f"expected a 3-element list, got {row!r}"
-                        )
-                rot = tuple(
-                    tuple(
-                        _number(x, f"{path}[{i}].rotation[{r}][{c}]")
-                        for c, x in enumerate(row)
-                    )
-                    for r, row in enumerate(rotation)
-                )
-            try:
-                transform = FrameTransform(
-                    rotation=rot,  # type: ignore[arg-type]
-                    translation=_vector(item.get("translation", [0, 0, 0]), f"{path}[{i}].translation"),
-                    boost=_vector(item.get("boost", [0, 0, 0]), f"{path}[{i}].boost"),
-                    time_offset=_number(item.get("time_offset", 0.0), f"{path}[{i}].time_offset"),
-                )
-            except ValueError as exc:
-                raise _fail(f"{path}[{i}]", str(exc)) from None
-            explicit.append(transform)
-        return FrameSweepConfig(count=len(explicit), explicit=tuple(explicit))
-    doc = _mapping(doc, path)
-    count = doc.get("count", 50)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise _fail(f"{path}.count", f"expected a positive integer, got {count!r}")
-    reflections = doc.get("reflections", True)
-    if not isinstance(reflections, bool):
-        raise _fail(f"{path}.reflections", f"expected true or false, got {reflections!r}")
-    scales = {}
-    for key in ("translation", "boost", "time_offset"):
-        scale = _number(doc.get(key, 1.0), f"{path}.{key}", nonnegative=True)
-        # A random component is drawn from [-scale, scale], which spans 2 scale.
-        if not math.isfinite(2.0 * scale):
-            raise _fail(f"{path}.{key}", f"must be at most {_MAX_SCALE:.5g}, got {scale}")
-        scales[key] = scale
-    return FrameSweepConfig(count=count, reflections=reflections, **scales)
+def _frames(value: Any, path: str) -> FrameSweepConfig:
+    if not isinstance(value, list):
+        values = read_section(value, path, _SWEEP)
+        for key in _SCALES:
+            # A random component is drawn from [-scale, scale], which spans 2 scale.
+            if not math.isfinite(2.0 * values[key]):
+                raise _fail(f"{path}.{key}", f"must be at most {_MAX_SCALE:.5g}, got {values[key]}")
+        return FrameSweepConfig(**values)
+    if not value:
+        raise _fail(path, "expected at least one transform")
+    explicit = _list_of(_transform, value, path)
+    return FrameSweepConfig(count=len(explicit), explicit=explicit)
+
+
+def _transform(doc: Any, path: str) -> FrameTransform:
+    from .frames import FrameTransform
+    values = read_section(doc, path, _TRANSFORM)
+    try:
+        return FrameTransform(**values)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def _addition(doc: Any, path: str) -> AdditionConfig:
+    values = read_section(doc, path, _ADDITION)
+    c, baseline = values["c"], values["baseline"]
+    if values["g"] == "classical" and "c" in doc:
+        raise _fail(f"{path}.c", "the classical profile has no speed bound; drop c")
+    if values["max_speed"] >= 1.0:
+        raise _fail(f"{path}.max_speed", "must be a fraction of c below 1")
+    # The echo audit works with c^2, which must be a finite normal float.
+    if not _MIN_C <= c <= _MAX_C:
+        raise _fail(f"{path}.c", f"must be in [{_MIN_C:.5g}, {_MAX_C:.5g}], got {c}")
+    # The echo audit divides by the light time baseline / c, and its plain
+    # half squares baseline * c and baseline, whose square is the product
+    # of the two: below these bounds a square is not a normal float, and
+    # an echo leg underflows.
+    for what, value in (("baseline / c", baseline / c), ("baseline * c", baseline * c)):
+        if value < _MIN_C:
+            raise _fail(f"{path}.baseline", f"{what} must be at least {_MIN_C:.5g}, got {value}")
+    return AdditionConfig(g_name=values.pop("g"), **values)
+
+
+_DOCUMENT = (
+    Field("schema", _kind('"v1"', lambda value: value == "v1")),
+    Field("name", TEXT, _OMITTED),
+    Field("bodies", Kind("two bodies", _bodies)),
+    Field("softening", NONNEGATIVE, 0.0),
+    Field("laws", Kind("a list of laws", partial(_list_of, _law)), ()),
+    Field("integrator", Kind("an object", lambda doc, path: IntegratorConfig(
+        **read_section(doc, path, _INTEGRATOR))), _SCENARIO["integrator"]),
+    Field("frames", Kind("an object or a list", _frames), _SCENARIO["frames"]),
+    Field("velocity_addition", Kind("an object", _addition), _SCENARIO["addition"]),
+    Field("audits", _kind("a list of audit names", lambda value: isinstance(value, list) and all(
+        isinstance(name, str) for name in value)), _SCENARIO["audits"]),
+    Field("tolerances", _map_of(POSITIVE), _SCENARIO["tolerances"]),
+    Field("audit_params", _map_of(Kind("an object", _mapping)), _SCENARIO["audit_params"]),
+)
+
+# The field table of each section, by its path ("" is the document).
+SECTIONS: Mapping[str, tuple[Field, ...]] = MappingProxyType({
+    "": _DOCUMENT, "bodies[i]": _BODY, "laws[i]": _LAW, "integrator": _INTEGRATOR,
+    "frames": _SWEEP, "frames[i]": _TRANSFORM, "velocity_addition": _ADDITION,
+})
 
 
 def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
-    doc = _mapping(doc, "scenario")
-    schema = doc.get("schema")
-    if schema != "v1":
-        raise _fail("schema", f'expected "v1", got {schema!r}')
-
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise _fail("name", "must be a nonempty string")
-
-    bodies_doc = doc.get("bodies")
-    if not isinstance(bodies_doc, list) or len(bodies_doc) != 2:
-        raise _fail("bodies", "exactly two bodies are required")
-    bodies = tuple(_body(b, f"bodies[{i}]") for i, b in enumerate(bodies_doc))
-    if bodies[0].id == bodies[1].id:
-        raise _fail("bodies", "body ids must differ")
-
-    softening = _number(doc.get("softening", 0.0), "softening", nonnegative=True)
-
-    laws_doc = doc.get("laws", [])
-    if not isinstance(laws_doc, list):
-        raise _fail("laws", "expected a list")
-    laws = tuple(_law(l, f"laws[{i}]") for i, l in enumerate(laws_doc))
+    values = read_section(doc, "", _DOCUMENT)
+    del values["schema"]
+    laws, softening = values.pop("laws"), values.pop("softening")
     if softening > 0.0:
         if not any(law.singular for law in laws):
             raise _fail("softening", "no law in laws is singular, so none reads it; drop softening")
@@ -324,78 +415,9 @@ def parse_scenario(doc: Any, default_name: str = "scenario") -> Scenario:
             laws = tuple(soften(law, softening) if law.singular else law for law in laws)
         except ValueError as exc:
             raise _fail("softening", str(exc)) from None
-
-    integrator = None
-    if "integrator" in doc:
-        idoc = _mapping(doc["integrator"], "integrator")
-        method = idoc.get("method", "rk4")
-        if method not in ("rk4", "verlet"):
-            raise _fail("integrator.method", f'expected "rk4" or "verlet", got {method!r}')
-        integrator = IntegratorConfig(
-            method=method,
-            step=_number(idoc.get("step"), "integrator.step", positive=True),
-            t_end=_number(idoc.get("t_end"), "integrator.t_end", positive=True),
-        )
-
-    frames = _frames(doc["frames"], "frames") if "frames" in doc else FrameSweepConfig()
-
-    addition = None
-    if "velocity_addition" in doc:
-        from .velocity_addition import GFUNCTIONS
-        adoc = _mapping(doc["velocity_addition"], "velocity_addition")
-        g_name = adoc.get("g", "lorentz")
-        if not isinstance(g_name, str) or g_name not in GFUNCTIONS:
-            known = ", ".join(sorted(GFUNCTIONS))
-            raise _fail("velocity_addition.g", f"unknown profile {g_name!r} (known: {known})")
-        if g_name == "classical" and "c" in adoc:
-            raise _fail("velocity_addition.c", "the classical profile has no speed bound; drop c")
-        samples = adoc.get("samples", 200)
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-            raise _fail("velocity_addition.samples", "expected a positive integer")
-        max_speed = _number(adoc.get("max_speed", 0.9), "velocity_addition.max_speed", positive=True)
-        if max_speed >= 1.0:
-            raise _fail("velocity_addition.max_speed", "must be a fraction of c below 1")
-        c = _number(adoc.get("c", 1.0), "velocity_addition.c", positive=True)
-        # The echo audit works with c^2, which must be a finite normal float.
-        if not _MIN_C <= c <= _MAX_C:
-            raise _fail("velocity_addition.c", f"must be in [{_MIN_C:.5g}, {_MAX_C:.5g}], got {c}")
-        baseline = _number(adoc.get("baseline", 1.0), "velocity_addition.baseline", positive=True)
-        # The echo audit divides by the light time baseline / c, and its plain
-        # half squares baseline * c and baseline, whose square is the product
-        # of the two: below these bounds a square is not a normal float, and
-        # an echo leg underflows.
-        for what, value in (("baseline / c", baseline / c), ("baseline * c", baseline * c)):
-            if value < _MIN_C:
-                raise _fail(
-                    "velocity_addition.baseline", f"{what} must be at least {_MIN_C:.5g}, got {value}"
-                )
-        addition = AdditionConfig(
-            g_name=g_name, c=c, samples=samples, max_speed=max_speed, baseline=baseline
-        )
-
-    audits_doc = doc.get("audits", [])
-    if not isinstance(audits_doc, list) or not all(isinstance(a, str) for a in audits_doc):
-        raise _fail("audits", "expected a list of audit names")
-
-    tol_doc = _mapping(doc.get("tolerances", {}), "tolerances")
-    tolerances = {
-        str(k): _number(v, f"tolerances.{k}", positive=True) for k, v in tol_doc.items()
-    }
-
-    params_doc = _mapping(doc.get("audit_params", {}), "audit_params")
-    audit_params = {str(k): _mapping(v, f"audit_params.{k}") for k, v in params_doc.items()}
-
-    return Scenario(
-        name=name,
-        bodies=bodies,  # type: ignore[arg-type]
-        laws=laws,
-        audits=tuple(audits_doc),
-        integrator=integrator,
-        frames=frames,
-        addition=addition,
-        tolerances=tolerances,
-        audit_params=audit_params,
-    )
+    # The other values are the scenario's fields, by the same names.
+    return Scenario(name=values.pop("name", default_name), audits=tuple(values.pop("audits")),
+                    laws=laws, addition=values.pop("velocity_addition"), **values)
 
 
 def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -29,6 +29,7 @@ degenerates to ordinary vector addition with a single universal time;
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 from .core import Check, Vec3, _Value
@@ -121,39 +122,51 @@ _set_name, _set_c, _set_g, _set_inverse = (
 )
 
 
+# The shipped profiles' G and inverses are module functions, bound to c
+# with partial, so that a profile pickles (see core._Value).
+def _lorentz(c: float, a: float) -> float:
+    u = a / c
+    return 1.0 / math.sqrt(1.0 - u * u)
+
+
+def _lorentz_inverse(c: float, w: float) -> float:
+    u = w / c
+    return c * u / math.hypot(1.0, u)
+
+
+def _rational(c: float, a: float) -> float:
+    u = a / c
+    return 1.0 / (1.0 - u * u)
+
+
+def _rational_inverse(c: float, w: float) -> float:
+    return 2.0 * w / (1.0 + math.hypot(1.0, 2.0 * w / c))
+
+
+def _unit(a: float) -> float:
+    return 1.0
+
+
+def _same(w: float) -> float:
+    return w
+
+
 def lorentz_g(c: float = 1.0) -> GFunction:
     """G(a) = 1 / sqrt(1 - (a/c)^2); a G(a) = w inverts to
     a = c u / sqrt(1 + u^2) with u = w/c."""
-
-    def g(a: float) -> float:
-        u = a / c
-        return 1.0 / math.sqrt(1.0 - u * u)
-
-    def inverse(w: float) -> float:
-        u = w / c
-        return c * u / math.hypot(1.0, u)
-
-    return GFunction("lorentz", c, g, inverse=inverse)
+    return GFunction("lorentz", c, partial(_lorentz, c), inverse=partial(_lorentz_inverse, c))
 
 
 def rational_g(c: float = 1.0) -> GFunction:
     """G(a) = 1 / (1 - (a/c)^2); a G(a) = w is the quadratic
     w a^2 / c^2 + a - w = 0, whose root in [0, c) is taken in the
     cancellation-free form a = 2w / (1 + sqrt(1 + (2w/c)^2))."""
-
-    def g(a: float) -> float:
-        u = a / c
-        return 1.0 / (1.0 - u * u)
-
-    def inverse(w: float) -> float:
-        return 2.0 * w / (1.0 + math.hypot(1.0, 2.0 * w / c))
-
-    return GFunction("rational", c, g, inverse=inverse)
+    return GFunction("rational", c, partial(_rational, c), inverse=partial(_rational_inverse, c))
 
 
 def classical_g() -> GFunction:
     """Degenerate unbounded profile G = 1: plain vector addition, inverted by a = w."""
-    return GFunction("classical", math.inf, lambda a: 1.0, inverse=lambda w: w)
+    return GFunction("classical", math.inf, _unit, inverse=_same)
 
 
 GFUNCTIONS: dict[str, Callable[..., GFunction]] = {

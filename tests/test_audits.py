@@ -244,11 +244,13 @@ def test_integration_failures_are_cached_per_step_scale(monkeypatch):
 
 def test_catalog_listing_shows_tolerances_and_params_from_the_specs():
     entries = {entry.split()[0]: entry for entry in format_catalog()}
-    assert "tolerance 1e-12; params: steps (int) = 10000; step (float) = " in entries["inertia"]
-    assert "tolerance set by the audit; params: count (int) = 100" in entries["event-order"]
+    assert ("tolerance 1e-12; params: steps (a positive integer) = 10000; "
+            "step (a positive number) = " in entries["inertia"])
+    assert ("tolerance set by the audit; params: count (a positive integer) = 100"
+            in entries["event-order"])
     assert "tolerance 1e-09; params: none" in entries["momentum"]
     for spec in audits.CATALOG:
-        assert all(f"{p.name} ({p.kind.__name__})" in entries[spec.name] for p in spec.params)
+        assert all(f"{p.name} ({p.kind.name})" in entries[spec.name] for p in spec.params)
 
 
 @pytest.mark.parametrize(

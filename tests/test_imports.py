@@ -101,6 +101,33 @@ def test_parsing_a_document_loads_only_the_modules_of_its_sections(document):
     assert proc.stdout.splitlines() == ["", loaded, ""]
 
 
+# Parses every bundled document, then one with a misspelled key: whether
+# difflib is loaded after each.
+DIFFLIB_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from invarlab.scenario import ScenarioError, load_scenario, parse_scenario
+for path in sys.argv[2:]:
+    load_scenario(path)
+print("difflib" in sys.modules)
+doc = json.loads(open(sys.argv[2]).read())
+doc["softenning"] = doc.pop("softening", 0.0)
+try:
+    parse_scenario(doc)
+except ScenarioError:
+    print("difflib" in sys.modules)
+"""
+
+
+def test_only_an_unknown_key_loads_difflib():
+    documents = sorted(str(path) for path in (PACKAGE / "scenarios").glob("*.json"))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", DIFFLIB_PROBE, str(PACKAGE.parent), *documents],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_every_exported_name_is_the_object_its_module_defines():
     assert len(invarlab.__all__) == len(set(invarlab.__all__)) == 65
     assert sorted(invarlab.__all__) == sorted(

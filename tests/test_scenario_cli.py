@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,11 @@ from invarlab import (
 )
 import invarlab.audits as audits
 import invarlab.forking as forking
+import invarlab.scenario as scenario_module
 from invarlab.audits import AuditContext, run_audits
 from invarlab.cli import main, resolve_scenario_path, run_scenario
 from invarlab.dynamics import DivergenceError
+from invarlab.scenario import REQUIRED, SECTIONS
 
 from test_golden_outputs import GOLDEN
 
@@ -1204,6 +1207,22 @@ def set_field(block, key, value):
     return lambda doc: doc[block].__setitem__(key, value)
 
 
+# A misspelled key in each section the document reads: the document, a
+# body, a law, the integrator, the frame sweep, an explicit transform and
+# velocity_addition. Each row: document, change, path, nearest known key.
+MISSPELLINGS = [
+    ("kepler.json", lambda doc: doc.__setitem__("softenning", 0.05), "softenning", "softening"),
+    ("kepler.json", set_field("integrator", "stpe", 1e-5), "integrator.stpe", "step"),
+    ("kepler.json", lambda doc: doc["bodies"][0].__setitem__("mas", 1e-3), "bodies[0].mas", "mass"),
+    ("kepler.json", lambda doc: doc["laws"][0].__setitem__("parmas", {"g": 2.0}), "laws[0].parmas",
+     "params"),
+    ("kepler.json", set_field("frames", "cuont", 10), "frames.cuont", "count"),
+    ("kepler.json", lambda doc: doc.__setitem__("frames", [{"boots": [0.5, 0.0, 0.0]}]),
+     "frames[0].boots", "boost"),
+    ("addition.json", set_field("velocity_addition", "sampels", 50), "velocity_addition.sampels",
+     "samples"),
+]
+
 EXTREME_FRAME = {"translation": [1e308, 1e308, 1e308], "boost": [1e308, 0, 0], "time_offset": 1e308}
 # An exit-2 row names the audit, its verdict and how its detail starts.
 SWEEP_ERROR = ("objectivity-sweep", "ERROR", "non-finite vector component in (")
@@ -1245,11 +1264,17 @@ def coincident_softened(softening):
          "velocity_addition.c"),
         # A name given twice in one object would keep its last value.
         ("kepler.json", duplicated_mass, 1, "mass"),
+        # A misspelled key would leave its field at the default.
+        *[(name, change, 1, path) for name, change, path, _ in MISSPELLINGS],
+        # A law parameter called "name" once met make_preset's own argument.
+        ("kepler.json", lambda doc: doc["laws"][0].__setitem__("params", {"name": 1.0}), 1,
+         "laws[0]"),
     ],
     ids=["positions", "velocities", "explicit-frame", "softening-1e-120", "softening-1e-102",
          "unread-softening-1e-120", "unread-softening-5e-324", "softening-without-laws",
          "translation", "boost", "time-offset", "c-1e308", "c-1e-170", "c-1e-300",
-         "classical-with-c", "duplicated-name"],
+         "classical-with-c", "duplicated-name", *[row[2] for row in MISSPELLINGS],
+         "law-param-called-name"],
 )
 def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
     tmp_path, capsys, name, change, code, where
@@ -1266,6 +1291,34 @@ def test_extreme_numbers_end_in_a_report_or_a_named_input_error(
     audit, verdict, detail = where
     assert verdicts[audit]["verdict"] == verdict
     assert verdicts[audit]["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize("name, change, path, nearest", MISSPELLINGS,
+                         ids=[row[2] for row in MISSPELLINGS])
+def test_an_unknown_key_is_named_with_the_nearest_known_key(name, change, path, nearest):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(bundled_doc(name, change))
+    assert str(info.value).startswith(f"{path}: unknown key; the nearest known key is {nearest!r}; ")
+
+
+def test_readme_and_docstring_list_every_field_of_the_tables():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("## Scenario files")
+    section_text = readme[start:readme.index("\n## ", start + 1)]
+    # The docstring's table: a section, then its fields, required ones with *.
+    listed, section = {}, None
+    for line in scenario_module.__doc__.splitlines():
+        if line.startswith("     ") and section:
+            listed[section] += line
+        elif line.startswith("    "):
+            section, _, listed[line.split()[0]] = line.strip().partition(" ")
+    for section, table in SECTIONS.items():
+        for field in table:
+            path = f"{section}.{field.name}" if section else field.name
+            assert f"`{path}`" in section_text, path
+            line = listed[section or "(document)"]
+            assert re.search(rf"\b{field.name}\b", line), path
+            assert bool(re.search(rf"\b{field.name}\*", line)) == (field.default is REQUIRED), path
 
 
 @pytest.mark.parametrize("profile", ["lorentz", "rational"])

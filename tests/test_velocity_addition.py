@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -264,15 +265,16 @@ def _row_vectors(scale, rng):
 @pytest.mark.parametrize("c", [1e-150, 1.0, 3e8, 1e150, math.sqrt(sys.float_info.max)])
 def test_stored_speed_and_weight_are_exact_on_every_build_path(profile, c):
     # The constructor stores |v| and G(|v|) once; every velocity built from
-    # one, by negation, composition or copying, must hold the values
-    # recomputed from its vector, bit for bit. (Copies rebuild through the
-    # constructor, as unpickling does; the shipped profiles' closures do
-    # not pickle.)
+    # one, by negation, composition, copying or pickling, must hold the
+    # values recomputed from its vector, bit for bit. (Copies and unpickled
+    # velocities rebuild through the constructor, an unpickled one on a new
+    # profile that is compatible with the original.)
     gfun = classical_g() if profile == "classical" else GFUNCTIONS[profile](c)
     rng = random.Random(f"{profile}:{c}")
 
     def exact(w):
         speed = _reference_speed(w.v)
+        assert w.gfun.compatible(gfun)
         assert w.speed.hex() == speed.hex()
         assert w.weight().hex() == gfun(speed).hex()
 
@@ -284,7 +286,9 @@ def test_stored_speed_and_weight_are_exact_on_every_build_path(profile, c):
             continue
         v = BoundedVelocity(vector, gfun)
         built.append(v)
-        for w in (v, -v, copy.copy(v), copy.deepcopy(v)):
+        unpickled = pickle.loads(pickle.dumps(v))
+        assert unpickled.v == v.v
+        for w in (v, -v, copy.copy(v), copy.deepcopy(v), unpickled, -unpickled):
             exact(w)
     assert len(built) >= 11
     # Near c, the weighted sums are not reachable below the bound.
@@ -293,6 +297,7 @@ def test_stored_speed_and_weight_are_exact_on_every_build_path(profile, c):
     for u, v in zip(composable, composable[1:] + composable[:1]):
         exact(oplus(u, v))
         exact(oplus(v, v))
+        exact(pickle.loads(pickle.dumps(oplus(u, v))))
 
 
 def test_closure_survives_extreme_operands():
