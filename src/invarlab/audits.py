@@ -476,7 +476,7 @@ def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     base = ctx.trajectory() if same_run else integrate(a0, b0, ctx.law, t_end, step, cfg.method)
     worst = 0.0
     for _ in range(p["count"]):
-        boost = pure_boost(_unit_vector(rng) * rng.uniform(0.1, p["boost"]))
+        boost = pure_boost(_unit_vector(rng) * rng.uniform(min(0.1, p["boost"]), p["boost"]))
         boosted = integrate(apply(boost, a0), apply(boost, b0), ctx.law, t_end, step, cfg.method)
         worst = _worst(_boost_residuals(boost, base, boosted), worst)
     return Measurement(worst, f"{p['count']} random boosts, {len(base)} samples each")

@@ -7,7 +7,7 @@ between threads.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+from typing import Any
 
 __all__ = [
     "NonFiniteError", "Vec3", "ZERO", "Body", "PairState", "Check", "cross", "distance", "pair_state",
@@ -22,9 +22,11 @@ class NonFiniteError(ValueError):
 class _Value:
     """Base of an immutable value class whose fields are its ``__slots__``.
 
-    Every package value whose constructor checks its fields builds on it.
-    The subclass's constructor checks its arguments and stores them through
-    the slot descriptors; after that a field can be neither set nor deleted.
+    Every package value and record built while parsing a document builds
+    on it: a class costs far less to create than a NamedTuple class, which
+    is compiled from source. The subclass's hand-written constructor checks
+    its arguments, if it has any checks, and stores them through the slot
+    descriptors; after that a field can be neither set nor deleted.
     Each slot is named as the constructor parameter that declares its
     type. Equality and hashing work on the tuple of field values, and
     ``repr`` names each field.
@@ -167,21 +169,35 @@ _set_id, _set_mass, _set_position, _set_velocity, _set_properties = (
 )
 
 
-class PairState(NamedTuple):
+class PairState(_Value):
     """Relative state of an ordered body pair; both fields negate under
     body exchange."""
 
-    x_ab: Vec3
-    v_ab: Vec3
+    __slots__ = ("x_ab", "v_ab")
+
+    def __init__(self, x_ab: Vec3, v_ab: Vec3) -> None:
+        _set_x_ab(self, x_ab)
+        _set_v_ab(self, v_ab)
 
 
-class Check(NamedTuple):
+_set_x_ab, _set_v_ab = (PairState.__dict__[name].__set__ for name in PairState.__slots__)
+
+
+class Check(_Value):
     """A library check's residual, whether it passed (its tolerance and any
     further condition) and a note; the audits turn it into a verdict."""
 
-    residual: float
-    passed: bool
-    detail: str = ""
+    __slots__ = ("residual", "passed", "detail")
+
+    def __init__(self, residual: float, passed: bool, detail: str = "") -> None:
+        _set_residual(self, residual)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
+
+
+_set_residual, _set_passed, _set_detail = (
+    Check.__dict__[name].__set__ for name in Check.__slots__
+)
 
 
 def pair_state(a: Body, b: Body) -> PairState:

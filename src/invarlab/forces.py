@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import Body, Check, Vec3, pair_state
+from .core import Body, Check, Vec3, _Value, pair_state
 
 __all__ = [
     "SingularityError",
@@ -64,10 +64,15 @@ __all__ = [
     "make_preset",
 ]
 
-# A term bound to one pair, of the separation alone: separation -> value
-RadialFn = Callable[[float], float]
-# A coefficient bound to one pair: (separation, relative speed, x_ab . v_ab) -> value
-BoundFn = Callable[[float, float, float], float]
+# The annotations' types are only read by a type checker: building them
+# would add to setup_s.
+if TYPE_CHECKING:
+    # A term bound to one pair, of the separation alone: separation -> value
+    RadialFn = Callable[[float], float]
+    # A coefficient bound to one pair: (separation, relative speed, x_ab . v_ab) -> value
+    BoundFn = Callable[[float, float, float], float]
+    # (property view of a, property view of b) -> the law's terms for that pair
+    PairForm = Callable[[Mapping[str, float], Mapping[str, float]], "PairTerms"]
 
 
 class SingularityError(ValueError):
@@ -108,7 +113,7 @@ class PropertyView(Mapping):
         return 1 + len(self._body.properties)
 
 
-class PairTerms(NamedTuple):
+class PairTerms(_Value):
     """A law's terms closed over one pair's properties; None where the law
     has no such term.
 
@@ -119,11 +124,21 @@ class PairTerms(NamedTuple):
     ``potential`` gives V(separation), and otherwise it is not read.
     """
 
-    phi_r: RadialFn | None = None
-    potential: RadialFn | None = None
-    phi_e: BoundFn | None = None
-    phi_s: BoundFn | None = None
-    phi_perp: BoundFn | None = None
+    __slots__ = ("phi_r", "potential", "phi_e", "phi_s", "phi_perp")
+
+    def __init__(
+        self,
+        phi_r: RadialFn | None = None,
+        potential: RadialFn | None = None,
+        phi_e: BoundFn | None = None,
+        phi_s: BoundFn | None = None,
+        phi_perp: BoundFn | None = None,
+    ) -> None:
+        _set_phi_r(self, phi_r)
+        _set_potential(self, potential)
+        _set_phi_e(self, phi_e)
+        _set_phi_s(self, phi_s)
+        _set_phi_perp(self, phi_perp)
 
     @property
     def central(self) -> bool:
@@ -143,11 +158,12 @@ class PairTerms(NamedTuple):
         return _of_state(self.phi_r)
 
 
-# (property view of a, property view of b) -> the law's terms for that pair
-PairForm = Callable[[Mapping[str, float], Mapping[str, float]], PairTerms]
+_set_phi_r, _set_potential, _set_phi_e, _set_phi_s, _set_phi_perp = (
+    PairTerms.__dict__[name].__set__ for name in PairTerms.__slots__
+)
 
 
-class ForceLaw(NamedTuple):
+class ForceLaw(_Value):
     """A named pair form and its exclusion radius; whether the law is
     central is read from the terms the form returns.
 
@@ -155,13 +171,21 @@ class ForceLaw(NamedTuple):
     positive radius is ``singular``.
     """
 
-    name: str
-    pair_form: PairForm
-    min_separation: float = 0.0
+    __slots__ = ("name", "pair_form", "min_separation")
+
+    def __init__(self, name: str, pair_form: PairForm, min_separation: float = 0.0) -> None:
+        _set_name(self, name)
+        _set_pair_form(self, pair_form)
+        _set_min_separation(self, min_separation)
 
     @property
     def singular(self) -> bool:
         return self.min_separation > 0.0
+
+
+_set_name, _set_pair_form, _set_min_separation = (
+    ForceLaw.__dict__[name].__set__ for name in ForceLaw.__slots__
+)
 
 
 class PairLaw:
@@ -379,7 +403,8 @@ def soften(law: ForceLaw, epsilon: float) -> ForceLaw:
 
     def pair_form(qa, qb):
         t = form(qa, qb)
-        return PairTerms(of_r(t.phi_r), of_r(t.potential), *map(of_state, t[2:]))
+        return PairTerms(of_r(t.phi_r), of_r(t.potential),
+                         of_state(t.phi_e), of_state(t.phi_s), of_state(t.phi_perp))
 
     return ForceLaw(f"{law.name}(eps={epsilon:g})", pair_form)
 

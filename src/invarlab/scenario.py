@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable
 
 from .core import Body, Vec3, _Value
 
@@ -106,23 +106,49 @@ _set_method, _set_step, _set_t_end = (
 )
 
 
-class FrameSweepConfig(NamedTuple):
+class FrameSweepConfig(_Value):
     """Objectivity sweep: explicit transforms, or scales for random ones."""
 
-    count: int = 50
-    translation: float = 1.0
-    boost: float = 1.0
-    time_offset: float = 1.0
-    reflections: bool = True
-    explicit: tuple[FrameTransform, ...] = ()
+    __slots__ = ("count", "translation", "boost", "time_offset", "reflections", "explicit")
+
+    def __init__(
+        self,
+        count: int = 50,
+        translation: float = 1.0,
+        boost: float = 1.0,
+        time_offset: float = 1.0,
+        reflections: bool = True,
+        explicit: tuple[FrameTransform, ...] = (),
+    ) -> None:
+        _set_count(self, count)
+        _set_translation(self, translation)
+        _set_boost(self, boost)
+        _set_time_offset(self, time_offset)
+        _set_reflections(self, reflections)
+        _set_explicit(self, explicit)
 
 
-class AdditionConfig(NamedTuple):
-    g_name: str = "lorentz"
-    c: float = 1.0
-    samples: int = 200
-    max_speed: float = 0.9
-    baseline: float = 1.0
+_set_count, _set_translation, _set_boost, _set_time_offset, _set_reflections, _set_explicit = (
+    FrameSweepConfig.__dict__[name].__set__ for name in FrameSweepConfig.__slots__
+)
+
+
+class AdditionConfig(_Value):
+    __slots__ = ("g_name", "c", "samples", "max_speed", "baseline")
+
+    def __init__(
+        self,
+        g_name: str = "lorentz",
+        c: float = 1.0,
+        samples: int = 200,
+        max_speed: float = 0.9,
+        baseline: float = 1.0,
+    ) -> None:
+        _set_g_name(self, g_name)
+        _set_c(self, c)
+        _set_samples(self, samples)
+        _set_max_speed(self, max_speed)
+        _set_baseline(self, baseline)
 
     def gfunction(self) -> GFunction:
         from .velocity_addition import GFUNCTIONS
@@ -130,17 +156,54 @@ class AdditionConfig(NamedTuple):
         return factory() if self.g_name == "classical" else factory(self.c)
 
 
-class Scenario(NamedTuple):
-    name: str
-    bodies: tuple[Body, Body]
-    laws: tuple[ForceLaw, ...]
-    audits: tuple[str, ...] = ()
-    integrator: IntegratorConfig | None = None
-    frames: FrameSweepConfig = FrameSweepConfig()
-    addition: AdditionConfig | None = None
-    # Read-only empty defaults: a default is shared by every instance.
-    tolerances: Mapping[str, float] = MappingProxyType({})
-    audit_params: Mapping[str, dict] = MappingProxyType({})
+_set_g_name, _set_c, _set_samples, _set_max_speed, _set_baseline = (
+    AdditionConfig.__dict__[name].__set__ for name in AdditionConfig.__slots__
+)
+
+
+class Scenario(_Value):
+    __slots__ = (
+        "name", "bodies", "laws", "audits", "integrator", "frames", "addition",
+        "tolerances", "audit_params",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        bodies: tuple[Body, Body],
+        laws: tuple[ForceLaw, ...],
+        audits: tuple[str, ...] = (),
+        integrator: IntegratorConfig | None = None,
+        frames: FrameSweepConfig = FrameSweepConfig(),
+        addition: AdditionConfig | None = None,
+        # Read-only empty defaults: a default is shared by every instance.
+        tolerances: Mapping[str, float] = MappingProxyType({}),
+        audit_params: Mapping[str, dict] = MappingProxyType({}),
+    ) -> None:
+        _set_name(self, name)
+        _set_bodies(self, bodies)
+        _set_laws(self, laws)
+        _set_audits(self, audits)
+        _set_integrator(self, integrator)
+        _set_frames(self, frames)
+        _set_addition(self, addition)
+        _set_tolerances(self, tolerances)
+        _set_audit_params(self, audit_params)
+
+    def _replace(self, **changes: Any) -> Scenario:
+        """A copy with the named fields changed."""
+        return Scenario(**{**dict(zip(self.__slots__, self._values())), **changes})
+
+
+(_set_name, _set_bodies, _set_laws, _set_audits, _set_integrator, _set_frames, _set_addition,
+ _set_tolerances, _set_audit_params) = (Scenario.__dict__[name].__set__ for name in Scenario.__slots__)
+
+
+def _defaults(cls: type) -> dict[str, Any]:
+    """The constructor defaults of a record, by field: its slots are named
+    as its parameters, in order."""
+    values = cls.__init__.__defaults__
+    return dict(zip(cls.__slots__[-len(values):], values))
 
 
 # The largest random frame scale s whose span 2 s is a finite float, the
@@ -156,7 +219,9 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-# Slot classes: building a NamedTuple class would add about 90 us to setup_s.
+# Slot classes, like the records above: in a fresh interpreter a NamedTuple
+# class of six fields took about 180 us to build and a slot class about
+# 14 us (medians of 30 runs, Python 3.11, 2 vCPUs).
 class Kind:
     """A JSON kind: its name in listings, and ``read(value, path)``, which
     checks a value found at ``path`` and returns what the program reads."""
@@ -279,7 +344,7 @@ def _profile(value: Any, path: str) -> str:
 
 # The field tables; the rules that tie a section's fields together are in its reader.
 _SWEPT, _ADDED, _SCENARIO = (
-    cls._field_defaults for cls in (FrameSweepConfig, AdditionConfig, Scenario)
+    _defaults(cls) for cls in (FrameSweepConfig, AdditionConfig, Scenario)
 )
 _SCALES = ("translation", "boost", "time_offset")
 

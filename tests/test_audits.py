@@ -341,6 +341,30 @@ def test_light_quotient_boosts_stay_at_or_below_max_speed(monkeypatch, max_speed
     assert min(speeds) >= min(0.1, max_speed) * (1.0 - 1e-15)
 
 
+@pytest.mark.parametrize("boost", [1e-3, 0.5])
+def test_boost_covariance_boosts_stay_at_or_below_its_boost(monkeypatch, boost):
+    # Boost speeds are drawn from 0.1 up to the boost parameter; below 0.1
+    # every boost is at that parameter, never above it.
+    speeds = []
+    original = audits.pure_boost
+
+    def recording(w):
+        speeds.append(w.norm())
+        return original(w)
+
+    monkeypatch.setattr(audits, "pure_boost", recording)
+    sc = scenario_with(
+        laws=(gravity(1.0),), audits=("boost-covariance",),
+        integrator=IntegratorConfig("rk4", 0.01, 0.1),
+        audit_params={"boost-covariance": {"count": 5, "boost": boost}},
+    )
+    (result,) = run_audits(AuditContext(sc, 1)).results
+    assert result.verdict == "PASS" and len(speeds) == 5
+    # The unit direction's norm is 1 to within an ulp or two.
+    assert max(speeds) <= boost * (1.0 + 1e-15)
+    assert min(speeds) >= min(0.1, boost) * (1.0 - 1e-15)
+
+
 def test_light_quotient_keeps_a_nan_plain_quotient_after_a_finite_one(monkeypatch):
     patched = nan_on_second_call(audits.classical_light_quotient, math.nan)
     monkeypatch.setattr(audits, "classical_light_quotient", patched)

@@ -18,8 +18,10 @@ from invarlab import (
     cross,
     pair_state,
 )
+from invarlab.core import Check, PairState
+from invarlab.forces import ForceLaw, PairTerms
 from invarlab.frames import compose, inverse
-from invarlab.scenario import IntegratorConfig
+from invarlab.scenario import AdditionConfig, FrameSweepConfig, IntegratorConfig, Scenario
 
 from helpers import Observables
 
@@ -150,13 +152,35 @@ def _falling(a):
     return 1.0 - a
 
 
+# Module level too, so the law and terms built on them pickle.
+def _restoring(r):
+    return -1.0
+
+
+def _well(r):
+    return 0.5 * r * r
+
+
+def _drag(r, speed, radial):
+    return -1.0
+
+
+def _unit_form(qa, qb):
+    return PairTerms(phi_r=_restoring, potential=_well)
+
+
 PICKLABLE_PROFILE = GFunction("rational", 1.0, _rational)
 nan, inf = float("nan"), float("inf")
 QUARTER_TURN = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+PAIR = (Body("A", 1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.5, 0.0)),
+        Body("B", 2.0, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)))
+UNIT_LAW = ForceLaw("unit", _unit_form, 0.5)
+SWEEP = FrameSweepConfig(count=1, explicit=(FrameTransform(QUARTER_TURN),))
 
 # (value, field changes, its repr, [(bad fields, the error they raise)]).
-# The six checked value types are slot classes on core's value base;
-# Observables is a test-helper dataclass with nothing to check.
+# The six checked value types and the seven records built while parsing a
+# document are slot classes on core's value base; the records check
+# nothing. Observables is a test-helper dataclass with nothing to check.
 VALUES = [
     (Vec3(1.0, -2.5, 3.0), {"y": 0.5}, "Vec3(x=1.0, y=-2.5, z=3.0)", [
         ({"x": nan}, NonFiniteError("non-finite vector component in (nan, -2.5, 3.0)")),
@@ -201,6 +225,29 @@ VALUES = [
         ({"g": _doubled}, ValueError("G(0) must be 1, got 2.0")),
         ({"g": _falling}, ValueError("G must be strictly increasing; violated near 0")),
     ]),
+    (PairState(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 2.0, 0.0)), {"v_ab": Vec3(0.0, 0.0, 1.0)},
+     "PairState(x_ab=Vec3(x=1.0, y=0.0, z=0.0), v_ab=Vec3(x=0.0, y=2.0, z=0.0))", []),
+    (Check(1e-12, True, "worst: representation 3"), {"passed": False},
+     "Check(residual=1e-12, passed=True, detail='worst: representation 3')", []),
+    (PairTerms(phi_r=_restoring, potential=_well), {"phi_s": _drag},
+     f"PairTerms(phi_r={_restoring!r}, potential={_well!r}, phi_e=None, phi_s=None, "
+     "phi_perp=None)", []),
+    (UNIT_LAW, {"min_separation": 0.0},
+     f"ForceLaw(name='unit', pair_form={_unit_form!r}, min_separation=0.5)", []),
+    (SWEEP, {"reflections": False},
+     f"FrameSweepConfig(count=1, translation=1.0, boost=1.0, time_offset=1.0, "
+     f"reflections=True, explicit=({FrameTransform(QUARTER_TURN)!r},))", []),
+    (AdditionConfig("rational", 2.0, 10, 0.5, 0.25), {"c": 3.0},
+     "AdditionConfig(g_name='rational', c=2.0, samples=10, max_speed=0.5, baseline=0.25)", []),
+    # Plain dicts for the mappings: a mappingproxy, the defaults' type, does
+    # not pickle.
+    (Scenario("unit", PAIR, (UNIT_LAW,), ("momentum",), IntegratorConfig("rk4", 0.01, 1.0),
+              SWEEP, None, {"momentum": 1e-9}, {"inertia": {"steps": 10}}),
+     {"audits": ()},
+     f"Scenario(name='unit', bodies={PAIR!r}, laws=({UNIT_LAW!r},), audits=('momentum',), "
+     f"integrator=IntegratorConfig(method='rk4', step=0.01, t_end=1.0), frames={SWEEP!r}, "
+     "addition=None, tolerances={'momentum': 1e-09}, audit_params={'inertia': {'steps': 10}})",
+     []),
     (Observables(Vec3(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 1.0), -0.5, 0.75), {"internal_energy": None},
      "Observables(total_momentum=Vec3(x=1.0, y=2.0, z=3.0), "
      "angular_momentum=Vec3(x=0.0, y=0.0, z=1.0), internal_energy=-0.5, reduced_mass=0.75)", []),

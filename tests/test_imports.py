@@ -47,7 +47,8 @@ def test_only_the_audit_runner_and_the_cli_import_report():
 
 # Run in a fresh interpreter, as bench/run.py times setup_s: from
 # ``import invarlab`` through parsing one document, which modules were
-# loaded and which package classes the dataclass decorator built.
+# loaded, which package classes the dataclass decorator built, and which
+# subclass tuple (a NamedTuple class is compiled from source when built).
 SETUP_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -56,13 +57,15 @@ from invarlab.scenario import load_scenario
 load_scenario(sys.argv[2])
 print(*sorted({"array", "dataclasses", "inspect"} & set(sys.modules)))
 print(*sorted(name for name in sys.modules if name.startswith("invarlab.")))
-print(*sorted(
-    f"{name}.{cls.__name__}"
+classes = {
+    f"{name}.{cls.__name__}": cls
     for name, module in list(sys.modules.items())
     if name == "invarlab" or name.startswith("invarlab.")
     for cls in vars(module).values()
-    if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls)
-))
+    if isinstance(cls, type) and cls.__module__ == name
+}
+print(*sorted(name for name, cls in classes.items() if "__dataclass_fields__" in vars(cls)))
+print(*sorted(name for name, cls in classes.items() if issubclass(cls, tuple)))
 """
 
 # The package modules that parsing each bundled document loads: core and
@@ -84,8 +87,9 @@ def test_every_bundled_document_is_listed_with_what_parsing_it_loads():
 @pytest.mark.parametrize("document", sorted(PARSE_LOADS))
 def test_parsing_a_document_loads_only_the_modules_of_its_sections(document):
     # Importing dataclasses (which imports inspect, ast, dis and tokenize)
-    # took about half of setup_s. The plain records on this path are
-    # NamedTuples and the checked values slot classes on core._Value; of the
+    # took about half of setup_s, and building the seven NamedTuple classes
+    # this path once had took about a quarter of what was left. Every record
+    # and checked value on this path is a slot class on core._Value; of the
     # package, only audits (audits.AuditSpec) still imports dataclasses.
     # The package imports a module when one of its names is first read, and
     # scenario imports a section's module where it parses that section, so
@@ -96,9 +100,10 @@ def test_parsing_a_document_loads_only_the_modules_of_its_sections(document):
         capture_output=True, text=True, timeout=60, check=True,
     )
     # Line 1: array, dataclasses or inspect if loaded; line 2: the package
-    # modules loaded; line 3: any package dataclass.
+    # modules loaded; line 3: any package dataclass; line 4: any package
+    # class that subclasses tuple.
     loaded = " ".join(f"invarlab.{name}" for name in PARSE_LOADS[document])
-    assert proc.stdout.splitlines() == ["", loaded, ""]
+    assert proc.stdout.splitlines() == ["", loaded, "", ""]
 
 
 # Parses every bundled document, then one with a misspelled key: whether

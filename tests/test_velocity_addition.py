@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import invarlab.audits as audits
 import invarlab.velocity_addition as velocity_addition
 from invarlab.cli import main, resolve_scenario_path
+from invarlab.core import Check
 from invarlab.velocity_addition import _catch_up_time
 from invarlab import (
     BoundedVelocity,
@@ -621,7 +622,8 @@ def test_a_broken_converse_still_fails_proper_time(tmp_path, capsys, monkeypatch
     exact = audits.check_invariance_theorem
 
     def broken(*args, **kwargs):
-        return exact(*args, **kwargs)._replace(passed=False)
+        check = exact(*args, **kwargs)
+        return Check(check.residual, False, check.detail)
 
     monkeypatch.setattr(audits, "check_invariance_theorem", broken)
     code, entries = run_addition(tmp_path, ["proper-time"])
