@@ -40,7 +40,7 @@ from .forces import (
 from .forking import beside
 from .frames import (
     FrameTransform, apply, check_objectivity, compose, identity, inverse, orthogonality_defect,
-    pure_boost, pure_translation, random_transform, raw_apply, transform_residual,
+    pure_boost, pure_translation, random_transform, raw_apply, transform_residual, _uniform,
 )
 from .report import AuditReport, AuditResult, ERROR, FAIL, PASS
 from .rootfind import ConvergenceError
@@ -178,12 +178,14 @@ class AuditContext:
 
 
 def _unit_components(rng: random.Random) -> tuple[float, float, float]:
-    """Components of a random unit vector: a normalised Gaussian triple."""
+    """Components of a uniform random unit vector from ``random()`` alone, by
+    Marsaglia's 3-D method: (a, b) uniform in the unit disk, s = a^2 + b^2."""
     while True:
-        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-6:
-            return x / n, y / n, z / n
+        a, b = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+        s = a * a + b * b
+        if s < 1.0:
+            r = 2.0 * math.sqrt(1.0 - s)
+            return a * r, b * r, 1.0 - 2.0 * s
 
 
 def _unit_vector(rng: random.Random) -> Vec3:
@@ -193,7 +195,7 @@ def _unit_vector(rng: random.Random) -> Vec3:
 def _random_velocity(rng: random.Random, gfun: GFunction, fraction: float) -> BoundedVelocity:
     scale = gfun.c if math.isfinite(gfun.c) else 10.0
     x, y, z = _unit_components(rng)
-    s = rng.uniform(0.0, fraction) * scale
+    s = _uniform(rng, 0.0, fraction) * scale
     return BoundedVelocity(Vec3(x * s, y * s, z * s), gfun)
 
 
@@ -204,7 +206,7 @@ def _speed_unit(gfun: GFunction) -> float:
 
 def _random_pair(rng: random.Random, a0: Body, b0: Body, min_sep: float) -> tuple[Body, Body]:
     def vec() -> Vec3:
-        return Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+        return Vec3(_uniform(rng, -2, 2), _uniform(rng, -2, 2), _uniform(rng, -2, 2))
 
     while True:
         a, b = a0.with_state(vec(), vec()), b0.with_state(vec(), vec())
@@ -269,7 +271,7 @@ def _audit_objectivity(ctx: AuditContext) -> Measurement:
     )
     # A coordinate of one body is subjective: it must fail under shifted origins.
     shifts = [identity()] + [
-        pure_translation(_unit_vector(rng) * rng.uniform(0.5, 2.0)) for _ in range(20)
+        pure_translation(_unit_vector(rng) * _uniform(rng, 0.5, 2.0)) for _ in range(20)
     ]
     shifted = [(apply(t, a), apply(t, b)) for t in shifts]
     counter = check_objectivity(lambda r: r[0].position.x - a.position.x, shifted, tolerance=tol)
@@ -286,12 +288,10 @@ def _audit_event_order(ctx: AuditContext) -> Measurement:
     count = ctx.params("event-order")["count"]
     violations = 0
     for _ in range(count):
-        events = sorted(rng.uniform(-50.0, 50.0) for _ in range(12))
+        events = sorted(_uniform(rng, -50.0, 50.0) for _ in range(12))
         # Random strictly increasing reparameterization of the clock.
-        a = rng.uniform(0.1, 3.0)
-        bcoef = rng.uniform(0.0, 2.0)
-        ccoef = rng.uniform(0.0, 0.01)
-        shift = rng.uniform(-10.0, 10.0)
+        a, bcoef = _uniform(rng, 0.1, 3.0), _uniform(rng, 0.0, 2.0)
+        ccoef, shift = _uniform(rng, 0.0, 0.01), _uniform(rng, -10.0, 10.0)
         mapped = [a * t + bcoef * math.atan(t) + ccoef * t**3 + shift for t in events]
         if any(t2 <= t1 for t1, t2 in zip(mapped, mapped[1:])):
             violations += 1
@@ -476,7 +476,7 @@ def _audit_boost_covariance(ctx: AuditContext) -> Measurement:
     base = ctx.trajectory() if same_run else integrate(a0, b0, ctx.law, t_end, step, cfg.method)
     worst = 0.0
     for _ in range(p["count"]):
-        boost = pure_boost(_unit_vector(rng) * rng.uniform(min(0.1, p["boost"]), p["boost"]))
+        boost = pure_boost(_unit_vector(rng) * _uniform(rng, min(0.1, p["boost"]), p["boost"]))
         boosted = integrate(apply(boost, a0), apply(boost, b0), ctx.law, t_end, step, cfg.method)
         worst = _worst(_boost_residuals(boost, base, boosted), worst)
     return Measurement(worst, f"{p['count']} random boosts, {len(base)} samples each")
@@ -604,7 +604,7 @@ def _audit_proper_time(ctx: AuditContext) -> Measurement:
     for _ in range(cfg.samples):
         v2, v3 = (_random_velocity(rng, gfun, cfg.max_speed) for _ in range(2))
         # Only the converse probe decides ``passed``; the runner holds the residual.
-        result = check_invariance_theorem(v2, v3, rng.uniform(0.1, 2.0), tolerance=math.inf)
+        result = check_invariance_theorem(v2, v3, _uniform(rng, 0.1, 2.0), tolerance=math.inf)
         worst = _worst((result.residual,), worst)
         if not result.passed:
             failures += 1
@@ -628,7 +628,7 @@ def _audit_light_quotient(ctx: AuditContext) -> Measurement:
     low = min(0.1, cfg.max_speed)
     for _ in range(count):
         direction = _unit_vector(rng)
-        boost = BoundedVelocity(direction * (rng.uniform(low, cfg.max_speed) * gfun.c), gfun)
+        boost = BoundedVelocity(direction * (_uniform(rng, low, cfg.max_speed) * gfun.c), gfun)
         worst = _worst((abs(light_quotient(boost, cfg.baseline) - gfun.c) / gfun.c,), worst)
         plain = classical_light_quotient(boost.v, cfg.baseline, gfun.c)
         deviations.append(abs(plain - gfun.c) / gfun.c)

@@ -77,7 +77,10 @@ class Vec3(_Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float) -> None:
-        if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
+        # One test of the sum covers the common case; a sum that is not
+        # finite (an inf, a nan, or finite components that overflow) is
+        # then decided component by component.
+        if not _isfinite(x + y + z) and not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
             raise NonFiniteError(f"non-finite vector component in ({x}, {y}, {z})")
         _set_x(self, x)
         _set_y(self, y)

@@ -99,12 +99,26 @@ _new = object.__new__
 
 
 def _store(t: FrameTransform, rot: Mat3, d: Vec3, w: Vec3, s: float) -> FrameTransform:
-    """Check the fields of ``t`` and store them through the slot descriptors."""
-    defect = orthogonality_defect(rot)
-    if not defect <= ORTHOGONALITY_TOL:
+    """Check the fields of ``t`` and store them through the slot descriptors.
+
+    The rotation passes when every entry of m^T m - I, in the expressions
+    and order of ``orthogonality_defect``, lies in [-tol, tol]: a nan or
+    infinite entry does not. Only a failing rotation computes the defect.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    hi = ORTHOGONALITY_TOL
+    lo = -hi
+    if not (
+        lo <= r00 * r00 + r10 * r10 + r20 * r20 - 1.0 <= hi
+        and lo <= r00 * r01 + r10 * r11 + r20 * r21 <= hi
+        and lo <= r00 * r02 + r10 * r12 + r20 * r22 <= hi
+        and lo <= r01 * r01 + r11 * r11 + r21 * r21 - 1.0 <= hi
+        and lo <= r01 * r02 + r11 * r12 + r21 * r22 <= hi
+        and lo <= r02 * r02 + r12 * r12 + r22 * r22 - 1.0 <= hi
+    ):
         if not all(map(math.isfinite, (*rot[0], *rot[1], *rot[2]))):
             raise ValueError(f"rotation entries must be finite, got {rot}")
-        raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
+        raise ValueError(f"rotation is not orthogonal (defect {orthogonality_defect(rot):.3e})")
     if not math.isfinite(s):
         raise ValueError("time_offset must be finite")
     _set_rotation(t, rot)
@@ -234,17 +248,36 @@ def transform_residual(t1: FrameTransform, t2: FrameTransform) -> float:
     )
 
 
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """A draw from [lo, hi] by the formula of ``Random.uniform`` on Python
+    3.10-3.13, written out: only ``random()`` has a sequence that Python
+    keeps the same across versions."""
+    return lo + (hi - lo) * rng.random()
+
+
 def random_rotation(rng: random.Random, reflections: bool = False) -> Mat3:
-    """Uniform random rotation (unit quaternion); optionally a reflection
-    with probability 1/2."""
+    """Uniform random rotation from a unit quaternion drawn by Marsaglia's
+    4-D method; optionally a reflection with probability 1/2.
+
+    Two points (w, x) and (y, z) uniform in the unit disk, with sums of
+    squares s1 < 1 and 0 < s2 < 1, give the unit quaternion
+    (w, x, y k, z k), k = sqrt((1 - s1) / s2). Only ``random()``,
+    products and one ``sqrt`` are used, all correctly rounded, so the
+    rotations do not depend on the platform's libm.
+    """
+    rand = rng.random
     while True:
-        w, x, y, z = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        # Left to right: sum() adds floats with compensation from Python
-        # 3.12 on, which would make the rotations depend on the version.
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if n > 1e-6:
+        w, x = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+        s1 = w * w + x * x
+        if s1 < 1.0:
             break
-    w, x, y, z = w / n, x / n, y / n, z / n
+    while True:
+        y, z = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+        s2 = y * y + z * z
+        if 0.0 < s2 < 1.0:
+            break
+    k = math.sqrt((1.0 - s1) / s2)
+    y, z = y * k, z * k
     rot: Mat3 = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
@@ -267,12 +300,12 @@ def random_transform(
 
     def vec(scale: float) -> Vec3:
         return Vec3(
-            rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+            _uniform(rng, -scale, scale), _uniform(rng, -scale, scale), _uniform(rng, -scale, scale)
         )
 
     rot = random_rotation(rng, reflections=reflections)
     d, w = vec(translation), vec(boost)
-    return _store(_new(FrameTransform), rot, d, w, rng.uniform(-time_offset, time_offset))
+    return _store(_new(FrameTransform), rot, d, w, _uniform(rng, -time_offset, time_offset))
 
 
 T = TypeVar("T")

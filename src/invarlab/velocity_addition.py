@@ -242,7 +242,7 @@ def oplus(u: BoundedVelocity, v: BoundedVelocity) -> BoundedVelocity:
     expression ``(u g(u) + v g(v)) * (w / r)``.
     """
     gfun = u.gfun
-    if not gfun.compatible(v.gfun):
+    if v.gfun is not gfun and not gfun.compatible(v.gfun):
         raise ValueError(
             f"cannot compose velocities under different profiles "
             f"({gfun.name}, c={gfun.c}) vs ({v.gfun.name}, c={v.gfun.c})"

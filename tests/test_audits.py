@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -372,3 +373,18 @@ def test_light_quotient_keeps_a_nan_plain_quotient_after_a_finite_one(monkeypatc
     (result,) = run_audits(AuditContext(sc, 1)).results
     assert result.verdict == "FAIL"
     assert result.detail == "20 boosts; plain-addition deviation >= nan"
+
+
+def test_random_directions_are_unit_and_uniform():
+    """Marsaglia's 3-D draw: each vector has norm 1 to within 4 ulp; each
+    component has mean 0 and mean square 1/3, as on the uniform sphere."""
+    rng = random.Random(13)
+    count = 20_000
+    sums, squares = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    for _ in range(count):
+        v = audits._unit_components(rng)
+        assert abs(Vec3(*v).norm() - 1.0) <= 4 * math.ulp(1.0)
+        sums = [s + x for s, x in zip(sums, v)]
+        squares = [q + x * x for q, x in zip(squares, v)]
+    assert all(abs(s / count) <= 0.02 for s in sums)
+    assert all(abs(q / count - 1.0 / 3.0) <= 0.01 for q in squares)

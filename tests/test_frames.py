@@ -22,7 +22,7 @@ from invarlab import (
     random_transform,
     transform_residual,
 )
-from invarlab.frames import orthogonality_defect
+from invarlab.frames import ORTHOGONALITY_TOL, orthogonality_defect
 
 from helpers import kepler_pair, observables_at, random_body
 
@@ -79,6 +79,54 @@ def test_orthogonality_defect_propagates_nan():
             m[i][j] = math.nan
             assert math.isnan(orthogonality_defect(m)), (i, j)
     assert orthogonality_defect(eye) == 0.0
+
+
+TOL = ORTHOGONALITY_TOL
+
+
+def with_entry(i, j, value):
+    """The identity with entry (i, j) replaced by ``value``."""
+    return tuple(
+        tuple(value if (r, c) == (i, j) else float(r == c) for c in range(3)) for r in range(3)
+    )
+
+
+# (rotation, what the constructor does): "ok", "not orthogonal" or "not
+# finite". An off-diagonal entry t of the identity makes one Gram entry of
+# m^T m - I exactly t; a diagonal entry 1 + 2^-35 or 1 - 2^-35 makes one
+# exactly +-2^-34, inside the tolerance, and 1 +- 2^-34 makes +-2^-33, outside.
+BOUNDARY = [
+    *[(with_entry(i, j, t), "ok") for i, j in ((0, 1), (0, 2), (1, 2)) for t in (TOL, -TOL)],
+    *[(with_entry(i, j, math.nextafter(t, t * 2.0)), "not orthogonal")
+      for i, j in ((1, 0), (2, 0), (2, 1)) for t in (TOL, -TOL)],
+    *[(with_entry(i, i, 1.0 + d), "ok") for i in range(3) for d in (2.0**-35, -(2.0**-35))],
+    *[(with_entry(i, i, 1.0 + d), "not orthogonal")
+      for i in range(3) for d in (2.0**-34, -(2.0**-34))],
+    *[(with_entry(i, (i + 1) % 3, bad), "not finite")
+      for i in range(3) for bad in (math.nan, math.inf, -math.inf)],
+    *[(with_entry(i, i, bad), "not finite") for i in range(3) for bad in (math.inf, -math.inf)],
+    (((1.0, -0.0, -0.0), (-0.0, 1.0, -0.0), (-0.0, -0.0, 1.0)), "ok"),
+    (((-0.0, 1.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 0.0, -1.0)), "ok"),
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)), "ok"),
+    (((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), "ok"),
+    (((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)), "not orthogonal"),
+]
+
+
+@pytest.mark.parametrize("rotation, outcome", BOUNDARY)
+def test_rotation_check_accepts_exactly_the_defects_within_tolerance(rotation, outcome):
+    defect = orthogonality_defect(rotation)
+    assert (outcome == "ok") == (defect <= TOL)
+    if outcome == "ok":
+        assert FrameTransform(rotation=rotation).rotation == rotation
+        return
+    if outcome == "not finite":
+        message = f"rotation entries must be finite, got {rotation}"
+    else:
+        message = f"rotation is not orthogonal (defect {defect:.3e})"
+    with pytest.raises(ValueError) as raised:
+        FrameTransform(rotation=rotation)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
@@ -188,11 +236,29 @@ def test_associativity_randomized():
         assert transform_residual(compose(compose(a, b), c), compose(a, compose(b, c))) < 1e-12
 
 
-def test_random_rotation_is_orthogonal():
-    rng = random.Random(9)
-    for _ in range(50):
-        rot = random_rotation(rng, reflections=True)
-        assert orthogonality_defect(rot) < 1e-12
+@pytest.mark.parametrize("reflections", [False, True])
+def test_random_rotations_are_orthogonal_and_centred(reflections):
+    """Marsaglia's quaternions: orthogonal to rounding, mean matrix zero
+    (as for the uniform measure on the group), and with ``reflections``
+    about half of them reflections."""
+    rng = random.Random(12)
+    count = 20_000
+    total = [[0.0] * 3 for _ in range(3)]
+    negative = 0
+    for _ in range(count):
+        rot = random_rotation(rng, reflections=reflections)
+        assert orthogonality_defect(rot) <= 1e-14
+        (a, b, c), (d, e, f), (g, h, k) = rot
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        assert abs(abs(det) - 1.0) <= 1e-14
+        negative += det < 0.0
+        for row, entries in zip(total, rot):
+            row[:] = [t + x for t, x in zip(row, entries)]
+    assert all(abs(t / count) <= 0.02 for row in total for t in row)
+    if reflections:
+        assert abs(negative / count - 0.5) <= 0.02
+    else:
+        assert negative == 0
 
 
 def test_pair_state_transforms_with_rotation_only():

@@ -865,12 +865,13 @@ def reference_invariance_theorem(v2, v3, duration, *, tolerance=1e-12, perturbat
 
 
 def reference_unit_vector(rng):
-    """Earlier _unit_vector: a Vec3 divided by its norm."""
+    """Marsaglia's unit vector in Vec3 arithmetic: a point p of the unit
+    disk in the xy-plane, with s = |p|^2, gives 2 sqrt(1 - s) p + (1 - 2s) z."""
     while True:
-        v = Vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        n = v.norm()
-        if n > 1e-6:
-            return v / n
+        p = Vec3(2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0, 0.0)
+        s = p.x * p.x + p.y * p.y
+        if s < 1.0:
+            return p * (2.0 * math.sqrt(1.0 - s)) + Vec3(0.0, 0.0, 1.0 - 2.0 * s)
 
 
 def reference_random_velocity(rng, gfun, max_fraction):
